@@ -6,10 +6,11 @@
 It runs each workload at a tiny size, untraced and traced, and requires
 every output check to pass; it then corrupts one value at a time (a
 functional scaled by 1 + 1e-6, an output that changes between rounds) and
-requires the checks to reject it.  It also runs the benchmark command on
-the requests workload and compares the metric names it prints with
-BENCHMARK.json, and runs it from a copy without ``src/``, where it must exit
-non-zero without printing a result.  Exits 0 when every case holds.
+requires the checks to reject it, and requires that the tracer does not
+record the speed probe.  It also runs the benchmark command on the requests
+workload and compares the metric names it prints with BENCHMARK.json, and
+runs it from a copy without ``src/``, where it must exit non-zero without
+printing a result.  Exits 0 when every case holds.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ sys.path.insert(0, str(HERE))
 
 import entropylab.cli  # noqa: E402
 
+import probe  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -69,7 +71,8 @@ def problems_of(workload: str, work: Path, trace: bool = False) -> tuple[list, l
             rounds.run_round(tracer)
         finally:
             tracer.uninstall()
-        metrics = tracing.layer_metrics(tracer, rounds.round_s[:1], rounds.round_s[1:])
+        round_s = rounds.round_s()
+        metrics = tracing.layer_metrics(tracer, round_s[:1], round_s[1:])
     else:
         rounds.run_round()
     return rounds.failures, rounds.problems(), metrics
@@ -111,6 +114,14 @@ def main() -> int:
                 fails, probs, _ = problems_of(workload, tmp / workload / fname)
             expect(bool(probs) and not fails,
                    f"{workload}: {fname} scaled by {factor} is rejected ({len(probs)} problems)")
+
+        tracer = tracing.Tracer(entropylab)
+        tracer.install()
+        try:
+            probe.timed()
+        finally:
+            tracer.uninstall()
+        expect(len(tracer.start) == 0, "the speed probe records no spans under the tracer")
 
         ops = workloads.requests(entropylab, SEED, tmp / "drift", **TINY["requests"])
         rounds = run.Rounds(ops)
