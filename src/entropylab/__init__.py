@@ -37,7 +37,6 @@ from .matrix_core import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     SpectralDecomposition,
-    is_contraction,
     make_rng,
     matrix_exp,
     matrix_function,

@@ -41,27 +41,33 @@ from .matrix_core import (
 from .serialization import (
     contraction_tuple_to_json,
     dump_json,
-    hermitian_from_json,
     load_json,
-    matrix_from_json,
     matrix_to_json,
-    multi_instance_from_json,
     multi_instance_to_json,
-    pd_from_json,
+    read_fields,
 )
 from .variational import SolverConfig, maximize
 from .verifiers import CHECKS, CheckConfig, DEFAULT_DIMS, DEFAULT_SEED, run_check
 
-EVAL_FUNCTIONALS = (
-    "relative_entropy",
-    "reduced_relative_entropy",
-    "lieb_trace",
-    "lieb_derivative",
-    "phi",
-    "multi_phi",
-    "gt_jensen_rhs",
-    "gibbs_objective",
-)
+# eval name -> (attribute of ``functionals``, instance fields in argument
+# order; see serialization.read_fields).  The attribute is looked up at
+# call time.
+FUNCTIONALS = {
+    "relative_entropy": ("relative_entropy", {"A": "pd", "B": "pd"}),
+    "reduced_relative_entropy": ("reduced_relative_entropy",
+                                 {"A": "pd", "B": "pd", "H": "matrix"}),
+    "lieb_trace": ("lieb_trace", {"A": "pd", "B": "pd", "H": "matrix", "p": "float"}),
+    "lieb_derivative": ("lieb_trace_derivative_at_zero", {"A": "pd", "B": "pd", "H": "matrix"}),
+    "phi": ("trace_exp_functional", {"A": "pd", "L": "hermitian", "H": "matrix"}),
+    "multi_phi": ("multi_trace_exp", {"inst": "multi"}),
+    "gt_jensen_rhs": ("gt_jensen_rhs", {"inst": "multi"}),
+    "gibbs_objective": ("gibbs_objective", {"X": "pd", "B": "pd"}),
+}
+# optimize objective -> the data fields ``maximize`` takes.
+OBJECTIVE_FIELDS = {
+    "gibbs": {"B": "pd"},
+    "phi": {"A": "pd", "L": "hermitian", "H": "matrix"},
+}
 
 
 def _resolve_seed(flag_value) -> int:
@@ -76,52 +82,10 @@ def _resolve_seed(flag_value) -> int:
     return DEFAULT_SEED
 
 
-def _field(obj: dict, key: str, path) -> object:
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"{path}: missing required key '{key}'")
-    return obj[key]
-
-
-def _evaluate(name: str, obj: dict, path) -> float:
-    if name == "relative_entropy":
-        return fn.relative_entropy(pd_from_json(_field(obj, "A", path), "A"),
-                                   pd_from_json(_field(obj, "B", path), "B"))
-    if name == "reduced_relative_entropy":
-        return fn.reduced_relative_entropy(
-            pd_from_json(_field(obj, "A", path), "A"),
-            pd_from_json(_field(obj, "B", path), "B"),
-            matrix_from_json(_field(obj, "H", path), "H"))
-    if name == "lieb_trace":
-        return fn.lieb_trace(
-            pd_from_json(_field(obj, "A", path), "A"),
-            pd_from_json(_field(obj, "B", path), "B"),
-            matrix_from_json(_field(obj, "H", path), "H"),
-            float(_field(obj, "p", path)))
-    if name == "lieb_derivative":
-        return fn.lieb_trace_derivative_at_zero(
-            pd_from_json(_field(obj, "A", path), "A"),
-            pd_from_json(_field(obj, "B", path), "B"),
-            matrix_from_json(_field(obj, "H", path), "H"))
-    if name == "phi":
-        return fn.trace_exp_functional(
-            pd_from_json(_field(obj, "A", path), "A"),
-            hermitian_from_json(_field(obj, "L", path), "L"),
-            matrix_from_json(_field(obj, "H", path), "H"))
-    if name == "multi_phi":
-        inst = multi_instance_from_json(obj, name=str(path))
-        return fn.multi_trace_exp(inst)
-    if name == "gt_jensen_rhs":
-        inst = multi_instance_from_json(obj, name=str(path))
-        return fn.gt_jensen_rhs(inst)
-    if name == "gibbs_objective":
-        return fn.gibbs_objective(pd_from_json(_field(obj, "X", path), "X"),
-                                  pd_from_json(_field(obj, "B", path), "B"))
-    raise ParseError(f"unknown functional {name!r}")
-
-
 def cmd_eval(args) -> int:
-    obj = load_json(args.instance)
-    value = _evaluate(args.functional, obj, args.instance)
+    attr, fields = FUNCTIONALS[args.functional]
+    inputs = read_fields(load_json(args.instance), fields, str(args.instance))
+    value = getattr(fn, attr)(*inputs.values())
     print(f"{value:.15g}")
     if args.out:
         dump_json({"functional": args.functional,
@@ -190,14 +154,7 @@ def cmd_optimize(args) -> int:
         backtrack_factor=args.backtrack_factor,
         armijo_c=args.armijo_c,
     )
-    if args.objective == "gibbs":
-        data = {"B": pd_from_json(_field(obj, "B", args.instance), "B")}
-    else:
-        data = {
-            "A": pd_from_json(_field(obj, "A", args.instance), "A"),
-            "L": hermitian_from_json(_field(obj, "L", args.instance), "L"),
-            "H": matrix_from_json(_field(obj, "H", args.instance), "H"),
-        }
+    data = read_fields(obj, OBJECTIVE_FIELDS[args.objective], str(args.instance))
     result = maximize(args.objective, data, cfg)
     record = {
         "objective": args.objective,
@@ -252,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a functional on an instance file")
-    p_eval.add_argument("functional", choices=EVAL_FUNCTIONALS)
+    p_eval.add_argument("functional", choices=tuple(FUNCTIONALS))
     p_eval.add_argument("instance", type=Path, help="JSON instance file")
     p_eval.add_argument("--out", type=Path, default=None, help="write a JSON record here")
     p_eval.set_defaults(func=cmd_eval)
@@ -269,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_opt = sub.add_parser("optimize", help="maximize a variational objective")
-    p_opt.add_argument("objective", choices=("gibbs", "phi"))
+    p_opt.add_argument("objective", choices=tuple(OBJECTIVE_FIELDS))
     p_opt.add_argument("instance", type=Path)
     p_opt.add_argument("--max-iters", type=int, default=500)
     p_opt.add_argument("--grad-tol", type=float, default=1e-8)

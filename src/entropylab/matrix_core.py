@@ -21,10 +21,6 @@ PD_FLOOR = 1e-10                # smallest admissible eigenvalue of a PD matrix
 CONTRACTION_TOL = 1e-10         # slack on operator norm <= 1
 IDENTITY_SUM_TOL = 1e-10        # slack on sum(H_i* H_i) == I for isometric tuples
 
-#: Seeds are 64-bit unsigned integers; the same seed reproduces the same
-#: instances bit for bit on one platform.
-RngSeed = int
-
 SeedLike = Union[int, np.random.Generator]
 
 
@@ -104,6 +100,14 @@ class SpectralDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
+def _gram(blocks, n: int) -> np.ndarray:
+    """sum(H_i* H_i) over n x n, symmetrized."""
+    g = np.zeros((n, n), dtype=np.complex128)
+    for b in blocks:
+        g += b.conj().T @ b
+    return (g + g.conj().T) / 2.0
+
+
 class ContractionTuple:
     """k rectangular blocks H_1..H_k of equal shape m x n with sum(H_i* H_i) <= I.
 
@@ -123,10 +127,7 @@ class ContractionTuple:
                 raise DimensionError(f"block {i} has shape {b.shape}, expected {(m, n)}")
         for b in mats:
             b.setflags(write=False)
-        gram = np.zeros((n, n), dtype=np.complex128)
-        for b in mats:
-            gram += b.conj().T @ b
-        gram = (gram + gram.conj().T) / 2.0
+        gram = _gram(mats, n)
         top = float(np.linalg.eigvalsh(gram)[-1])
         if top > 1.0 + CONTRACTION_TOL:
             raise NotAContraction(f"largest eigenvalue of sum(H_i* H_i) is {top:.12f} > 1")
@@ -141,10 +142,7 @@ class ContractionTuple:
         self.sum_is_identity = bool(sum_is_identity)
 
     def gram(self) -> np.ndarray:
-        g = np.zeros((self.n, self.n), dtype=np.complex128)
-        for b in self.blocks:
-            g += b.conj().T @ b
-        return (g + g.conj().T) / 2.0
+        return _gram(self.blocks, self.n)
 
     def __repr__(self) -> str:
         return (f"ContractionTuple(k={self.k}, m={self.m}, n={self.n}, "
@@ -213,10 +211,6 @@ def operator_norm(M) -> float:
     """Largest singular value of a (possibly rectangular) complex matrix."""
     a = as_complex_matrix(M, name="operator_norm argument")
     return float(np.linalg.norm(a, 2))
-
-
-def is_contraction(M, tol: float = CONTRACTION_TOL) -> bool:
-    return operator_norm(M) <= 1.0 + tol
 
 
 # ---------------------------------------------------------------------------

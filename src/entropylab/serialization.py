@@ -4,6 +4,9 @@ A matrix is ``{"rows": int, "cols": int, "data": [[re, im], ...]}`` with the
 entries flattened in row-major order.  Floats round-trip exactly (json writes
 the shortest repr of an IEEE double), so dumped instances re-evaluate to
 bit-identical results.
+
+An instance object is read field by field with :func:`read_fields`, which
+the CLI (``eval``, ``optimize``) and check replay share.
 """
 
 from __future__ import annotations
@@ -109,6 +112,57 @@ def multi_instance_from_json(obj, name: str = "instance"):
         raise ParseError(f"{name}: 'B' must be a list of matrices")
     b_list = [hermitian_from_json(b, name=f"{name}.B[{i}]") for i, b in enumerate(obj["B"])]
     return MultiInstance(L=L, H=tup, b_list=b_list)
+
+
+def _float(obj, name: str) -> float:
+    try:
+        return float(obj)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{name}: expected a number, got {obj!r}") from exc
+
+
+def _floats(obj, name: str) -> tuple:
+    items = obj if isinstance(obj, list) else [obj]
+    return tuple(_float(x, name) for x in items)
+
+
+def _pd_list(obj, name: str) -> list:
+    if not isinstance(obj, list):
+        raise ParseError(f"{name}: expected a list of matrices")
+    return [pd_from_json(a, name=f"{name}[{i}]") for i, a in enumerate(obj)]
+
+
+# Field kinds of an instance object: how one key's value is read.
+_FIELD_READERS = {
+    "pd": pd_from_json,
+    "hermitian": hermitian_from_json,
+    "matrix": matrix_from_json,
+    "float": _float,
+    "floats": _floats,           # a number or a list of numbers, as a tuple
+    "pd_list": _pd_list,
+}
+
+
+def read_fields(obj, fields: dict, name: str = "instance", required: bool = True) -> dict:
+    """Typed values of an instance object, one per entry of ``fields``
+    (key -> kind), in the order of ``fields``.
+
+    The kind ``"multi"`` reads the whole object as a MultiInstance (keys L,
+    H, A or B, sum_is_identity); every other kind reads its own key with
+    ``_FIELD_READERS``.  A missing key raises ParseError, or is left out when
+    ``required`` is false.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{name}: expected a JSON object, got {type(obj).__name__}")
+    out = {}
+    for key, kind in fields.items():
+        if kind == "multi":
+            out[key] = multi_instance_from_json(obj, name=name)
+        elif key in obj:
+            out[key] = _FIELD_READERS[kind](obj[key], f"{name}: key '{key}'")
+        elif required:
+            raise ParseError(f"{name}: missing required key '{key}'")
+    return out
 
 
 def dump_json(obj, path) -> None:

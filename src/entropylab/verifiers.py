@@ -1,23 +1,51 @@
 """Randomized property testing of the convexity, concavity, equality, and
 inequality claims about the trace functionals.
 
-Every check draws seeded random instances and compares functional values at
-tolerance tol_abs + tol_rel * scale, where scale is the largest magnitude in
-the comparison.  Trial i uses the substream derived from (seed, i), so
-results are bit-identical across runs and independent of execution order.
+Each check is declared as a :class:`Check` rather than written as a loop:
+
+- ``sample(rng, cfg, dims, trial) -> instance`` draws one trial's instance,
+  a dict of typed values, from the trial's substream;
+- ``compare(instance, cfg, functionals)`` is a lazy generator of
+  :class:`Comparison` s (kind, lhs, rhs, gap, tol, strict), each with a
+  thunk that dumps the instance its record holds;
+- ``functionals()`` looks up the genuine functionals at call time, and the
+  check's keyword hooks replace them, so the harness self-test can corrupt
+  a functional and prove the check is not vacuous;
+- ``fields`` gives the kind of each key of a dumped instance (see
+  ``serialization.read_fields``), and ``kinds`` the comparison kinds.
+
+One run loop (:func:`_run`) serves every check.  Trial i uses the substream
+derived from (seed, i), so results are bit-identical across runs and
+independent of execution order.  A comparison breaches when gap > tol
+(gap >= tol if strict), where tol is tol_abs + tol_rel * scale and scale is
+the largest magnitude in the comparison; a record is built only on a
+breach.  A trial that raises an EntropyLabError becomes an error record
+``{"kind": "error", "trial", "error"}`` and the check goes on.
+
+Replay (:func:`re_evaluate`) reads a record's instance with ``fields``,
+passes the record's kind in as ``instance["kind"]``, runs the same
+``compare`` with the genuine functionals, and returns the first comparison
+of the record's kind (the first comparison at all for a record without a
+kind).  So a record's dump must hold every field that ``compare`` reads
+before it yields that comparison, and on the dump alone ``compare`` must
+yield the record's comparison first among those of its kind.  A list of
+weights (``lam``, ``t``) dumps the one weight of its record and is read
+back as a one-element tuple.
 
 Convexity and concavity are tested on segments (several mixing weights per
 instance), which is exact up to arithmetic noise.  `search_gt_route_gap`
 inverts the usual pass meaning: it hunts for witnesses that the
 Golden-Thompson-first bound Tr(e^L e^(sum H_i* B_i H_i)) can exceed the
-commuting-case bound, and passes when it finds one.
+commuting-case bound, keeps at most one per trial, re-verifies each by
+replaying its JSON dump, and passes when it finds one and no trial errored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,15 +60,7 @@ from .matrix_core import (
     random_hermitian,
     random_pd,
 )
-from .serialization import (
-    contraction_tuple_from_json,
-    hermitian_from_json,
-    matrix_from_json,
-    matrix_to_json,
-    multi_instance_from_json,
-    multi_instance_to_json,
-    pd_from_json,
-)
+from .serialization import matrix_to_json, multi_instance_to_json, read_fields
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_DIMS = ((1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 2, 2), (2, 3, 3), (3, 2, 2), (4, 2, 2))
@@ -51,6 +71,8 @@ P_GRID = (1e-2, 1e-3, 1e-4)
 T_FACTORS = (0.5, 2.0, 10.0)
 # A strict-contraction tuple must break homogeneity by at least this much.
 HOMOGENEITY_BREAK_MIN = 1e-3
+# Instance families of the gt_jensen check, cycled by trial index.
+GT_FAMILIES = ("general", "golden_thompson", "general", "jensen")
 
 
 @dataclass(frozen=True)
@@ -105,9 +127,9 @@ class CheckReport:
 
     For ``semantics == "violations"`` the entries in ``violations`` are
     property breaches and passing means the list is empty.  For
-    ``semantics == "witness_search"`` the entries are found witnesses and
-    passing means the list is non-empty; an empty list is inconclusive,
-    not a refutation.
+    ``semantics == "witness_search"`` the entries are found witnesses (and
+    error records) and passing means at least one witness and no error
+    record; no witness is inconclusive, not a refutation.
     """
 
     check_name: str
@@ -137,6 +159,39 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+class Comparison(NamedTuple):
+    """One compared pair.  ``dump`` returns the JSON instance of its record;
+    ``extra`` holds further record fields."""
+
+    kind: str
+    lhs: float
+    rhs: float
+    gap: float
+    tol: float
+    dump: Callable[[], dict]
+    strict: bool = False
+    extra: dict | None = None
+
+    @property
+    def breached(self) -> bool:
+        return self.gap >= self.tol if self.strict else self.gap > self.tol
+
+
+@dataclass(frozen=True)
+class Check:
+    """A check declared as a sampler plus lazy comparisons; see the module
+    docstring for what each part must satisfy."""
+
+    name: str
+    sample: Callable
+    compare: Callable
+    functionals: Callable[[], dict]
+    fields: dict
+    kinds: tuple
+    dims: Callable[[CheckConfig], tuple] = lambda cfg: cfg.dims
+    semantics: str = "violations"
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Substream for one trial, a pure function of (seed, trial)."""
     return np.random.default_rng([int(seed), int(trial)])
@@ -146,9 +201,16 @@ def _pick_dims(rng: np.random.Generator, dims: tuple) -> tuple[int, int, int]:
     return dims[int(rng.integers(len(dims)))]
 
 
-def _lambda_values(cfg: CheckConfig, rng: np.random.Generator) -> list[float]:
+def _isometric_dims(cfg: CheckConfig) -> tuple:
+    dims = tuple(d for d in cfg.dims if d[0] * d[1] >= d[2])
+    if not dims:
+        raise DomainError("no dims triple satisfies k*m >= n (needed for isometric tuples)")
+    return dims
+
+
+def _lambda_values(cfg: CheckConfig, rng: np.random.Generator) -> tuple:
     # Fixed grid plus one fresh mixing weight per trial.
-    return list(cfg.lambda_samples) + [float(rng.uniform(0.01, 0.99))]
+    return cfg.lambda_samples + (float(rng.uniform(0.01, 0.99)),)
 
 
 def _random_contraction(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -166,158 +228,348 @@ def _tol(cfg: CheckConfig, *values: float) -> float:
     return cfg.tol_abs + cfg.tol_rel * max(abs(v) for v in values)
 
 
-class _Tally:
-    """Collects comparisons, violations, and the worst observed margin."""
-
-    def __init__(self, cfg: CheckConfig):
-        self.cfg = cfg
-        self.violations: list = []
-        self.worst: float | None = None
-
-    def compare(self, gap: float, tol: float, record: dict, strict: bool = False) -> None:
-        if self.worst is None or gap > self.worst:
-            self.worst = float(gap)
-        breached = gap >= tol if strict else gap > tol
-        if breached:
-            record = dict(record)
-            record["gap"] = float(gap)
-            record["tol"] = float(tol)
-            self.violations.append(record)
-
-    def error(self, trial: int, exc: Exception) -> None:
-        self.violations.append({"kind": "error", "trial": trial, "error": str(exc)})
-
-
-def _finish(name: str, cfg: CheckConfig, tally: _Tally, note: str | None = None,
-            extra: dict | None = None) -> CheckReport:
-    return CheckReport(
-        check_name=name,
-        semantics="violations",
-        trials_run=cfg.trials,
-        violations=tally.violations,
-        worst_gap=tally.worst,
-        passed=not tally.violations,
-        note=note,
-        config=cfg.to_dict(),
-        extra=extra,
-    )
+def _dump(**values) -> dict:
+    """JSON instance of a record: a MultiInstance merged in at the top level,
+    matrices as matrix objects, lists as lists of them, anything else as is."""
+    out = {}
+    for key, value in values.items():
+        if isinstance(value, fn.MultiInstance):
+            out.update(multi_instance_to_json(value))
+        elif isinstance(value, (list, tuple)):
+            out[key] = [matrix_to_json(m) for m in value]
+        elif isinstance(value, (np.ndarray, HermitianMatrix)):
+            out[key] = matrix_to_json(value)
+        else:
+            out[key] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Individual checks.  Each accepts the functional under test as a keyword so
-# the harness self-test can corrupt it and prove the check is not vacuous.
+# The run loop and replay, shared by every check.
+# ---------------------------------------------------------------------------
+
+def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
+    """Run ``check``; ``hooks`` replace functionals by name (None keeps the
+    genuine one)."""
+    funcs = check.functionals()
+    funcs.update((name, f) for name, f in hooks.items() if f is not None)
+    dims = check.dims(cfg)
+    search = check.semantics == "witness_search"
+    records: list = []
+    worst: float | None = None
+    for t in range(cfg.trials):
+        try:
+            instance = check.sample(trial_rng(cfg.seed, t), cfg, dims, t)
+            for c in check.compare(instance, cfg, funcs):
+                if worst is None or c.gap > worst:
+                    worst = float(c.gap)
+                if c.breached:
+                    records.append(_record(check, t, c))
+                    if search:
+                        break  # one witness per trial
+        except EntropyLabError as exc:
+            records.append({"kind": "error", "trial": t, "error": str(exc)})
+    passed, note = not records, None
+    if search:
+        errors = sum(r["kind"] == "error" for r in records)
+        found = len(records) - errors
+        passed = found > 0 and not errors
+        note = (f"found {found} witnesses" if found
+                else "inconclusive: no witness found; the searched family may be too tame")
+        if errors:
+            note += f", {errors} error records"
+    return CheckReport(check_name=check.name, semantics=check.semantics, trials_run=cfg.trials,
+                       violations=records, worst_gap=worst, passed=passed, note=note,
+                       config=cfg.to_dict())
+
+
+def _record(check: Check, trial: int, c: Comparison) -> dict:
+    record = {"kind": c.kind, "trial": trial, **(c.extra or {}),
+              "lhs": c.lhs, "rhs": c.rhs, "gap": float(c.gap), "instance": c.dump()}
+    if check.semantics == "witness_search":
+        # Re-verified from the serialized dump with the genuine functionals.
+        redo = _replay(check, json.loads(json.dumps(record)))
+        record["reverified_gap"] = float(redo.gap)
+        record["reverified"] = bool(abs(redo.gap - c.gap) <= 1e-12)
+    else:
+        record["tol"] = float(c.tol)
+    return record
+
+
+def _replay(check: Check, record: dict) -> Comparison:
+    kind = record.get("kind")
+    if kind is not None and kind not in check.kinds:
+        raise DomainError(f"check {check.name!r} has no comparison of kind {kind!r}")
+    instance = read_fields(record["instance"], check.fields, required=False)
+    instance["kind"] = kind
+    for c in check.compare(instance, CheckConfig(), check.functionals()):
+        if kind is None or c.kind == kind:
+            return c
+    raise DomainError(f"check {check.name!r}: the record's instance yields no {kind!r} comparison")
+
+
+# ---------------------------------------------------------------------------
+# Samplers and comparisons, one pair per check.
+# ---------------------------------------------------------------------------
+
+def _sample_sh(rng, cfg, dims, trial) -> dict:
+    _, m, _ = _pick_dims(rng, dims)
+    return {"H": _random_contraction(rng, m, m),
+            "A1": random_pd(m, cfg.eig_range, rng), "B1": random_pd(m, cfg.eig_range, rng),
+            "A2": random_pd(m, cfg.eig_range, rng), "B2": random_pd(m, cfg.eig_range, rng),
+            "lam": _lambda_values(cfg, rng)}
+
+
+def _compare_sh(inst, cfg, f):
+    entropy, h = f["entropy"], inst["H"]
+    a1, b1, a2, b2 = inst["A1"], inst["B1"], inst["A2"], inst["B2"]
+    s1, s2 = entropy(a1, b1, h), entropy(a2, b2, h)
+    for lam in inst["lam"]:
+        s_mid = entropy(_mix(lam, a1, a2), _mix(lam, b1, b2), h)
+        combo = lam * s1 + (1.0 - lam) * s2
+        yield Comparison("segment", s_mid, combo, s_mid - combo, _tol(cfg, s_mid, s1, s2),
+                         partial(_dump, H=h, A1=a1, B1=b1, A2=a2, B2=b2, lam=lam))
+
+
+def _sample_phi(rng, cfg, dims, trial) -> dict:
+    _, m, n = _pick_dims(rng, dims)
+    return {"H": _random_contraction(rng, m, n), "L": random_hermitian(n, 1.0, rng),
+            "A1": random_pd(m, cfg.eig_range, rng), "A2": random_pd(m, cfg.eig_range, rng),
+            "lam": _lambda_values(cfg, rng)}
+
+
+def _compare_phi(inst, cfg, f):
+    phi, L, h, a1, a2 = f["phi"], inst["L"], inst["H"], inst["A1"], inst["A2"]
+    p1, p2 = phi(a1, L, h), phi(a2, L, h)
+    for lam in inst["lam"]:
+        p_mid = phi(_mix(lam, a1, a2), L, h)
+        combo = lam * p1 + (1.0 - lam) * p2
+        yield Comparison("segment", combo, p_mid, combo - p_mid, _tol(cfg, p_mid, p1, p2),
+                         partial(_dump, L=L, H=h, A1=a1, A2=a2, lam=lam))
+
+
+def _sample_multi(rng, cfg, dims, trial) -> dict:
+    k, m, n = _pick_dims(rng, dims)
+    sum_id = bool(rng.integers(2)) and k * m >= n
+    tup = random_contraction_tuple(k, m, n, sum_id, rng)
+    L = random_hermitian(n, 1.0, rng)
+    a1s = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
+    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=a1s),
+            "A2": [random_pd(m, cfg.eig_range, rng) for _ in range(k)],
+            "lam": _lambda_values(cfg, rng)}
+
+
+def _compare_multi(inst, cfg, f):
+    phi, first = f["phi"], inst["inst"]
+
+    def evaluate(m: fn.MultiInstance):
+        # Every value is cross-checked against the block-lift route.
+        direct = phi(m)
+        lifted = fn.block_lift(m).lifted_value()
+        expected = direct + (m.k - 1) * m.H.n
+        yield Comparison("block_lift", lifted, expected, abs(lifted - expected),
+                         cfg.tol_abs + cfg.tol_rel * abs(direct), partial(_dump, inst=m))
+        return direct
+
+    p1 = yield from evaluate(first)
+    p2 = yield from evaluate(replace(first, a_list=inst["A2"]))
+    for lam in inst["lam"]:
+        mids = [_mix(lam, x, y) for x, y in zip(first.a_list, inst["A2"])]
+        p_mid = yield from evaluate(replace(first, a_list=mids))
+        combo = lam * p1 + (1.0 - lam) * p2
+        yield Comparison("segment", combo, p_mid, combo - p_mid, _tol(cfg, p_mid, p1, p2),
+                         partial(_dump, inst=first, A2=inst["A2"], lam=lam))
+
+
+def _sample_gt_jensen(rng, cfg, dims, trial) -> dict:
+    family = GT_FAMILIES[trial % len(GT_FAMILIES)]
+    k, m, n = _pick_dims(rng, dims)
+    if family == "golden_thompson":
+        tup = ContractionTuple([np.eye(m)], sum_is_identity=True)
+        L = random_hermitian(m, 1.0, rng)
+        bs = [random_hermitian(m, 1.0, rng)]
+    else:
+        tup = random_contraction_tuple(k, m, n, True, rng)
+        L = (HermitianMatrix(np.zeros((n, n))) if family == "jensen"
+             else random_hermitian(n, 1.0, rng))
+        bs = [random_hermitian(m, 1.0, rng) for _ in range(k)]
+    return {"kind": family, "inst": fn.MultiInstance(L=L, H=tup, b_list=bs)}
+
+
+def _compare_gt_jensen(inst, cfg, f):
+    m = inst["inst"]
+    lhs, rhs = f["lhs"](m), f["rhs"](m)
+    yield Comparison(inst["kind"], lhs, rhs, lhs - rhs, _tol(cfg, lhs, rhs),
+                     partial(_dump, inst=m))
+
+
+def _sample_gibbs(rng, cfg, dims, trial) -> dict:
+    _, m, _ = _pick_dims(rng, dims)
+    return {"B": random_pd(m, cfg.eig_range, rng), "X": random_pd(m, cfg.eig_range, rng)}
+
+
+def _compare_gibbs(inst, cfg, f):
+    objective, B = f["objective"], inst["B"]
+    tr_b = B.trace()
+    if "X" in inst:  # an equality record dumps B alone
+        X = inst["X"]
+        val = objective(X, B)
+        yield Comparison("bound", val, tr_b, val - tr_b, _tol(cfg, val, tr_b),
+                         partial(_dump, X=X, B=B))
+    at_max = objective(B, B)
+    yield Comparison("equality", at_max, tr_b, abs(at_max - tr_b), _tol(cfg, at_max, tr_b),
+                     partial(_dump, B=B))
+
+
+def _sample_derivative(rng, cfg, dims, trial) -> dict:
+    _, m, n = _pick_dims(rng, dims)
+    return {"A": random_pd(m, cfg.eig_range, rng), "B": random_pd(n, cfg.eig_range, rng),
+            "H": _random_contraction(rng, m, n)}
+
+
+def _compare_derivative(inst, cfg, f):
+    A, B, h = inst["A"], inst["B"], inst["H"]
+    g0 = fn.lieb_trace(A, B, h, 0.0)
+    d0 = f["derivative"](A, B, h)
+    errors = {}
+    scale = max(abs(g0), abs(d0))
+    for p in P_GRID:
+        gp = fn.lieb_trace(A, B, h, p)
+        errors[repr(p)] = abs((gp - g0) / p - d0)
+        scale = max(scale, abs(gp))
+    e_big, e_mid, e_small = errors.values()
+    dump = partial(_dump, A=A, B=B, H=h, errors=errors, scale=scale)
+    yield Comparison("not_decreasing", e_mid, e_big, e_mid - e_big, 0.0, dump, strict=True)
+    yield Comparison("floor_exceeded", e_small, 10.0 * e_mid, e_small - 10.0 * e_mid, 0.0,
+                     dump, strict=True)
+    yield Comparison("above_scale", e_small, 1e-2 * scale, e_small - 1e-2 * scale, 0.0, dump)
+
+
+def _route_dims(cfg: CheckConfig) -> tuple:
+    dims = tuple(d for d in _isometric_dims(cfg) if d[0] >= 2)
+    if not dims:
+        raise DomainError("search_gt_route_gap needs at least one dims triple with k >= 2")
+    return dims
+
+
+def _sample_route(rng, cfg, dims, trial) -> dict:
+    # Two weights L: a purely random one, and a probe spiked along the top
+    # eigendirection of e^(sum H* B H) - sum H* e^B H (a random search over
+    # L alone almost never aligns with that thin direction).
+    k, m, n = _pick_dims(rng, dims)
+    tup = random_contraction_tuple(k, m, n, True, rng)
+    bs = [random_hermitian(m, 3.0, rng) for _ in range(k)]
+    l_random = random_hermitian(n, float(rng.uniform(0.5, 4.0)), rng)
+    alpha = float(rng.uniform(4.0, 14.0))
+    zero = HermitianMatrix(np.zeros((n, n)))
+    conj = fn._conjugated_sum(zero, tup, [b.mat for b in bs])
+    diff = (matrix_exp(HermitianMatrix(conj)).mat
+            - fn._conjugated_sum(zero, tup, [matrix_exp(b).mat for b in bs]))
+    spike = np.linalg.eigh((diff + diff.conj().T) / 2.0)[1][:, -1:]
+    l_probe = HermitianMatrix(alpha * (spike @ spike.conj().T))
+    return {"inst": fn.MultiInstance(L=l_random, H=tup, b_list=bs),
+            "probe": fn.MultiInstance(L=l_probe, H=tup, b_list=bs)}
+
+
+def _compare_route(inst, cfg, f):
+    for candidate, key in (("random", "inst"), ("probe", "probe")):
+        m = inst[key]
+        route, rhs = f["route"](m), f["rhs"](m)
+        yield Comparison("witness", route, rhs, route - rhs, _tol(cfg, route, rhs),
+                         partial(_dump, inst=m), extra={"candidate": candidate})
+
+
+def _sample_homogeneity(rng, cfg, dims, trial) -> dict:
+    k, m, n = _pick_dims(rng, dims)
+    tup = random_contraction_tuple(k, m, n, True, rng)
+    L = random_hermitian(n, 1.0, rng)
+    a_list = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
+    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=a_list), "t": T_FACTORS}
+
+
+def _compare_homogeneity(inst, cfg, f):
+    phi, m = f["phi"], inst["inst"]
+    base = phi(m)
+    for t in inst["t"]:
+        val = phi(replace(m, a_list=[PositiveDefiniteMatrix(t * a.mat) for a in m.a_list]))
+        yield Comparison("identity", val, t * base, abs(val - t * base),
+                         cfg.tol_abs + cfg.tol_rel * t * abs(base), partial(_dump, inst=m, t=t))
+
+
+def _strict_contraction_break(cfg: CheckConfig, phi: Callable, dims: tuple,
+                              attempts: int = 20) -> dict | None:
+    """Find a tuple with sum(H_i* H_i) strictly below I that breaks
+    positive homogeneity; shows the isometry condition is needed."""
+    for attempt in range(attempts):
+        rng = trial_rng(cfg.seed, cfg.trials + attempt)
+        try:
+            inst = _sample_homogeneity(rng, cfg, dims, attempt)
+            m = inst["inst"]
+            strict = ContractionTuple([0.9 * b for b in m.H.blocks], sum_is_identity=False)
+            inst["inst"] = replace(m, H=strict)
+            for c in _compare_homogeneity(inst, cfg, {"phi": phi}):
+                if c.gap > HOMOGENEITY_BREAK_MIN:
+                    dump = c.dump()
+                    return {"attempt": attempt, "t": dump["t"], "lhs": float(c.lhs),
+                            "rhs": float(c.rhs), "gap": float(c.gap), "instance": dump}
+        except EntropyLabError:
+            continue
+    return None
+
+
+_SPECS = {c.name: c for c in (
+    Check("sh_convexity", _sample_sh, _compare_sh,
+          lambda: {"entropy": fn.reduced_relative_entropy},
+          {"H": "matrix", "A1": "pd", "B1": "pd", "A2": "pd", "B2": "pd", "lam": "floats"},
+          ("segment",)),
+    Check("phi_concavity", _sample_phi, _compare_phi,
+          lambda: {"phi": fn.trace_exp_functional},
+          {"L": "hermitian", "H": "matrix", "A1": "pd", "A2": "pd", "lam": "floats"},
+          ("segment",)),
+    Check("multi_concavity", _sample_multi, _compare_multi,
+          lambda: {"phi": fn.multi_trace_exp},
+          {"inst": "multi", "A2": "pd_list", "lam": "floats"},
+          ("block_lift", "segment")),
+    Check("gt_jensen", _sample_gt_jensen, _compare_gt_jensen,
+          lambda: {"lhs": fn.gt_jensen_lhs, "rhs": fn.gt_jensen_rhs},
+          {"inst": "multi"}, GT_FAMILIES, dims=_isometric_dims),
+    Check("gibbs_identity", _sample_gibbs, _compare_gibbs,
+          lambda: {"objective": fn.gibbs_objective},
+          {"B": "pd", "X": "pd"}, ("bound", "equality")),
+    Check("derivative_limit", _sample_derivative, _compare_derivative,
+          lambda: {"derivative": fn.lieb_trace_derivative_at_zero},
+          {"A": "pd", "B": "pd", "H": "matrix"},
+          ("not_decreasing", "floor_exceeded", "above_scale")),
+    Check("gt_route_gap", _sample_route, _compare_route,
+          lambda: {"route": gt_route_value, "rhs": fn.gt_jensen_rhs},
+          {"inst": "multi"}, ("witness",), dims=_route_dims, semantics="witness_search"),
+    Check("homogeneity", _sample_homogeneity, _compare_homogeneity,
+          lambda: {"phi": fn.multi_trace_exp},
+          {"inst": "multi", "t": "floats"}, ("identity",), dims=_isometric_dims),
+)}
+
+
+# ---------------------------------------------------------------------------
+# The public checks.  Each accepts the functional under test as a keyword.
 # ---------------------------------------------------------------------------
 
 def check_sh_convexity(cfg: CheckConfig,
                        entropy_fn: Callable | None = None) -> CheckReport:
     """Joint convexity of the reduced relative entropy on segments."""
-    entropy = entropy_fn or fn.reduced_relative_entropy
-    tally = _Tally(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        try:
-            _, m, _ = _pick_dims(rng, cfg.dims)
-            h = _random_contraction(rng, m, m)
-            a1 = random_pd(m, cfg.eig_range, rng)
-            b1 = random_pd(m, cfg.eig_range, rng)
-            a2 = random_pd(m, cfg.eig_range, rng)
-            b2 = random_pd(m, cfg.eig_range, rng)
-            s1 = entropy(a1, b1, h)
-            s2 = entropy(a2, b2, h)
-            for lam in _lambda_values(cfg, rng):
-                s_mid = entropy(_mix(lam, a1, a2), _mix(lam, b1, b2), h)
-                combo = lam * s1 + (1.0 - lam) * s2
-                record = {
-                    "kind": "segment", "trial": t, "lhs": s_mid, "rhs": combo,
-                    "instance": {
-                        "H": matrix_to_json(h),
-                        "A1": matrix_to_json(a1), "B1": matrix_to_json(b1),
-                        "A2": matrix_to_json(a2), "B2": matrix_to_json(b2),
-                        "lam": lam,
-                    },
-                }
-                tally.compare(s_mid - combo, _tol(cfg, s_mid, s1, s2), record)
-        except EntropyLabError as exc:
-            tally.error(t, exc)
-    return _finish("sh_convexity", cfg, tally)
+    return _run(_SPECS["sh_convexity"], cfg, entropy=entropy_fn)
 
 
 def check_phi_concavity(cfg: CheckConfig,
                         phi_fn: Callable | None = None) -> CheckReport:
     """Concavity of A -> Tr exp(L + H* log(A) H) on segments."""
-    phi = phi_fn or fn.trace_exp_functional
-    tally = _Tally(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        try:
-            _, m, n = _pick_dims(rng, cfg.dims)
-            h = _random_contraction(rng, m, n)
-            L = random_hermitian(n, 1.0, rng)
-            a1 = random_pd(m, cfg.eig_range, rng)
-            a2 = random_pd(m, cfg.eig_range, rng)
-            p1 = phi(a1, L, h)
-            p2 = phi(a2, L, h)
-            for lam in _lambda_values(cfg, rng):
-                p_mid = phi(_mix(lam, a1, a2), L, h)
-                combo = lam * p1 + (1.0 - lam) * p2
-                record = {
-                    "kind": "segment", "trial": t, "lhs": combo, "rhs": p_mid,
-                    "instance": {
-                        "L": matrix_to_json(L), "H": matrix_to_json(h),
-                        "A1": matrix_to_json(a1), "A2": matrix_to_json(a2),
-                        "lam": lam,
-                    },
-                }
-                tally.compare(combo - p_mid, _tol(cfg, p_mid, p1, p2), record)
-        except EntropyLabError as exc:
-            tally.error(t, exc)
-    return _finish("phi_concavity", cfg, tally)
+    return _run(_SPECS["phi_concavity"], cfg, phi=phi_fn)
 
 
 def check_multi_concavity(cfg: CheckConfig,
                           phi_fn: Callable | None = None) -> CheckReport:
     """Joint concavity of the k-variable trace exponential, with every
     evaluation cross-checked against the block-lift route."""
-    phi = phi_fn or fn.multi_trace_exp
-    tally = _Tally(cfg)
-
-    def evaluate(inst: fn.MultiInstance, trial: int) -> float:
-        direct = phi(inst)
-        lifted = fn.block_lift(inst).lifted_value()
-        expected = direct + (inst.k - 1) * inst.H.n
-        record = {
-            "kind": "block_lift", "trial": trial, "lhs": lifted, "rhs": expected,
-            "instance": _multi_dump(inst),
-        }
-        tally.compare(abs(lifted - expected), cfg.tol_abs + cfg.tol_rel * abs(direct), record)
-        return direct
-
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        try:
-            k, m, n = _pick_dims(rng, cfg.dims)
-            sum_id = bool(rng.integers(2)) and k * m >= n
-            tup = random_contraction_tuple(k, m, n, sum_id, rng)
-            L = random_hermitian(n, 1.0, rng)
-            a1s = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
-            a2s = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
-            inst1 = fn.MultiInstance(L=L, H=tup, a_list=a1s)
-            inst2 = fn.MultiInstance(L=L, H=tup, a_list=a2s)
-            p1 = evaluate(inst1, t)
-            p2 = evaluate(inst2, t)
-            for lam in _lambda_values(cfg, rng):
-                mids = [_mix(lam, x, y) for x, y in zip(a1s, a2s)]
-                inst_mid = fn.MultiInstance(L=L, H=tup, a_list=mids)
-                p_mid = evaluate(inst_mid, t)
-                combo = lam * p1 + (1.0 - lam) * p2
-                record = {
-                    "kind": "segment", "trial": t, "lhs": combo, "rhs": p_mid,
-                    "instance": {**_multi_dump(inst1), "A2": _mats(a2s), "lam": lam},
-                }
-                tally.compare(combo - p_mid, _tol(cfg, p_mid, p1, p2), record)
-        except EntropyLabError as exc:
-            tally.error(t, exc)
-    return _finish("multi_concavity", cfg, tally)
+    return _run(_SPECS["multi_concavity"], cfg, phi=phi_fn)
 
 
 def check_gt_jensen(cfg: CheckConfig,
@@ -326,68 +578,13 @@ def check_gt_jensen(cfg: CheckConfig,
     """Tr exp(L + sum H_i* B_i H_i) <= Tr(e^L sum H_i* e^(B_i) H_i) under
     sum(H_i* H_i) = I.  Trials cycle through the general family, the k = 1,
     H = I Golden-Thompson case, and the L = 0 Jensen-trace case."""
-    lhs_of = lhs_fn or fn.gt_jensen_lhs
-    rhs_of = rhs_fn or fn.gt_jensen_rhs
-    dims = _eligible_dims(cfg, isometric=True)
-    families = ("general", "golden_thompson", "general", "jensen")
-    tally = _Tally(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        family = families[t % len(families)]
-        try:
-            k, m, n = _pick_dims(rng, dims)
-            if family == "golden_thompson":
-                tup = ContractionTuple([np.eye(m)], sum_is_identity=True)
-                L = random_hermitian(m, 1.0, rng)
-                bs = [random_hermitian(m, 1.0, rng)]
-            elif family == "jensen":
-                tup = random_contraction_tuple(k, m, n, True, rng)
-                L = HermitianMatrix(np.zeros((n, n)))
-                bs = [random_hermitian(m, 1.0, rng) for _ in range(k)]
-            else:
-                tup = random_contraction_tuple(k, m, n, True, rng)
-                L = random_hermitian(n, 1.0, rng)
-                bs = [random_hermitian(m, 1.0, rng) for _ in range(k)]
-            inst = fn.MultiInstance(L=L, H=tup, b_list=bs)
-            lhs = lhs_of(inst)
-            rhs = rhs_of(inst)
-            record = {
-                "kind": family, "trial": t, "lhs": lhs, "rhs": rhs,
-                "instance": _multi_dump(inst),
-            }
-            tally.compare(lhs - rhs, _tol(cfg, lhs, rhs), record)
-        except EntropyLabError as exc:
-            tally.error(t, exc)
-    return _finish("gt_jensen", cfg, tally)
+    return _run(_SPECS["gt_jensen"], cfg, lhs=lhs_fn, rhs=rhs_fn)
 
 
 def check_gibbs_identity(cfg: CheckConfig,
                          objective_fn: Callable | None = None) -> CheckReport:
     """Tr(X log B - X log X + X) <= Tr B for all X > 0, with equality at X = B."""
-    objective = objective_fn or fn.gibbs_objective
-    tally = _Tally(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        try:
-            _, m, _ = _pick_dims(rng, cfg.dims)
-            B = random_pd(m, cfg.eig_range, rng)
-            X = random_pd(m, cfg.eig_range, rng)
-            tr_b = B.trace()
-            val = objective(X, B)
-            record = {
-                "kind": "bound", "trial": t, "lhs": val, "rhs": tr_b,
-                "instance": {"X": matrix_to_json(X), "B": matrix_to_json(B)},
-            }
-            tally.compare(val - tr_b, _tol(cfg, val, tr_b), record)
-            at_max = objective(B, B)
-            record = {
-                "kind": "equality", "trial": t, "lhs": at_max, "rhs": tr_b,
-                "instance": {"B": matrix_to_json(B)},
-            }
-            tally.compare(abs(at_max - tr_b), _tol(cfg, at_max, tr_b), record)
-        except EntropyLabError as exc:
-            tally.error(t, exc)
-    return _finish("gibbs_identity", cfg, tally)
+    return _run(_SPECS["gibbs_identity"], cfg, objective=objective_fn)
 
 
 def check_derivative_limit(cfg: CheckConfig,
@@ -395,41 +592,7 @@ def check_derivative_limit(cfg: CheckConfig,
     """The closed-form derivative of p -> Tr(H B^p H* A^(1-p)) at p = 0 is
     the limit of forward differences: the error must shrink with p and end
     below 1e-2 of the value scale."""
-    derivative = derivative_fn or fn.lieb_trace_derivative_at_zero
-    tally = _Tally(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        try:
-            _, m, n = _pick_dims(rng, cfg.dims)
-            A = random_pd(m, cfg.eig_range, rng)
-            B = random_pd(n, cfg.eig_range, rng)
-            h = _random_contraction(rng, m, n)
-            g0 = fn.lieb_trace(A, B, h, 0.0)
-            d0 = derivative(A, B, h)
-            errors = {}
-            scale = max(abs(g0), abs(d0))
-            for p in P_GRID:
-                gp = fn.lieb_trace(A, B, h, p)
-                errors[repr(p)] = abs((gp - g0) / p - d0)
-                scale = max(scale, abs(gp))
-            e_big, e_mid, e_small = (errors[repr(p)] for p in P_GRID)
-            instance = {"A": matrix_to_json(A), "B": matrix_to_json(B),
-                        "H": matrix_to_json(h), "errors": errors, "scale": scale}
-            tally.compare(e_mid - e_big, 0.0, {
-                "kind": "not_decreasing", "trial": t, "lhs": e_mid, "rhs": e_big,
-                "instance": instance,
-            }, strict=True)
-            tally.compare(e_small - 10.0 * e_mid, 0.0, {
-                "kind": "floor_exceeded", "trial": t, "lhs": e_small, "rhs": 10.0 * e_mid,
-                "instance": instance,
-            }, strict=True)
-            tally.compare(e_small - 1e-2 * scale, 0.0, {
-                "kind": "above_scale", "trial": t, "lhs": e_small, "rhs": 1e-2 * scale,
-                "instance": instance,
-            })
-        except EntropyLabError as exc:
-            tally.error(t, exc)
-    return _finish("derivative_limit", cfg, tally)
+    return _run(_SPECS["derivative_limit"], cfg, derivative=derivative_fn)
 
 
 def gt_route_value(inst: fn.MultiInstance) -> float:
@@ -449,68 +612,10 @@ def search_gt_route_gap(cfg: CheckConfig,
                         rhs_fn: Callable | None = None) -> CheckReport:
     """Hunt for instances where the Golden-Thompson-first bound exceeds the
     commuting-case bound, demonstrating that the former cannot imply the
-    latter.
-
-    Each trial draws a random isometric tuple and self-adjoint B_i, then
-    tries two weights L: a purely random one, and a probe spiked along the
-    top eigendirection of e^(sum H* B H) - sum H* e^B H (a random search
-    over L alone almost never aligns with that thin direction).  Witnesses
-    are re-verified from their serialized dump before being recorded.
-    """
-    route_of = route_fn or gt_route_value
-    rhs_of = rhs_fn or fn.gt_jensen_rhs
-    dims = tuple(d for d in _eligible_dims(cfg, isometric=True) if d[0] >= 2)
-    if not dims:
-        raise DomainError("search_gt_route_gap needs at least one dims triple with k >= 2")
-    witnesses: list = []
-    worst: float | None = None
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        k, m, n = _pick_dims(rng, dims)
-        tup = random_contraction_tuple(k, m, n, True, rng)
-        bs = [random_hermitian(m, 3.0, rng) for _ in range(k)]
-        l_scale = float(rng.uniform(0.5, 4.0))
-        l_random = random_hermitian(n, l_scale, rng)
-        alpha = float(rng.uniform(4.0, 14.0))
-        conj = fn._conjugated_sum(HermitianMatrix(np.zeros((n, n))), tup,
-                                  [b.mat for b in bs])
-        diff = (matrix_exp(HermitianMatrix(conj)).mat
-                - fn._conjugated_sum(HermitianMatrix(np.zeros((n, n))), tup,
-                                     [matrix_exp(b).mat for b in bs]))
-        _, vecs = np.linalg.eigh((diff + diff.conj().T) / 2.0)
-        spike = vecs[:, -1:]
-        l_probe = HermitianMatrix(alpha * (spike @ spike.conj().T))
-        for candidate, L in (("random", l_random), ("probe", l_probe)):
-            inst = fn.MultiInstance(L=L, H=tup, b_list=bs)
-            route = route_of(inst)
-            rhs = rhs_of(inst)
-            gap = route - rhs
-            if worst is None or gap > worst:
-                worst = float(gap)
-            if gap > _tol(cfg, route, rhs):
-                dump = _multi_dump(inst)
-                replay = multi_instance_from_json(json.loads(json.dumps(dump)))
-                re_gap = gt_route_value(replay) - fn.gt_jensen_rhs(replay)
-                witnesses.append({
-                    "kind": "witness", "trial": t, "candidate": candidate,
-                    "lhs": route, "rhs": rhs, "gap": float(gap),
-                    "reverified_gap": float(re_gap),
-                    "reverified": bool(abs(re_gap - gap) <= 1e-12),
-                    "instance": dump,
-                })
-                break
-    found = bool(witnesses)
-    return CheckReport(
-        check_name="gt_route_gap",
-        semantics="witness_search",
-        trials_run=cfg.trials,
-        violations=witnesses,
-        worst_gap=worst,
-        passed=found,
-        note=(f"found {len(witnesses)} witnesses" if found
-              else "inconclusive: no witness found; the searched family may be too tame"),
-        config=cfg.to_dict(),
-    )
+    latter.  Each trial draws a random isometric tuple and self-adjoint B_i
+    and tries a random and a spiked weight L; witnesses are re-verified
+    from their serialized dump before being recorded."""
+    return _run(_SPECS["gt_route_gap"], cfg, route=route_fn, rhs=rhs_fn)
 
 
 def check_homogeneity(cfg: CheckConfig,
@@ -518,93 +623,18 @@ def check_homogeneity(cfg: CheckConfig,
     """phi(t A_1 .. t A_k) = t phi(A_1 .. A_k) whenever sum(H_i* H_i) = I,
     and provably not otherwise: the check also exhibits a strict-contraction
     instance that breaks the identity by a visible margin."""
-    phi = phi_fn or fn.multi_trace_exp
-    dims = _eligible_dims(cfg, isometric=True)
-    tally = _Tally(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        try:
-            k, m, n = _pick_dims(rng, dims)
-            tup = random_contraction_tuple(k, m, n, True, rng)
-            L = random_hermitian(n, 1.0, rng)
-            a_list = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
-            inst = fn.MultiInstance(L=L, H=tup, a_list=a_list)
-            base = phi(inst)
-            for t_factor in T_FACTORS:
-                scaled = fn.MultiInstance(
-                    L=L, H=tup,
-                    a_list=[PositiveDefiniteMatrix(t_factor * a.mat) for a in a_list])
-                val = phi(scaled)
-                record = {
-                    "kind": "identity", "trial": t, "lhs": val, "rhs": t_factor * base,
-                    "instance": {**_multi_dump(inst), "t": t_factor},
-                }
-                tally.compare(abs(val - t_factor * base),
-                              cfg.tol_abs + cfg.tol_rel * t_factor * abs(base), record)
-        except EntropyLabError as exc:
-            tally.error(t, exc)
-
-    counterexample = _strict_contraction_break(cfg, phi, dims)
+    spec = _SPECS["homogeneity"]
+    report = _run(spec, cfg, phi=phi_fn)
+    counterexample = _strict_contraction_break(cfg, phi_fn or fn.multi_trace_exp, spec.dims(cfg))
     if counterexample is None:
-        tally.violations.append({
+        report.violations.append({
             "kind": "counterexample_missing", "trial": -1,
             "error": "no strict-contraction instance broke homogeneity by "
                      f"more than {HOMOGENEITY_BREAK_MIN}",
         })
-    return _finish("homogeneity", cfg, tally,
-                   extra={"strict_contraction_counterexample": counterexample})
-
-
-def _strict_contraction_break(cfg: CheckConfig, phi: Callable, dims: tuple,
-                              attempts: int = 20) -> dict | None:
-    """Find a tuple with sum(H_i* H_i) strictly below I that breaks
-    positive homogeneity; shows the isometry condition is needed."""
-    for attempt in range(attempts):
-        rng = trial_rng(cfg.seed, cfg.trials + attempt)
-        k, m, n = _pick_dims(rng, dims)
-        base_tup = random_contraction_tuple(k, m, n, True, rng)
-        tup = ContractionTuple([0.9 * b for b in base_tup.blocks], sum_is_identity=False)
-        L = random_hermitian(n, 1.0, rng)
-        a_list = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
-        try:
-            inst = fn.MultiInstance(L=L, H=tup, a_list=a_list)
-            base = phi(inst)
-            for t_factor in T_FACTORS:
-                scaled = fn.MultiInstance(
-                    L=L, H=tup,
-                    a_list=[PositiveDefiniteMatrix(t_factor * a.mat) for a in a_list])
-                val = phi(scaled)
-                gap = abs(val - t_factor * base)
-                if gap > HOMOGENEITY_BREAK_MIN:
-                    return {
-                        "attempt": attempt, "t": t_factor, "lhs": float(val),
-                        "rhs": float(t_factor * base), "gap": float(gap),
-                        "instance": {**_multi_dump(inst), "t": t_factor},
-                    }
-        except EntropyLabError:
-            continue
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Shared helpers, registry, re-evaluation of dumped records.
-# ---------------------------------------------------------------------------
-
-def _eligible_dims(cfg: CheckConfig, isometric: bool) -> tuple:
-    if not isometric:
-        return cfg.dims
-    dims = tuple(d for d in cfg.dims if d[0] * d[1] >= d[2])
-    if not dims:
-        raise DomainError("no dims triple satisfies k*m >= n (needed for isometric tuples)")
-    return dims
-
-
-def _mats(mats) -> list:
-    return [matrix_to_json(m) for m in mats]
-
-
-def _multi_dump(inst: fn.MultiInstance) -> dict:
-    return multi_instance_to_json(inst)
+        report.passed = False
+    report.extra = {"strict_contraction_counterexample": counterexample}
+    return report
 
 
 CHECKS: dict[str, Callable[[CheckConfig], CheckReport]] = {
@@ -631,83 +661,10 @@ def run_all(cfg: CheckConfig, names: list[str] | None = None) -> list[CheckRepor
 
 def re_evaluate(check_name: str, record: dict) -> dict:
     """Recompute the comparison stored in a violation or witness record from
-    its serialized instance; used to confirm dumps reproduce their gaps."""
-    inst = record["instance"]
-    kind = record.get("kind")
-    if check_name == "sh_convexity":
-        h = matrix_from_json(inst["H"])
-        a1, b1 = pd_from_json(inst["A1"]), pd_from_json(inst["B1"])
-        a2, b2 = pd_from_json(inst["A2"]), pd_from_json(inst["B2"])
-        lam = inst["lam"]
-        lhs = fn.reduced_relative_entropy(_mix(lam, a1, a2), _mix(lam, b1, b2), h)
-        rhs = (lam * fn.reduced_relative_entropy(a1, b1, h)
-               + (1.0 - lam) * fn.reduced_relative_entropy(a2, b2, h))
-        return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}
-    if check_name == "phi_concavity":
-        h = matrix_from_json(inst["H"])
-        L = hermitian_from_json(inst["L"])
-        a1, a2 = pd_from_json(inst["A1"]), pd_from_json(inst["A2"])
-        lam = inst["lam"]
-        lhs = (lam * fn.trace_exp_functional(a1, L, h)
-               + (1.0 - lam) * fn.trace_exp_functional(a2, L, h))
-        rhs = fn.trace_exp_functional(_mix(lam, a1, a2), L, h)
-        return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}
-    if check_name == "multi_concavity":
-        L = hermitian_from_json(inst["L"])
-        tup = contraction_tuple_from_json(inst)
-        a1s = [pd_from_json(a) for a in inst["A"]]
-        if kind == "block_lift":
-            m_inst = fn.MultiInstance(L=L, H=tup, a_list=a1s)
-            direct = fn.multi_trace_exp(m_inst)
-            lhs = fn.block_lift(m_inst).lifted_value()
-            rhs = direct + (m_inst.k - 1) * m_inst.H.n
-            return {"lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
-        a2s = [pd_from_json(a) for a in inst["A2"]]
-        lam = inst["lam"]
-        lhs = (lam * fn.multi_trace_exp(fn.MultiInstance(L=L, H=tup, a_list=a1s))
-               + (1.0 - lam) * fn.multi_trace_exp(fn.MultiInstance(L=L, H=tup, a_list=a2s)))
-        mids = [_mix(lam, x, y) for x, y in zip(a1s, a2s)]
-        rhs = fn.multi_trace_exp(fn.MultiInstance(L=L, H=tup, a_list=mids))
-        return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}
-    if check_name == "gt_jensen":
-        m_inst = multi_instance_from_json(inst)
-        lhs = fn.gt_jensen_lhs(m_inst)
-        rhs = fn.gt_jensen_rhs(m_inst)
-        return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}
-    if check_name == "gibbs_identity":
-        B = pd_from_json(inst["B"])
-        if kind == "equality":
-            lhs = fn.gibbs_objective(B, B)
-            return {"lhs": lhs, "rhs": B.trace(), "gap": abs(lhs - B.trace())}
-        X = pd_from_json(inst["X"])
-        lhs = fn.gibbs_objective(X, B)
-        return {"lhs": lhs, "rhs": B.trace(), "gap": lhs - B.trace()}
-    if check_name == "derivative_limit":
-        A, B = pd_from_json(inst["A"]), pd_from_json(inst["B"])
-        h = matrix_from_json(inst["H"])
-        g0 = fn.lieb_trace(A, B, h, 0.0)
-        d0 = fn.lieb_trace_derivative_at_zero(A, B, h)
-        errors = {}
-        scale = max(abs(g0), abs(d0))
-        for p in P_GRID:
-            gp = fn.lieb_trace(A, B, h, p)
-            errors[repr(p)] = abs((gp - g0) / p - d0)
-            scale = max(scale, abs(gp))
-        return {"errors": errors, "scale": scale}
-    if check_name == "gt_route_gap":
-        m_inst = multi_instance_from_json(inst)
-        lhs = gt_route_value(m_inst)
-        rhs = fn.gt_jensen_rhs(m_inst)
-        return {"lhs": lhs, "rhs": rhs, "gap": lhs - rhs}
-    if check_name == "homogeneity":
-        L = hermitian_from_json(inst["L"])
-        tup = contraction_tuple_from_json(inst)
-        a_list = [pd_from_json(a) for a in inst["A"]]
-        t_factor = inst["t"]
-        base = fn.multi_trace_exp(fn.MultiInstance(L=L, H=tup, a_list=a_list))
-        scaled = fn.MultiInstance(
-            L=L, H=tup,
-            a_list=[PositiveDefiniteMatrix(t_factor * a.mat) for a in a_list])
-        lhs = fn.multi_trace_exp(scaled)
-        return {"lhs": lhs, "rhs": t_factor * base, "gap": abs(lhs - t_factor * base)}
-    raise DomainError(f"no re-evaluation rule for check {check_name!r}")
+    its serialized instance, with the genuine functionals; returns
+    ``{"lhs", "rhs", "gap"}`` for every check.  Used to confirm dumps
+    reproduce their gaps."""
+    if check_name not in _SPECS:
+        raise DomainError(f"no re-evaluation rule for check {check_name!r}")
+    c = _replay(_SPECS[check_name], record)
+    return {"lhs": c.lhs, "rhs": c.rhs, "gap": c.gap}

@@ -85,6 +85,15 @@ class TestEval:
         code, _, err = run(capsys, "eval", "reduced_relative_entropy", path)
         assert code == 2 and "norm" in err
 
+    @pytest.mark.parametrize("p", ["half", None])
+    def test_malformed_scalar_exits_2(self, tmp_path, capsys, p):
+        a = matrix_to_json(np.diag([2.0]))
+        path = write_instance(tmp_path, "inst.json", {
+            "A": a, "B": a, "H": matrix_to_json(np.array([[0.5]])), "p": p})
+        code, out, err = run(capsys, "eval", "lieb_trace", path)
+        assert code == 2 and not out
+        assert "'p'" in err and "expected a number" in err
+
     def test_unknown_functional_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "nonsense", "x.json"])
@@ -129,6 +138,18 @@ class TestCheck:
                            "--out-dir", str(tmp_path / "r"))
         assert code == 1
         assert "INCONCLUSIVE" in out
+
+    def test_route_gap_trial_error_exits_1(self, tmp_path, capsys):
+        # Trial 19 errors (exp below the PD floor at n = 8); the search
+        # records it, goes on, and fails.
+        code, out, _ = run(capsys, "check", "gt_route_gap",
+                           "--trials", "20", "--seed", "7",
+                           "--dims", "2,8,8",
+                           "--out-dir", str(tmp_path / "r"))
+        assert code == 1
+        assert "gt_route_gap: FAIL" in out
+        report = load_json(tmp_path / "r" / "gt_route_gap.json")
+        assert [v["trial"] for v in report["violations"] if v["kind"] == "error"] == [19]
 
     def test_bad_dims_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "check", "gibbs_identity",

@@ -17,6 +17,7 @@ from entropylab.serialization import (
     multi_instance_from_json,
     multi_instance_to_json,
     pd_from_json,
+    read_fields,
 )
 
 
@@ -125,3 +126,41 @@ class TestFiles:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_json(path)
+
+
+class TestReadFields:
+    def test_reads_each_kind_in_field_order(self):
+        a = matrix_to_json(np.diag([2.0, 3.0]))
+        obj = {"B": a, "A": a, "H": a, "p": 0.5, "lam": 0.25, "A2": [a, a]}
+        out = read_fields(obj, {"A": "pd", "B": "hermitian", "H": "matrix", "p": "float",
+                                "lam": "floats", "A2": "pd_list"})
+        assert list(out) == ["A", "B", "H", "p", "lam", "A2"]
+        assert out["A"].min_eigenvalue == pytest.approx(2.0)
+        assert out["p"] == 0.5 and out["lam"] == (0.25,)
+        assert len(out["A2"]) == 2
+
+    def test_multi_reads_the_whole_object(self):
+        rng = make_rng(4)
+        inst = MultiInstance(L=random_hermitian(2, 1.0, rng),
+                             H=random_contraction_tuple(2, 2, 2, True, rng),
+                             a_list=[random_pd(2, (0.5, 2.0), rng) for _ in range(2)])
+        obj = {**multi_instance_to_json(inst), "t": [0.5, 2.0]}
+        out = read_fields(obj, {"inst": "multi", "t": "floats"})
+        assert np.array_equal(out["inst"].L.mat, inst.L.mat)
+        assert out["t"] == (0.5, 2.0)
+
+    @pytest.mark.parametrize("bad", ["half", None, [1.0]])
+    def test_malformed_float_names_the_key(self, bad):
+        with pytest.raises(ParseError, match="'p'"):
+            read_fields({"p": bad}, {"p": "float"}, "f.json")
+
+    def test_missing_key(self):
+        with pytest.raises(ParseError, match="missing required key 'B'"):
+            read_fields({"A": matrix_to_json(np.eye(2))}, {"A": "pd", "B": "pd"})
+        out = read_fields({"A": matrix_to_json(np.eye(2))}, {"A": "pd", "B": "pd"},
+                          required=False)
+        assert list(out) == ["A"]
+
+    def test_rejects_non_object(self):
+        with pytest.raises(ParseError):
+            read_fields([1, 2], {"A": "pd"})

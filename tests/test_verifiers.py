@@ -187,18 +187,32 @@ class TestViolationDumps:
         assert redo1["gap"] == redo2["gap"]
 
     @pytest.mark.parametrize("name,corrupt_kw", [
+        ("sh_convexity", "entropy_fn"),
         ("phi_concavity", "phi_fn"),
         ("multi_concavity", "phi_fn"),
+        ("gt_jensen", "rhs_fn"),
         ("gibbs_identity", "objective_fn"),
+        ("derivative_limit", "derivative_fn"),
+        ("homogeneity", "phi_fn"),
     ])
     def test_reevaluate_matches_across_checks(self, name, corrupt_kw):
         corrupted = {
+            "entropy_fn": {
+                "sh_convexity": lambda a, b, h: -fn.reduced_relative_entropy(a, b, h),
+            },
             "phi_fn": {
                 "phi_concavity": lambda a, l, h: -fn.trace_exp_functional(a, l, h),
                 "multi_concavity": lambda inst: -fn.multi_trace_exp(inst),
+                "homogeneity": lambda inst: fn.multi_trace_exp(inst) + 1.0,
+            },
+            "rhs_fn": {
+                "gt_jensen": lambda inst: -fn.gt_jensen_rhs(inst),
             },
             "objective_fn": {
                 "gibbs_identity": lambda x, b: -fn.gibbs_objective(x, b),
+            },
+            "derivative_fn": {
+                "derivative_limit": lambda a, b, h: -fn.lieb_trace_derivative_at_zero(a, b, h),
             },
         }[corrupt_kw][name]
         report = CHECKS[name](CheckConfig(trials=5, seed=13), **{corrupt_kw: corrupted})
@@ -209,7 +223,35 @@ class TestViolationDumps:
             wire = json.loads(json.dumps(record))
             redo1 = re_evaluate(name, record)
             redo2 = re_evaluate(name, wire)
+            assert set(redo1) == {"lhs", "rhs", "gap"}
             assert redo1["gap"] == redo2["gap"]
+
+    def test_unknown_record_kind_rejected(self):
+        report = check_gibbs_identity(CheckConfig(trials=2, seed=1),
+                                      objective_fn=lambda x, b: -fn.gibbs_objective(x, b))
+        record = {**report.violations[0], "kind": "bogus"}
+        with pytest.raises(DomainError, match="bogus"):
+            re_evaluate("gibbs_identity", record)
+        with pytest.raises(DomainError, match="error"):
+            re_evaluate("gibbs_identity", {"kind": "error", "trial": 0, "error": "x"})
+
+    def test_unknown_check_rejected(self):
+        with pytest.raises(DomainError, match="nope"):
+            re_evaluate("nope", {"kind": "segment", "instance": {}})
+
+
+class TestWitnessSearchErrors:
+    def test_trial_error_becomes_record_and_fails_the_search(self):
+        # At n = 8, exp of a very negative spectrum falls below the PD floor
+        # in trial 19; the search records it and goes on.
+        report = search_gt_route_gap(CheckConfig(trials=20, seed=7, dims=((2, 8, 8),)))
+        errors = [v for v in report.violations if v["kind"] == "error"]
+        witnesses = [v for v in report.violations if v["kind"] == "witness"]
+        assert [e["trial"] for e in errors] == [19]
+        assert "positive definite" in errors[0]["error"]
+        assert witnesses and all(w["reverified"] for w in witnesses)
+        assert not report.passed
+        assert report.note == f"found {len(witnesses)} witnesses, 1 error records"
 
 
 class TestHomogeneityCounterexample:
