@@ -33,6 +33,7 @@ from .functionals import (
     trace_exp_functional,
 )
 from .matrix_core import (
+    Contraction,
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,

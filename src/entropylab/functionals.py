@@ -18,6 +18,10 @@ and the Gibbs-type variational objectives whose maxima recover them.
 Every functional returns the real part of an exactly computed trace after
 checking that the imaginary part is at round-off level; a larger imaginary
 part raises NumericalInconsistency instead of being silently discarded.
+
+A contraction argument H is either a raw array, whose operator norm is
+checked on every call, or a :class:`~entropylab.matrix_core.Contraction`,
+checked once when it was built.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotAContraction, NumericalInconsistency
+from .errors import DimensionError, NonFiniteObjective, NumericalInconsistency
 from .matrix_core import (
-    CONTRACTION_TOL,
+    Contraction,
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -36,7 +40,6 @@ from .matrix_core import (
     matrix_exp,
     matrix_log,
     matrix_power,
-    operator_norm,
     spectral_decompose,
 )
 
@@ -54,24 +57,24 @@ def _real_trace(value: complex) -> float:
     return value.real
 
 
-def _require_contraction(h: np.ndarray, what: str = "H") -> None:
-    norm = operator_norm(h)
-    if norm > 1.0 + CONTRACTION_TOL:
-        raise NotAContraction(f"{what} has operator norm {norm:.12f} > 1")
-
-
-def _contraction_arg(H, rows: int, cols: int, what: str = "H") -> np.ndarray:
-    h = as_complex_matrix(H, name=what)
+def _contraction_arg(H, rows: int, cols: int, what: str = "H") -> Contraction:
+    """H as a Contraction of shape (rows, cols).  A raw array is checked for
+    its shape first and then for its norm; a Contraction only for its shape."""
+    checked = isinstance(H, Contraction)
+    h = H.mat if checked else as_complex_matrix(H, name=what)
     if h.shape != (rows, cols):
         raise DimensionError(f"{what} must have shape {(rows, cols)}, got {h.shape}")
-    _require_contraction(h, what)
-    return h
+    return H if checked else Contraction(h, name=what)
 
 
 def _trace_exp(arg: np.ndarray) -> float:
     """Tr exp of a Hermitian matrix via its (real) eigenvalue sum."""
-    dec = spectral_decompose(HermitianMatrix(arg))
-    return float(np.exp(dec.eigenvalues).sum())
+    w = spectral_decompose(HermitianMatrix(arg)).eigenvalues
+    with np.errstate(over="ignore"):
+        total = float(np.exp(w).sum())
+    if not np.isfinite(total):
+        raise NonFiniteObjective(f"Tr exp overflows: top eigenvalue {w[-1]:.6g}")
+    return total
 
 
 def reduced_relative_entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix,
@@ -81,7 +84,7 @@ def reduced_relative_entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatri
     ``H`` is a contraction mapping the space of B into the space of A, i.e.
     of shape (dim A, dim B); for H = I this is the relative quantum entropy.
     """
-    h = _contraction_arg(H, A.dim, B.dim)
+    h = _contraction_arg(H, A.dim, B.dim).mat
     log_a = matrix_log(A).mat
     log_b = matrix_log(B).mat
     t = (np.trace(A.mat @ log_a)
@@ -127,7 +130,7 @@ def trace_exp_functional(A: PositiveDefiniteMatrix, L: HermitianMatrix, H) -> fl
     A is m x m, L is n x n, and the contraction H maps n-space into the
     space of A (shape m x n).
     """
-    h = _contraction_arg(H, A.dim, L.dim)
+    h = _contraction_arg(H, A.dim, L.dim).mat
     arg = L.mat + h.conj().T @ matrix_log(A).mat @ h
     return _trace_exp(arg)
 
@@ -261,13 +264,13 @@ def phi_objective(X: PositiveDefiniteMatrix, A: PositiveDefiniteMatrix,
     over X > 0 equals Tr exp(L + H* log(A) H).
 
     ``H`` is the contraction of :func:`trace_exp_functional`; its adjoint is
-    applied inside the reduced relative entropy, so X lives in n-space and A
-    in m-space.
+    applied inside the reduced relative entropy (and not checked again), so
+    X lives in n-space and A in m-space.
     """
-    h = _contraction_arg(H, A.dim, L.dim)
+    H = _contraction_arg(H, A.dim, L.dim)
     if X.dim != L.dim:
         raise DimensionError(f"X must have the dimension of L ({L.dim}), got {X.dim}")
-    value = -reduced_relative_entropy(X, A, h.conj().T)
+    value = -reduced_relative_entropy(X, A, H.adjoint())
     value += _real_trace(np.trace(X.mat @ L.mat))
     value += _real_trace(np.trace(A.mat))
     return value

@@ -3,7 +3,10 @@
 Spectral decompositions, matrix functions defined through them (log, exp,
 fractional powers), operator norms, and seeded random instance generation.
 All matrix values are immutable after construction; every operation here is
-a pure function, so values are safe to share across threads.
+a pure function, so values are safe to share across threads.  A Hermitian
+value keeps its checked spectral decomposition once it has been computed,
+so each value is decomposed at most once (two threads that race to compute
+it store equal results).
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ SeedLike = Union[int, np.random.Generator]
 
 def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
     """Coerce input to a finite 2-d complex128 array (rows, cols >= 1)."""
-    if isinstance(entries, HermitianMatrix):
+    if isinstance(entries, (HermitianMatrix, Contraction)):
         return entries.mat
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"{name} must be 2-dimensional with positive shape, got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite when both parts are
         raise DomainError(f"{name} contains non-finite entries")
     return a
 
@@ -41,21 +44,25 @@ class HermitianMatrix:
 
     Construction rejects input whose asymmetry exceeds round-off scale and
     stores the symmetrized form (M + M*)/2, so drift cannot accumulate
-    across repeated functional compositions.
+    across repeated functional compositions.  The spectral decomposition is
+    computed and checked on first use by :func:`spectral_decompose` and
+    kept with the value.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "_spectrum")
 
     def __init__(self, entries):
         a = as_complex_matrix(entries, name=type(self).__name__)
         if a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        asym = np.abs(a - a.conj().T).max()
+        ah = a.conj().T
+        asym = np.abs(a - ah).max()
         if asym > HERMITIAN_TOL * (1.0 + np.abs(a).max()):
             raise DomainError(f"matrix is not Hermitian: max |M - M*| = {asym:.3e}")
-        m = (a + a.conj().T) / 2.0
+        m = (a + ah) / 2.0
         m.setflags(write=False)
         self.mat = m
+        self._spectrum = None
 
     @property
     def dim(self) -> int:
@@ -71,15 +78,17 @@ class HermitianMatrix:
 class PositiveDefiniteMatrix(HermitianMatrix):
     """Hermitian matrix with strictly positive spectrum.
 
-    The smallest eigenvalue is computed once at construction; inputs with
-    min eigenvalue <= ``pd_floor`` are rejected rather than regularized.
+    Construction computes the value's checked spectral decomposition (one
+    ``eigh``), which later matrix functions of the value reuse, and takes
+    ``min_eigenvalue`` from it; inputs with min eigenvalue <= ``pd_floor``
+    are rejected rather than regularized.
     """
 
     __slots__ = ("min_eigenvalue",)
 
     def __init__(self, entries, pd_floor: float = PD_FLOOR):
         super().__init__(entries)
-        w = np.linalg.eigvalsh(self.mat)
+        w = spectral_decompose(self).eigenvalues
         if w[0] <= pd_floor:
             raise DomainError(
                 f"matrix is not positive definite above floor {pd_floor:.1e}: "
@@ -128,7 +137,10 @@ class ContractionTuple:
         for b in mats:
             b.setflags(write=False)
         gram = _gram(mats, n)
-        top = float(np.linalg.eigvalsh(gram)[-1])
+        try:
+            top = float(np.linalg.eigvalsh(gram)[-1])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigensolver failed on sum(H_i* H_i): {exc}") from exc
         if top > 1.0 + CONTRACTION_TOL:
             raise NotAContraction(f"largest eigenvalue of sum(H_i* H_i) is {top:.12f} > 1")
         if sum_is_identity:
@@ -149,23 +161,64 @@ class ContractionTuple:
                 f"sum_is_identity={self.sum_is_identity})")
 
 
+class Contraction:
+    """Matrix H of operator norm at most 1 (up to ``CONTRACTION_TOL``).
+
+    The norm is checked once, at construction, so the functionals that take
+    a contraction skip their own check for this type.  The entries are a
+    read-only copy.
+    """
+
+    __slots__ = ("mat",)
+
+    def __init__(self, entries, name: str = "H"):
+        a = as_complex_matrix(entries, name=name)
+        norm = operator_norm(a)
+        if norm > 1.0 + CONTRACTION_TOL:
+            raise NotAContraction(f"{name} has operator norm {norm:.12f} > 1")
+        a = np.array(a)
+        a.setflags(write=False)
+        self.mat = a
+
+    def adjoint(self) -> Contraction:
+        """H*, which has the operator norm of H and so is not checked again."""
+        adj = Contraction.__new__(Contraction)
+        adj.mat = self.mat.conj().T
+        adj.mat.setflags(write=False)
+        return adj
+
+    def __repr__(self) -> str:
+        return f"Contraction(shape={self.mat.shape})"
+
+
 def spectral_decompose(M: HermitianMatrix) -> SpectralDecomposition:
     """Factor M = U diag(w) U* with ascending eigenvalues and unitary U.
 
     Raises ConvergenceFailure if the eigensolver fails or the factorization
-    does not reproduce the input to round-off accuracy.
+    does not reproduce the input to round-off accuracy.  The checked result
+    is kept with the value M and returned again on later calls.
     """
-    a = M.mat if isinstance(M, HermitianMatrix) else HermitianMatrix(M).mat
+    if not isinstance(M, HermitianMatrix):
+        M = HermitianMatrix(M)
+    if M._spectrum is None:
+        M._spectrum = _checked_eigh(M.mat)
+    return M._spectrum
+
+
+def _checked_eigh(a: np.ndarray) -> SpectralDecomposition:
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    unit_dev = np.abs(u @ u.conj().T - np.eye(a.shape[0])).max()
+    uh = u.conj().T
+    unit_dev = np.abs(u @ uh - np.eye(a.shape[0])).max()
     if unit_dev > 1e-10:
         raise ConvergenceFailure(f"eigenvector matrix is not unitary: deviation {unit_dev:.3e}")
-    recon_dev = np.abs((u * w) @ u.conj().T - a).max()
-    if recon_dev > 1e-10 * (1.0 + np.abs(w).max()):
+    recon_dev = np.abs((u * w) @ uh - a).max()
+    if recon_dev > 1e-10 * (1.0 + max(-w[0], w[-1])):  # max |w|, as w ascends
         raise ConvergenceFailure(f"spectral reconstruction error {recon_dev:.3e}")
+    w.setflags(write=False)
+    u.setflags(write=False)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
@@ -177,6 +230,12 @@ def matrix_function(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
     non-finite result (eigenvalue outside the function's domain) raises
     DomainError.
     """
+    return HermitianMatrix(_on_spectrum(M, f, fname))
+
+
+def _on_spectrum(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
+                 fname: str | None) -> np.ndarray:
+    """U diag(f(w)) U* for M = U diag(w) U*, as an array."""
     dec = spectral_decompose(M)
     label = fname or getattr(f, "__name__", "f")
     with np.errstate(all="ignore"):
@@ -187,7 +246,7 @@ def matrix_function(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
     if fw.shape != dec.eigenvalues.shape or not np.all(np.isfinite(fw)):
         raise DomainError(f"{label} is not finite on the spectrum {dec.eigenvalues}")
     u = dec.eigenvectors
-    return HermitianMatrix((u * fw) @ u.conj().T)
+    return (u * fw) @ u.conj().T
 
 
 def matrix_log(A: PositiveDefiniteMatrix) -> HermitianMatrix:
@@ -197,14 +256,14 @@ def matrix_log(A: PositiveDefiniteMatrix) -> HermitianMatrix:
 
 def matrix_exp(M: HermitianMatrix) -> PositiveDefiniteMatrix:
     """Matrix exponential of a Hermitian matrix; always positive definite."""
-    return PositiveDefiniteMatrix(matrix_function(M, np.exp, fname="exp").mat)
+    return PositiveDefiniteMatrix(_on_spectrum(M, np.exp, "exp"))
 
 
 def matrix_power(A: PositiveDefiniteMatrix, p: float) -> PositiveDefiniteMatrix:
     """Fractional power A^p for p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"power must lie in [0, 1], got {p}")
-    return PositiveDefiniteMatrix(matrix_function(A, lambda w: w ** p, fname="power").mat)
+    return PositiveDefiniteMatrix(_on_spectrum(A, lambda w: w ** p, "power"))
 
 
 def operator_norm(M) -> float:

@@ -64,7 +64,7 @@ def gibbs_gradient(X: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix) -> Herm
 def phi_gradient(X: PositiveDefiniteMatrix, A: PositiveDefiniteMatrix,
                  L: HermitianMatrix, H) -> HermitianMatrix:
     """Euclidean gradient L + H* log(A) H - log X of the phi objective at X."""
-    h = _contraction_arg(H, A.dim, L.dim)
+    h = _contraction_arg(H, A.dim, L.dim).mat
     return HermitianMatrix(L.mat + h.conj().T @ matrix_log(A).mat @ h - matrix_log(X).mat)
 
 

@@ -52,6 +52,7 @@ import numpy as np
 from . import functionals as fn
 from .errors import DomainError, EntropyLabError
 from .matrix_core import (
+    Contraction,
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -213,11 +214,12 @@ def _lambda_values(cfg: CheckConfig, rng: np.random.Generator) -> tuple:
     return cfg.lambda_samples + (float(rng.uniform(0.01, 0.99)),)
 
 
-def _random_contraction(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Generic contraction: complex Gaussian rescaled to a random norm < 1."""
+def _random_contraction(rng: np.random.Generator, rows: int, cols: int) -> Contraction:
+    """Generic contraction: complex Gaussian rescaled to a random norm < 1,
+    checked once here rather than by every functional call of the trial."""
     g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     target = float(rng.uniform(0.2, 1.0))
-    return g * (target / np.linalg.norm(g, 2))
+    return Contraction(g * (target / np.linalg.norm(g, 2)))
 
 
 def _mix(lam: float, M1, M2) -> PositiveDefiniteMatrix:
@@ -237,7 +239,7 @@ def _dump(**values) -> dict:
             out.update(multi_instance_to_json(value))
         elif isinstance(value, (list, tuple)):
             out[key] = [matrix_to_json(m) for m in value]
-        elif isinstance(value, (np.ndarray, HermitianMatrix)):
+        elif isinstance(value, (np.ndarray, HermitianMatrix, Contraction)):
             out[key] = matrix_to_json(value)
         else:
             out[key] = value

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from entropylab.errors import (
     DimensionError,
     DomainError,
+    NonFiniteObjective,
     NotAContraction,
     NumericalInconsistency,
 )
@@ -25,6 +28,7 @@ from entropylab.functionals import (
     trace_exp_functional,
 )
 from entropylab.matrix_core import (
+    Contraction,
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -35,6 +39,8 @@ from entropylab.matrix_core import (
     random_hermitian,
     random_pd,
 )
+from entropylab.serialization import matrix_to_json
+from entropylab.verifiers import _dump
 
 
 def scalar(x):
@@ -182,6 +188,16 @@ class TestTraceExpFunctional:
         a = random_pd(2, (0.5, 2.0), 16)
         with pytest.raises(NotAContraction):
             trace_exp_functional(a, HermitianMatrix(np.zeros((2, 2))), 2.0 * np.eye(2))
+
+    def test_overflow_raises_non_finite_objective(self):
+        eye = PositiveDefiniteMatrix(np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may leak either
+            with pytest.raises(NonFiniteObjective, match="top eigenvalue 800"):
+                trace_exp_functional(eye, HermitianMatrix(np.diag([800.0, 0.0])), np.eye(2))
+        # Just below overflow the value is finite and exact.
+        val = trace_exp_functional(eye, HermitianMatrix(np.diag([700.0, 0.0])), np.eye(2))
+        assert val == math.exp(700.0) + 1.0
 
 
 def _k2_scalar_instance():
@@ -390,3 +406,89 @@ class TestRealTraceGuard:
 
     def test_accepts_round_off_imaginary(self):
         assert _real_trace(2.0 + 1e-14j) == 2.0
+
+
+def _h_instance(seed: int, m: int = 3, n: int = 2):
+    rng = make_rng(seed)
+    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    h = 0.9 * g / np.linalg.norm(g, 2)
+    return {"A": random_pd(m, (0.1, 4.0), rng), "B": random_pd(n, (0.1, 4.0), rng),
+            "L": random_hermitian(n, 1.0, rng), "X": random_pd(n, (0.1, 4.0), rng), "H": h}
+
+
+# Every functional that takes a single contraction H, on one instance.
+H_FUNCTIONALS = {
+    "reduced_relative_entropy": lambda d, h: reduced_relative_entropy(d["A"], d["B"], h),
+    "trace_exp_functional": lambda d, h: trace_exp_functional(d["A"], d["L"], h),
+    "phi_objective": lambda d, h: phi_objective(d["X"], d["A"], d["L"], h),
+    "lieb_trace": lambda d, h: lieb_trace(d["A"], d["B"], h, 0.3),
+    "lieb_trace_derivative_at_zero":
+        lambda d, h: lieb_trace_derivative_at_zero(d["A"], d["B"], h),
+}
+CHECKED_H_FUNCTIONALS = ("reduced_relative_entropy", "trace_exp_functional", "phi_objective")
+
+
+def _svd_norm_calls(monkeypatch) -> list:
+    """Count operator-norm (SVD) evaluations through ``np.linalg.norm``."""
+    calls = []
+    original = np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(ord)
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
+class TestValidatedContraction:
+    @pytest.mark.parametrize("name", sorted(H_FUNCTIONALS))
+    def test_bit_equal_to_raw_array(self, name):
+        d = _h_instance(41)
+        f = H_FUNCTIONALS[name]
+        assert f(d, Contraction(d["H"])) == f(d, d["H"])
+
+    @pytest.mark.parametrize("name", CHECKED_H_FUNCTIONALS)
+    def test_raw_array_just_above_norm_one_rejected(self, name):
+        d = _h_instance(42)
+        h = d["H"] * ((1.0 + 2e-10) / np.linalg.norm(d["H"], 2))
+        with pytest.raises(NotAContraction, match="operator norm 1.0000000002"):
+            H_FUNCTIONALS[name](d, h)
+
+    def test_rejected_at_construction(self):
+        h = _h_instance(43)["H"]
+        with pytest.raises(NotAContraction, match="operator norm 1.0000000002"):
+            Contraction(h * ((1.0 + 2e-10) / np.linalg.norm(h, 2)))
+
+    def test_shape_checked_before_norm(self):
+        d = _h_instance(44)
+        with pytest.raises(DimensionError):
+            reduced_relative_entropy(d["A"], d["B"], 5.0 * np.ones((2, 2)))
+        with pytest.raises(DimensionError):
+            reduced_relative_entropy(d["A"], d["B"], Contraction(d["H"].T))
+
+    def test_entries_are_a_read_only_copy(self):
+        h = _h_instance(45)["H"]
+        c = Contraction(h)
+        h[0, 0] = 10.0  # the caller's array stays writable and is not shared
+        assert c.mat[0, 0] != 10.0
+        with pytest.raises(ValueError):
+            c.mat[0, 0] = 0.0
+        assert np.array_equal(c.adjoint().mat, c.mat.conj().T)
+
+    def test_phi_objective_makes_at_most_one_svd(self, monkeypatch):
+        d = _h_instance(46)
+        h = Contraction(d["H"])
+        calls = _svd_norm_calls(monkeypatch)
+        phi_objective(d["X"], d["A"], d["L"], d["H"])
+        assert len(calls) == 1  # the raw H, not its adjoint again
+        phi_objective(d["X"], d["A"], d["L"], h)
+        assert len(calls) == 1  # a validated H is not checked again
+
+    def test_record_dump_is_byte_equal(self):
+        d = _h_instance(47)
+        raw = _dump(H=d["H"], A1=d["A"], lam=0.5)
+        validated = _dump(H=Contraction(d["H"]), A1=d["A"], lam=0.5)
+        assert json.dumps(validated, sort_keys=True) == json.dumps(raw, sort_keys=True)
+        assert matrix_to_json(Contraction(d["H"])) == matrix_to_json(d["H"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entropylab.errors import DimensionError, DomainError
+from entropylab.errors import ConvergenceFailure, DimensionError, DomainError
 from entropylab.matrix_core import (
     ContractionTuple,
     HermitianMatrix,
@@ -206,3 +206,76 @@ class TestGenerators:
             make_rng(2 ** 64)
         with pytest.raises(DomainError):
             random_pd(2, (0.0, 1.0), 3)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Count calls of ``np.linalg.<name>``; returns the live counter."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestSpectrumCache:
+    def test_one_decomposition_per_value(self, monkeypatch):
+        a = random_pd(4, seed=31)
+        eigh = _count_calls(monkeypatch, "eigh")
+        eigvalsh = _count_calls(monkeypatch, "eigvalsh")
+        matrix_log(a)
+        root = matrix_power(a, 0.5)
+        spectral_decompose(a)
+        # A itself is decomposed once, at construction; the one call here is
+        # the floor check of the new value A^(1/2).
+        assert len(eigh) == 1
+        assert eigvalsh == []
+        matrix_log(root)
+        assert len(eigh) == 1
+
+    def test_spectrum_is_kept_with_the_value(self):
+        a = random_pd(3, seed=32)
+        assert spectral_decompose(a) is spectral_decompose(a)
+        m = random_hermitian(3, 1.0, seed=33)
+        assert spectral_decompose(m) is spectral_decompose(m)
+
+    def test_cached_spectrum_is_read_only(self):
+        dec = spectral_decompose(random_pd(3, seed=34))
+        with pytest.raises(ValueError):
+            dec.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            dec.eigenvectors[0, 0] = 0.0
+
+    def test_non_unitary_eigenvectors_still_rejected_on_first_use(self, monkeypatch):
+        original = np.linalg.eigh
+        m = random_hermitian(3, 1.0, seed=35)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (original(a)[0], 2.0 * original(a)[1]))
+        with pytest.raises(ConvergenceFailure, match="not unitary"):
+            spectral_decompose(m)
+        with pytest.raises(ConvergenceFailure, match="not unitary"):
+            PositiveDefiniteMatrix(np.diag([1.0, 2.0]))
+        # A failed decomposition is not kept.
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        assert np.allclose(spectral_decompose(m).reconstruct(), m.mat)
+
+
+class TestEigensolverFailure:
+    """A LinAlgError from LAPACK is a typed ConvergenceFailure, so a check
+    records it as an error trial instead of aborting."""
+
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def test_pd_construction(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", self._fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            PositiveDefiniteMatrix(np.eye(2))
+
+    def test_contraction_tuple_construction(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", self._fail)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            ContractionTuple([0.5 * np.eye(2)])
