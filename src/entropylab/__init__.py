@@ -48,6 +48,7 @@ from .matrix_core import (
     random_hermitian,
     random_pd,
     spectral_decompose,
+    stack,
 )
 from .variational import (
     SolverConfig,

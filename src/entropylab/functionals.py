@@ -19,6 +19,10 @@ Every functional returns the real part of an exactly computed trace after
 checking that the imaginary part is at round-off level; a larger imaginary
 part raises NumericalInconsistency instead of being silently discarded.
 
+Every functional also takes stacks of arguments (see ``matrix_core``): given
+values of shape (T, n, n) it returns the T values, each bit-equal to the
+value of its own 2-d arguments; given 2-d values it returns a float.
+
 A contraction argument H is either a raw array, whose operator norm is
 checked on every call, or a :class:`~entropylab.matrix_core.Contraction`,
 checked once when it was built.
@@ -36,6 +40,10 @@ from .matrix_core import (
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
+    _adjoint,
+    _any,
+    _per_matrix,
+    _trace,
     as_complex_matrix,
     matrix_exp,
     matrix_log,
@@ -46,15 +54,17 @@ from .matrix_core import (
 IMAG_TOL = 1e-10
 
 
-def _real_trace(value: complex) -> float:
-    """Real part of a trace, guarded against a non-negligible imaginary part."""
-    value = complex(value)
-    if abs(value.imag) > IMAG_TOL * (1.0 + abs(value.real)):
+def _real_trace(value):
+    """Real part of a trace (or of a stack's traces), guarded against a
+    non-negligible imaginary part."""
+    bad = abs(value.imag) > IMAG_TOL * (1.0 + abs(value.real))
+    if _any(bad):
+        worst = complex(np.asarray(value)[bad].flat[0])
         raise NumericalInconsistency(
-            f"trace should be real but has imaginary part {value.imag:.3e} "
-            f"(real part {value.real:.6g})"
+            f"trace should be real but has imaginary part {worst.imag:.3e} "
+            f"(real part {worst.real:.6g})"
         )
-    return value.real
+    return _per_matrix(value.real)
 
 
 def _contraction_arg(H, rows: int, cols: int, what: str = "H") -> Contraction:
@@ -62,19 +72,19 @@ def _contraction_arg(H, rows: int, cols: int, what: str = "H") -> Contraction:
     its shape first and then for its norm; a Contraction only for its shape."""
     checked = isinstance(H, Contraction)
     h = H.mat if checked else as_complex_matrix(H, name=what)
-    if h.shape != (rows, cols):
+    if h.shape[-2:] != (rows, cols):
         raise DimensionError(f"{what} must have shape {(rows, cols)}, got {h.shape}")
     return H if checked else Contraction(h, name=what)
 
 
-def _trace_exp(arg: np.ndarray) -> float:
+def _trace_exp(arg: np.ndarray):
     """Tr exp of a Hermitian matrix via its (real) eigenvalue sum."""
     w = spectral_decompose(HermitianMatrix(arg)).eigenvalues
     with np.errstate(over="ignore"):
-        total = float(np.exp(w).sum())
-    if not np.isfinite(total):
-        raise NonFiniteObjective(f"Tr exp overflows: top eigenvalue {w[-1]:.6g}")
-    return total
+        total = np.exp(w).sum(axis=-1)
+    if _any(~np.isfinite(total)):
+        raise NonFiniteObjective(f"Tr exp overflows: top eigenvalue {np.max(w[..., -1]):.6g}")
+    return _per_matrix(total)
 
 
 def reduced_relative_entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix,
@@ -87,9 +97,9 @@ def reduced_relative_entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatri
     h = _contraction_arg(H, A.dim, B.dim).mat
     log_a = matrix_log(A).mat
     log_b = matrix_log(B).mat
-    t = (np.trace(A.mat @ log_a)
-         - np.trace(h.conj().T @ A.mat @ h @ log_b)
-         - np.trace(A.mat) + np.trace(B.mat))
+    t = (_trace(A.mat @ log_a)
+         - _trace(_adjoint(h) @ A.mat @ h @ log_b)
+         - _trace(A.mat) + _trace(B.mat))
     return _real_trace(t)
 
 
@@ -104,11 +114,11 @@ def lieb_trace(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix, H,
                p: float) -> float:
     """Tr(H B^p H* A^(1-p)) for p in [0, 1]; jointly concave in (A, B)."""
     h = as_complex_matrix(H, name="H")
-    if h.shape != (A.dim, B.dim):
+    if h.shape[-2:] != (A.dim, B.dim):
         raise DimensionError(f"H must have shape {(A.dim, B.dim)}, got {h.shape}")
     b_p = matrix_power(B, p).mat
     a_1p = matrix_power(A, 1.0 - p).mat
-    return _real_trace(np.trace(h @ b_p @ h.conj().T @ a_1p))
+    return _real_trace(_trace(h @ b_p @ _adjoint(h) @ a_1p))
 
 
 def lieb_trace_derivative_at_zero(A: PositiveDefiniteMatrix,
@@ -116,11 +126,11 @@ def lieb_trace_derivative_at_zero(A: PositiveDefiniteMatrix,
     """d/dp Tr(H B^p H* A^(1-p)) at p = 0, in closed form:
     Tr(H log(B) H* A - H H* A log A)."""
     h = as_complex_matrix(H, name="H")
-    if h.shape != (A.dim, B.dim):
+    if h.shape[-2:] != (A.dim, B.dim):
         raise DimensionError(f"H must have shape {(A.dim, B.dim)}, got {h.shape}")
     log_a = matrix_log(A).mat
     log_b = matrix_log(B).mat
-    t = np.trace(h @ log_b @ h.conj().T @ A.mat) - np.trace(h @ h.conj().T @ A.mat @ log_a)
+    t = _trace(h @ log_b @ _adjoint(h) @ A.mat) - _trace(h @ _adjoint(h) @ A.mat @ log_a)
     return _real_trace(t)
 
 
@@ -131,7 +141,7 @@ def trace_exp_functional(A: PositiveDefiniteMatrix, L: HermitianMatrix, H) -> fl
     space of A (shape m x n).
     """
     h = _contraction_arg(H, A.dim, L.dim).mat
-    arg = L.mat + h.conj().T @ matrix_log(A).mat @ h
+    arg = L.mat + _adjoint(h) @ matrix_log(A).mat @ h
     return _trace_exp(arg)
 
 
@@ -177,7 +187,7 @@ def _conjugated_sum(L: HermitianMatrix, H: ContractionTuple,
                     middles: list[np.ndarray]) -> np.ndarray:
     arg = L.mat.astype(np.complex128, copy=True)
     for h, mid in zip(H.blocks, middles):
-        arg += h.conj().T @ mid @ h
+        arg += _adjoint(h) @ mid @ h
     return arg
 
 
@@ -203,10 +213,10 @@ def gt_jensen_rhs(inst: MultiInstance) -> float:
     if inst.b_list is None:
         raise DimensionError("gt_jensen_rhs needs an instance with b_list")
     exp_l = matrix_exp(inst.L).mat
-    total = np.zeros((inst.H.n, inst.H.n), dtype=np.complex128)
+    total = np.zeros_like(exp_l)
     for h, b in zip(inst.H.blocks, inst.b_list):
-        total += h.conj().T @ matrix_exp(b).mat @ h
-    return _real_trace(np.trace(exp_l @ total))
+        total += _adjoint(h) @ matrix_exp(b).mat @ h
+    return _real_trace(_trace(exp_l @ total))
 
 
 @dataclass(frozen=True)
@@ -221,7 +231,7 @@ class BlockLift:
 
     a_hat: PositiveDefiniteMatrix
     l_hat: HermitianMatrix
-    h_hat: np.ndarray
+    h_hat: Contraction
 
     def lifted_value(self) -> float:
         return trace_exp_functional(self.a_hat, self.l_hat, self.h_hat)
@@ -233,18 +243,21 @@ def block_lift(inst: MultiInstance) -> BlockLift:
     if inst.a_list is None:
         raise DimensionError("block_lift needs an instance with a_list")
     k, m, n = inst.H.k, inst.H.m, inst.H.n
-    a_hat = np.zeros((k * m, k * m), dtype=np.complex128)
+    batch = inst.L.mat.shape[:-2]
+    a_hat = np.zeros(batch + (k * m, k * m), dtype=np.complex128)
     for i, a in enumerate(inst.a_list):
-        a_hat[i * m:(i + 1) * m, i * m:(i + 1) * m] = a.mat
-    l_hat = np.zeros((k * n, k * n), dtype=np.complex128)
-    l_hat[:n, :n] = inst.L.mat
-    h_hat = np.zeros((k * m, k * n), dtype=np.complex128)
+        a_hat[..., i * m:(i + 1) * m, i * m:(i + 1) * m] = a.mat
+    l_hat = np.zeros(batch + (k * n, k * n), dtype=np.complex128)
+    l_hat[..., :n, :n] = inst.L.mat
+    h_hat = np.zeros(batch + (k * m, k * n), dtype=np.complex128)
     for i, h in enumerate(inst.H.blocks):
-        h_hat[i * m:(i + 1) * m, :n] = h
+        h_hat[..., i * m:(i + 1) * m, :n] = h
+    # ||h_hat||^2 is the top eigenvalue of sum(H_i* H_i), which the tuple
+    # bounds by 1 + CONTRACTION_TOL, so ||h_hat|| <= 1 + CONTRACTION_TOL.
     return BlockLift(
         a_hat=PositiveDefiniteMatrix(a_hat),
         l_hat=HermitianMatrix(l_hat),
-        h_hat=h_hat,
+        h_hat=Contraction._bounded(h_hat),
     )
 
 
@@ -254,7 +267,7 @@ def gibbs_objective(X: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix) -> flo
         raise DimensionError(f"X and B must have equal dimension, got {X.dim} and {B.dim}")
     log_b = matrix_log(B).mat
     log_x = matrix_log(X).mat
-    t = np.trace(X.mat @ log_b) - np.trace(X.mat @ log_x) + np.trace(X.mat)
+    t = _trace(X.mat @ log_b) - _trace(X.mat @ log_x) + _trace(X.mat)
     return _real_trace(t)
 
 
@@ -271,6 +284,6 @@ def phi_objective(X: PositiveDefiniteMatrix, A: PositiveDefiniteMatrix,
     if X.dim != L.dim:
         raise DimensionError(f"X must have the dimension of L ({L.dim}), got {X.dim}")
     value = -reduced_relative_entropy(X, A, H.adjoint())
-    value += _real_trace(np.trace(X.mat @ L.mat))
-    value += _real_trace(np.trace(A.mat))
+    value += _real_trace(_trace(X.mat @ L.mat))
+    value += _real_trace(_trace(A.mat))
     return value

@@ -7,6 +7,13 @@ a pure function, so values are safe to share across threads.  A Hermitian
 value keeps its checked spectral decomposition once it has been computed,
 so each value is decomposed at most once (two threads that race to compute
 it store equal results).
+
+A value may be a stack: its entries have shape ``(..., n, n)`` (``(..., m,
+n)`` for a contraction), and every check runs on each matrix of the stack,
+raising if any fails.  A single value is the 2-d case, and a result that is
+a number per matrix is a ``float`` for it and an array for a stack.
+Stacked matrix operations run the same LAPACK and BLAS call per matrix, so
+each entry of a stacked result has the bits of the single-value result.
 """
 
 from __future__ import annotations
@@ -25,17 +32,44 @@ CONTRACTION_TOL = 1e-10         # slack on operator norm <= 1
 IDENTITY_SUM_TOL = 1e-10        # slack on sum(H_i* H_i) == I for isometric tuples
 
 SeedLike = Union[int, np.random.Generator]
+_MATRIX_AXES = (-2, -1)
 
 
 def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a finite 2-d complex128 array (rows, cols >= 1)."""
+    """Coerce input to a finite complex128 matrix or stack of matrices
+    (shape (..., rows, cols), rows and cols >= 1)."""
     if isinstance(entries, (HermitianMatrix, Contraction)):
         return entries.mat
     a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
         raise DimensionError(f"{name} must be 2-dimensional with positive shape, got {a.shape}")
     if not np.isfinite(a).all():  # a complex entry is finite when both parts are
         raise DomainError(f"{name} contains non-finite entries")
+    return a
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _trace(a: np.ndarray):
+    """Trace of a matrix, or the traces of a stack."""
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def _per_matrix(x):
+    """A float for a single value's result, the array for a stack's."""
+    return x if getattr(x, "ndim", 0) else float(x)
+
+
+def _any(flags) -> bool:
+    """Whether a check fails for the value, or for any matrix of a stack."""
+    return bool(flags.any() if getattr(flags, "ndim", 0) else flags)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
     return a
 
 
@@ -53,23 +87,21 @@ class HermitianMatrix:
 
     def __init__(self, entries):
         a = as_complex_matrix(entries, name=type(self).__name__)
-        if a.shape[0] != a.shape[1]:
+        if a.shape[-2] != a.shape[-1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        ah = a.conj().T
-        asym = np.abs(a - ah).max()
-        if asym > HERMITIAN_TOL * (1.0 + np.abs(a).max()):
-            raise DomainError(f"matrix is not Hermitian: max |M - M*| = {asym:.3e}")
-        m = (a + ah) / 2.0
-        m.setflags(write=False)
-        self.mat = m
+        ah = _adjoint(a)
+        asym = np.abs(a - ah).max(axis=_MATRIX_AXES)
+        if _any(asym > HERMITIAN_TOL * (1.0 + np.abs(a).max(axis=_MATRIX_AXES))):
+            raise DomainError(f"matrix is not Hermitian: max |M - M*| = {np.max(asym):.3e}")
+        self.mat = _frozen((a + ah) / 2.0)
         self._spectrum = None
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
+    def trace(self):
+        return _per_matrix(_trace(self.mat).real)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -88,13 +120,13 @@ class PositiveDefiniteMatrix(HermitianMatrix):
 
     def __init__(self, entries, pd_floor: float = PD_FLOOR):
         super().__init__(entries)
-        w = spectral_decompose(self).eigenvalues
-        if w[0] <= pd_floor:
+        w0 = spectral_decompose(self).eigenvalues[..., 0]
+        if _any(w0 <= pd_floor):
             raise DomainError(
                 f"matrix is not positive definite above floor {pd_floor:.1e}: "
-                f"min eigenvalue {w[0]:.3e}"
+                f"min eigenvalue {np.min(w0):.3e}"
             )
-        self.min_eigenvalue = float(w[0])
+        self.min_eigenvalue = _per_matrix(w0)
 
 
 @dataclass(frozen=True)
@@ -106,15 +138,16 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * self.eigenvalues[..., None, :]) @ _adjoint(u)
 
 
-def _gram(blocks, n: int) -> np.ndarray:
-    """sum(H_i* H_i) over n x n, symmetrized."""
-    g = np.zeros((n, n), dtype=np.complex128)
+def _gram(blocks) -> np.ndarray:
+    """sum(H_i* H_i), symmetrized."""
+    shape = blocks[0].shape
+    g = np.zeros(shape[:-2] + (shape[-1], shape[-1]), dtype=np.complex128)
     for b in blocks:
-        g += b.conj().T @ b
-    return (g + g.conj().T) / 2.0
+        g += _adjoint(b) @ b
+    return (g + _adjoint(g)) / 2.0
 
 
 class ContractionTuple:
@@ -130,23 +163,26 @@ class ContractionTuple:
         mats = tuple(as_complex_matrix(b, name=f"block {i}") for i, b in enumerate(blocks))
         if not mats:
             raise DimensionError("a contraction tuple needs at least one block")
-        m, n = mats[0].shape
+        shape = mats[0].shape
         for i, b in enumerate(mats):
-            if b.shape != (m, n):
-                raise DimensionError(f"block {i} has shape {b.shape}, expected {(m, n)}")
+            if b.shape != shape:
+                raise DimensionError(f"block {i} has shape {b.shape}, expected {shape}")
         for b in mats:
             b.setflags(write=False)
-        gram = _gram(mats, n)
+        m, n = shape[-2:]
+        gram = _gram(mats)
         try:
-            top = float(np.linalg.eigvalsh(gram)[-1])
+            top = np.linalg.eigvalsh(gram)[..., -1]
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver failed on sum(H_i* H_i): {exc}") from exc
-        if top > 1.0 + CONTRACTION_TOL:
-            raise NotAContraction(f"largest eigenvalue of sum(H_i* H_i) is {top:.12f} > 1")
+        if _any(top > 1.0 + CONTRACTION_TOL):
+            raise NotAContraction(
+                f"largest eigenvalue of sum(H_i* H_i) is {float(np.max(top)):.12f} > 1")
         if sum_is_identity:
-            dev = np.abs(gram - np.eye(n)).max()
-            if dev > IDENTITY_SUM_TOL:
-                raise DomainError(f"blocks do not sum to the identity: max deviation {dev:.3e}")
+            dev = np.abs(gram - np.eye(n)).max(axis=_MATRIX_AXES)
+            if _any(dev > IDENTITY_SUM_TOL):
+                raise DomainError(
+                    f"blocks do not sum to the identity: max deviation {np.max(dev):.3e}")
         self.blocks = mats
         self.k = len(mats)
         self.m = m
@@ -154,7 +190,7 @@ class ContractionTuple:
         self.sum_is_identity = bool(sum_is_identity)
 
     def gram(self) -> np.ndarray:
-        return _gram(self.blocks, self.n)
+        return _gram(self.blocks)
 
     def __repr__(self) -> str:
         return (f"ContractionTuple(k={self.k}, m={self.m}, n={self.n}, "
@@ -174,18 +210,20 @@ class Contraction:
     def __init__(self, entries, name: str = "H"):
         a = as_complex_matrix(entries, name=name)
         norm = operator_norm(a)
-        if norm > 1.0 + CONTRACTION_TOL:
-            raise NotAContraction(f"{name} has operator norm {norm:.12f} > 1")
-        a = np.array(a)
-        a.setflags(write=False)
-        self.mat = a
+        if _any(norm > 1.0 + CONTRACTION_TOL):
+            raise NotAContraction(f"{name} has operator norm {np.max(norm):.12f} > 1")
+        self.mat = _frozen(np.array(a))
+
+    @classmethod
+    def _bounded(cls, mat: np.ndarray) -> Contraction:
+        """``mat`` as a Contraction, unchecked: its caller knows the bound."""
+        h = cls.__new__(cls)
+        h.mat = _frozen(mat)
+        return h
 
     def adjoint(self) -> Contraction:
         """H*, which has the operator norm of H and so is not checked again."""
-        adj = Contraction.__new__(Contraction)
-        adj.mat = self.mat.conj().T
-        adj.mat.setflags(write=False)
-        return adj
+        return Contraction._bounded(_adjoint(self.mat))
 
     def __repr__(self) -> str:
         return f"Contraction(shape={self.mat.shape})"
@@ -210,16 +248,16 @@ def _checked_eigh(a: np.ndarray) -> SpectralDecomposition:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    uh = u.conj().T
-    unit_dev = np.abs(u @ uh - np.eye(a.shape[0])).max()
-    if unit_dev > 1e-10:
-        raise ConvergenceFailure(f"eigenvector matrix is not unitary: deviation {unit_dev:.3e}")
-    recon_dev = np.abs((u * w) @ uh - a).max()
-    if recon_dev > 1e-10 * (1.0 + max(-w[0], w[-1])):  # max |w|, as w ascends
-        raise ConvergenceFailure(f"spectral reconstruction error {recon_dev:.3e}")
-    w.setflags(write=False)
-    u.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
+    uh = _adjoint(u)
+    unit_dev = np.abs(u @ uh - np.eye(a.shape[-1])).max(axis=_MATRIX_AXES)
+    if _any(unit_dev > 1e-10):
+        raise ConvergenceFailure(
+            f"eigenvector matrix is not unitary: deviation {np.max(unit_dev):.3e}")
+    recon_dev = np.abs((u * w[..., None, :]) @ uh - a).max(axis=_MATRIX_AXES)
+    # max |w| from the ends of the ascending w
+    if _any(recon_dev > 1e-10 * (1.0 + np.maximum(-w[..., 0], w[..., -1]))):
+        raise ConvergenceFailure(f"spectral reconstruction error {np.max(recon_dev):.3e}")
+    return SpectralDecomposition(eigenvalues=_frozen(w), eigenvectors=_frozen(u))
 
 
 def matrix_function(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
@@ -246,7 +284,7 @@ def _on_spectrum(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
     if fw.shape != dec.eigenvalues.shape or not np.all(np.isfinite(fw)):
         raise DomainError(f"{label} is not finite on the spectrum {dec.eigenvalues}")
     u = dec.eigenvectors
-    return (u * fw) @ u.conj().T
+    return (u * fw[..., None, :]) @ _adjoint(u)
 
 
 def matrix_log(A: PositiveDefiniteMatrix) -> HermitianMatrix:
@@ -266,10 +304,31 @@ def matrix_power(A: PositiveDefiniteMatrix, p: float) -> PositiveDefiniteMatrix:
     return PositiveDefiniteMatrix(_on_spectrum(A, lambda w: w ** p, "power"))
 
 
-def operator_norm(M) -> float:
+def operator_norm(M):
     """Largest singular value of a (possibly rectangular) complex matrix."""
     a = as_complex_matrix(M, name="operator_norm argument")
-    return float(np.linalg.norm(a, 2))
+    return _per_matrix(np.linalg.norm(a, 2, axis=_MATRIX_AXES))
+
+
+def stack(values: Sequence):
+    """One stacked value of checked values of one type and shape, which are
+    not checked again; their spectra are stacked when each value has one."""
+    first = values[0]
+    out = type(first).__new__(type(first))
+    if isinstance(first, ContractionTuple):
+        out.blocks = tuple(_frozen(np.stack(b)) for b in zip(*(v.blocks for v in values)))
+        out.k, out.m, out.n = first.k, first.m, first.n
+        out.sum_is_identity = first.sum_is_identity
+        return out
+    out.mat = _frozen(np.stack([v.mat for v in values]))
+    if isinstance(first, HermitianMatrix):
+        spectra = [v._spectrum for v in values]
+        out._spectrum = None if any(s is None for s in spectra) else SpectralDecomposition(
+            eigenvalues=_frozen(np.stack([s.eigenvalues for s in spectra])),
+            eigenvectors=_frozen(np.stack([s.eigenvectors for s in spectra])))
+    if isinstance(first, PositiveDefiniteMatrix):
+        out.min_eigenvalue = np.array([v.min_eigenvalue for v in values])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DimensionError, ParseError
 from .matrix_core import (
     ContractionTuple,
     HermitianMatrix,
@@ -27,6 +27,8 @@ from .matrix_core import (
 
 def matrix_to_json(M) -> dict:
     a = as_complex_matrix(M)
+    if a.ndim != 2:
+        raise DimensionError(f"a JSON matrix holds one matrix, got a stack of shape {a.shape}")
     data = [[float(z.real), float(z.imag)] for z in a.ravel(order="C")]
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 

@@ -22,6 +22,19 @@ the largest magnitude in the comparison; a record is built only on a
 breach.  A trial that raises an EntropyLabError becomes an error record
 ``{"kind": "error", "trial", "error"}`` and the check goes on.
 
+The loop runs the trials in consecutive blocks, as many as keep every
+matrix stack within ``BLOCK_BYTES``.  It samples each trial of a block
+alone, groups the instances by signature (the shape of every matrix and
+every field that is not a matrix or a float, such as gt_jensen's family),
+stacks each group into one instance of (T, n, n) stacks and per-trial
+weight arrays, and runs ``compare`` once on it, with the same functionals
+and generators that serve a single instance.  Every stacked value has the
+bits of its trial's own value, so the stacked pass decides, per trial,
+whether any comparison breached, and gives the trial's gaps to
+``worst_gap``.  Records and errors come from the single-trial path: a
+trial with a breach, and every trial of a group whose stack raised, runs
+alone (:func:`_trial`), and the results are merged in trial order.
+
 Replay (:func:`re_evaluate`) reads a record's instance with ``fields``,
 passes the record's kind in as ``instance["kind"]``, runs the same
 ``compare`` with the genuine functionals, and returns the first comparison
@@ -43,8 +56,8 @@ replaying its JSON dump, and passes when it finds one and no trial errored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,10 +69,13 @@ from .matrix_core import (
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
+    _per_matrix,
+    _trace,
     matrix_exp,
     random_contraction_tuple,
     random_hermitian,
     random_pd,
+    stack,
 )
 from .serialization import matrix_to_json, multi_instance_to_json, read_fields
 
@@ -74,6 +90,11 @@ T_FACTORS = (0.5, 2.0, 10.0)
 HOMOGENEITY_BREAK_MIN = 1e-3
 # Instance families of the gt_jensen check, cycled by trial index.
 GT_FAMILIES = ("general", "golden_thompson", "general", "jensen")
+# Bytes of the largest matrix stack that a block of trials may build: a
+# block holds all 200 trials of ``check all`` at the default dims (64 of
+# multi_concavity, whose block lift is k times larger), and four or five
+# trials at n = 28 to 32.
+BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -191,6 +212,8 @@ class Check:
     kinds: tuple
     dims: Callable[[CheckConfig], tuple] = lambda cfg: cfg.dims
     semantics: str = "violations"
+    # Order of the largest matrix that a trial of dims (k, m, n) builds.
+    order: Callable[[int, int, int], int] = lambda k, m, n: max(m, n)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -222,12 +245,22 @@ def _random_contraction(rng: np.random.Generator, rows: int, cols: int) -> Contr
     return Contraction(g * (target / np.linalg.norm(g, 2)))
 
 
-def _mix(lam: float, M1, M2) -> PositiveDefiniteMatrix:
-    return PositiveDefiniteMatrix(lam * M1.mat + (1.0 - lam) * M2.mat)
+def _scaled(w, M) -> np.ndarray:
+    """w M for a weight w, or each matrix of the stack M times its entry of w."""
+    return np.reshape(w, np.shape(w) + (1, 1)) * M.mat
 
 
-def _tol(cfg: CheckConfig, *values: float) -> float:
-    return cfg.tol_abs + cfg.tol_rel * max(abs(v) for v in values)
+def _mix(lam, M1, M2) -> PositiveDefiniteMatrix:
+    return PositiveDefiniteMatrix(_scaled(lam, M1) + _scaled(1.0 - lam, M2))
+
+
+def _max(*values):
+    """The largest value, or the entrywise largest of per-trial arrays."""
+    return _per_matrix(reduce(np.maximum, values))
+
+
+def _tol(cfg: CheckConfig, *values):
+    return cfg.tol_abs + cfg.tol_rel * _max(*map(abs, values))
 
 
 def _dump(**values) -> dict:
@@ -259,18 +292,14 @@ def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
     search = check.semantics == "witness_search"
     records: list = []
     worst: float | None = None
-    for t in range(cfg.trials):
-        try:
-            instance = check.sample(trial_rng(cfg.seed, t), cfg, dims, t)
-            for c in check.compare(instance, cfg, funcs):
-                if worst is None or c.gap > worst:
-                    worst = float(c.gap)
-                if c.breached:
-                    records.append(_record(check, t, c))
-                    if search:
-                        break  # one witness per trial
-        except EntropyLabError as exc:
-            records.append({"kind": "error", "trial": t, "error": str(exc)})
+    block = _block_trials(check, dims)
+    for start in range(0, cfg.trials, block):
+        trials = range(start, min(start + block, cfg.trials))
+        for trial_records, gaps in _run_block(check, cfg, funcs, dims, trials):
+            records += trial_records
+            for gap in gaps:
+                if worst is None or gap > worst:
+                    worst = gap
     passed, note = not records, None
     if search:
         errors = sum(r["kind"] == "error" for r in records)
@@ -283,6 +312,105 @@ def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
     return CheckReport(check_name=check.name, semantics=check.semantics, trials_run=cfg.trials,
                        violations=records, worst_gap=worst, passed=passed, note=note,
                        config=cfg.to_dict())
+
+
+def _block_trials(check: Check, dims: tuple) -> int:
+    """Trials per block, so that no stack of a block exceeds BLOCK_BYTES."""
+    largest = max(check.order(*d) for d in dims) ** 2 * np.dtype(np.complex128).itemsize
+    return max(1, BLOCK_BYTES // largest)
+
+
+def _run_block(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, trials: range) -> list:
+    """(records, gaps) of each trial of a block, in trial order.
+
+    The block's instances are grouped by signature, and ``compare`` runs
+    once on each group's stack.  A trial whose stacked comparisons all pass
+    is done; a trial with a breach, and every trial of a group whose stack
+    raised, runs alone through :func:`_trial`."""
+    instances = {}
+    for t in trials:
+        try:
+            instances[t] = check.sample(trial_rng(cfg.seed, t), cfg, dims, t)
+        except EntropyLabError:
+            pass  # run alone below, which records the error
+    groups: dict = {}
+    for t, instance in instances.items():
+        groups.setdefault(_signature(instance), []).append(t)
+    done, breached = {}, set()
+    for group in groups.values():
+        try:
+            comparisons = list(check.compare(_stack([instances[t] for t in group]), cfg, funcs))
+        except EntropyLabError:
+            continue
+        gaps = [np.broadcast_to(c.gap, len(group)).tolist() for c in comparisons]
+        hit = reduce(np.logical_or, (c.breached for c in comparisons), np.zeros(len(group), bool))
+        for i, t in enumerate(group):
+            if hit[i]:
+                breached.add(t)
+            else:
+                done[t] = ([], [g[i] for g in gaps])
+    out = []
+    for t in trials:
+        if t not in done:
+            done[t] = _trial(check, cfg, funcs, dims, t, instances.get(t))
+            assert t not in breached or done[t][0], f"trial {t} breached in its block, not alone"
+        out.append(done[t])
+    return out
+
+
+def _trial(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, t: int,
+           instance: dict | None = None) -> tuple[list, list]:
+    """Trial t alone (sampled here unless ``instance`` is given): its records
+    and the gaps of its comparisons, in order."""
+    records, gaps = [], []
+    try:
+        if instance is None:
+            instance = check.sample(trial_rng(cfg.seed, t), cfg, dims, t)
+        for c in check.compare(instance, cfg, funcs):
+            gaps.append(float(c.gap))
+            if c.breached:
+                records.append(_record(check, t, c))
+                if check.semantics == "witness_search":
+                    break  # one witness per trial
+    except EntropyLabError as exc:
+        records.append({"kind": "error", "trial": t, "error": str(exc)})
+    return records, gaps
+
+
+def _signature(value):
+    """What the instances of one stack share: types, matrix shapes and every
+    field that is neither a matrix nor a float."""
+    if isinstance(value, dict):
+        return tuple((key, _signature(v)) for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return (type(value), *map(_signature, value))
+    if is_dataclass(value):
+        return (type(value), *(_signature(getattr(value, f.name)) for f in fields(value)))
+    if isinstance(value, ContractionTuple):
+        return (ContractionTuple, value.k, value.m, value.n, value.sum_is_identity)
+    if isinstance(value, (HermitianMatrix, Contraction)):
+        return (type(value), value.mat.shape)
+    if isinstance(value, float):
+        return float
+    return value
+
+
+def _stack(values: list):
+    """One instance stacked from instances of one signature: matrices as
+    matrix stacks, floats as arrays, anything else as it is."""
+    first = values[0]
+    if isinstance(first, dict):
+        return {key: _stack([v[key] for v in values]) for key in first}
+    if isinstance(first, (list, tuple)):
+        return type(first)(_stack(list(column)) for column in zip(*values))
+    if is_dataclass(first):
+        return type(first)(**{f.name: _stack([getattr(v, f.name) for v in values])
+                              for f in fields(first)})
+    if isinstance(first, float):
+        return np.array(values)
+    if isinstance(first, (HermitianMatrix, Contraction, ContractionTuple)):
+        return stack(values)
+    return first
 
 
 def _record(check: Check, trial: int, c: Comparison) -> dict:
@@ -434,11 +562,11 @@ def _compare_derivative(inst, cfg, f):
     g0 = fn.lieb_trace(A, B, h, 0.0)
     d0 = f["derivative"](A, B, h)
     errors = {}
-    scale = max(abs(g0), abs(d0))
+    scale = _max(abs(g0), abs(d0))
     for p in P_GRID:
         gp = fn.lieb_trace(A, B, h, p)
         errors[repr(p)] = abs((gp - g0) / p - d0)
-        scale = max(scale, abs(gp))
+        scale = _max(scale, abs(gp))
     e_big, e_mid, e_small = errors.values()
     dump = partial(_dump, A=A, B=B, H=h, errors=errors, scale=scale)
     yield Comparison("not_decreasing", e_mid, e_big, e_mid - e_big, 0.0, dump, strict=True)
@@ -493,7 +621,7 @@ def _compare_homogeneity(inst, cfg, f):
     phi, m = f["phi"], inst["inst"]
     base = phi(m)
     for t in inst["t"]:
-        val = phi(replace(m, a_list=[PositiveDefiniteMatrix(t * a.mat) for a in m.a_list]))
+        val = phi(replace(m, a_list=[PositiveDefiniteMatrix(_scaled(t, a)) for a in m.a_list]))
         yield Comparison("identity", val, t * base, abs(val - t * base),
                          cfg.tol_abs + cfg.tol_rel * t * abs(base), partial(_dump, inst=m, t=t))
 
@@ -531,7 +659,7 @@ _SPECS = {c.name: c for c in (
     Check("multi_concavity", _sample_multi, _compare_multi,
           lambda: {"phi": fn.multi_trace_exp},
           {"inst": "multi", "A2": "pd_list", "lam": "floats"},
-          ("block_lift", "segment")),
+          ("block_lift", "segment"), order=lambda k, m, n: k * max(m, n)),
     Check("gt_jensen", _sample_gt_jensen, _compare_gt_jensen,
           lambda: {"lhs": fn.gt_jensen_lhs, "rhs": fn.gt_jensen_rhs},
           {"inst": "multi"}, GT_FAMILIES, dims=_isometric_dims),
@@ -553,24 +681,32 @@ _SPECS = {c.name: c for c in (
 
 # ---------------------------------------------------------------------------
 # The public checks.  Each accepts the functional under test as a keyword.
+# Such a hook receives the arguments of a block's stacked trials (matrix
+# values of shape (T, n, n), see ``matrix_core``) and returns one value per
+# stack entry, as the genuine functionals do; a trial that runs alone
+# passes it 2-d arguments, for which it returns a float.
 # ---------------------------------------------------------------------------
 
 def check_sh_convexity(cfg: CheckConfig,
                        entropy_fn: Callable | None = None) -> CheckReport:
-    """Joint convexity of the reduced relative entropy on segments."""
+    """Joint convexity of the reduced relative entropy on segments.
+    ``entropy_fn`` receives stacked arguments and returns one value per
+    stack entry (see the comment above)."""
     return _run(_SPECS["sh_convexity"], cfg, entropy=entropy_fn)
 
 
 def check_phi_concavity(cfg: CheckConfig,
                         phi_fn: Callable | None = None) -> CheckReport:
-    """Concavity of A -> Tr exp(L + H* log(A) H) on segments."""
+    """Concavity of A -> Tr exp(L + H* log(A) H) on segments.  ``phi_fn``
+    receives stacked arguments and returns one value per stack entry."""
     return _run(_SPECS["phi_concavity"], cfg, phi=phi_fn)
 
 
 def check_multi_concavity(cfg: CheckConfig,
                           phi_fn: Callable | None = None) -> CheckReport:
     """Joint concavity of the k-variable trace exponential, with every
-    evaluation cross-checked against the block-lift route."""
+    evaluation cross-checked against the block-lift route.  ``phi_fn``
+    receives a stacked MultiInstance and returns one value per stack entry."""
     return _run(_SPECS["multi_concavity"], cfg, phi=phi_fn)
 
 
@@ -579,13 +715,16 @@ def check_gt_jensen(cfg: CheckConfig,
                     rhs_fn: Callable | None = None) -> CheckReport:
     """Tr exp(L + sum H_i* B_i H_i) <= Tr(e^L sum H_i* e^(B_i) H_i) under
     sum(H_i* H_i) = I.  Trials cycle through the general family, the k = 1,
-    H = I Golden-Thompson case, and the L = 0 Jensen-trace case."""
+    H = I Golden-Thompson case, and the L = 0 Jensen-trace case.  Each hook
+    receives a stacked MultiInstance and returns one value per stack entry."""
     return _run(_SPECS["gt_jensen"], cfg, lhs=lhs_fn, rhs=rhs_fn)
 
 
 def check_gibbs_identity(cfg: CheckConfig,
                          objective_fn: Callable | None = None) -> CheckReport:
-    """Tr(X log B - X log X + X) <= Tr B for all X > 0, with equality at X = B."""
+    """Tr(X log B - X log X + X) <= Tr B for all X > 0, with equality at X = B.
+    ``objective_fn`` receives stacked arguments and returns one value per
+    stack entry."""
     return _run(_SPECS["gibbs_identity"], cfg, objective=objective_fn)
 
 
@@ -593,7 +732,8 @@ def check_derivative_limit(cfg: CheckConfig,
                            derivative_fn: Callable | None = None) -> CheckReport:
     """The closed-form derivative of p -> Tr(H B^p H* A^(1-p)) at p = 0 is
     the limit of forward differences: the error must shrink with p and end
-    below 1e-2 of the value scale."""
+    below 1e-2 of the value scale.  ``derivative_fn`` receives stacked
+    arguments and returns one value per stack entry."""
     return _run(_SPECS["derivative_limit"], cfg, derivative=derivative_fn)
 
 
@@ -603,10 +743,9 @@ def gt_route_value(inst: fn.MultiInstance) -> float:
     if inst.b_list is None:
         raise DomainError("gt_route_value needs an instance with b_list")
     arg = HermitianMatrix(fn._conjugated_sum(
-        HermitianMatrix(np.zeros((inst.H.n, inst.H.n))), inst.H,
-        [b.mat for b in inst.b_list]))
+        HermitianMatrix(np.zeros_like(inst.L.mat)), inst.H, [b.mat for b in inst.b_list]))
     product = matrix_exp(inst.L).mat @ matrix_exp(arg).mat
-    return fn._real_trace(np.trace(product))
+    return fn._real_trace(_trace(product))
 
 
 def search_gt_route_gap(cfg: CheckConfig,
@@ -616,7 +755,8 @@ def search_gt_route_gap(cfg: CheckConfig,
     commuting-case bound, demonstrating that the former cannot imply the
     latter.  Each trial draws a random isometric tuple and self-adjoint B_i
     and tries a random and a spiked weight L; witnesses are re-verified
-    from their serialized dump before being recorded."""
+    from their serialized dump before being recorded.  Each hook receives a
+    stacked MultiInstance and returns one value per stack entry."""
     return _run(_SPECS["gt_route_gap"], cfg, route=route_fn, rhs=rhs_fn)
 
 
@@ -624,7 +764,9 @@ def check_homogeneity(cfg: CheckConfig,
                       phi_fn: Callable | None = None) -> CheckReport:
     """phi(t A_1 .. t A_k) = t phi(A_1 .. A_k) whenever sum(H_i* H_i) = I,
     and provably not otherwise: the check also exhibits a strict-contraction
-    instance that breaks the identity by a visible margin."""
+    instance that breaks the identity by a visible margin.  ``phi_fn``
+    receives a stacked MultiInstance and returns one value per stack entry
+    (a single instance in the counterexample search)."""
     spec = _SPECS["homogeneity"]
     report = _run(spec, cfg, phi=phi_fn)
     counterexample = _strict_contraction_break(cfg, phi_fn or fn.multi_trace_exp, spec.dims(cfg))

@@ -151,6 +151,16 @@ class TestCheck:
         report = load_json(tmp_path / "r" / "gt_route_gap.json")
         assert [v["trial"] for v in report["violations"] if v["kind"] == "error"] == [19]
 
+    def test_route_gap_errors_stay_with_their_trials(self, tmp_path, capsys):
+        # Error trials sit in blocks of stacked trials; each becomes its own
+        # error record and every other trial is judged as before.
+        code, out, _ = run(capsys, "check", "gt_route_gap", "--trials", "200",
+                           "--seed", "7", "--dims", "2,8,8", "--out-dir", str(tmp_path / "r"))
+        assert code == 1
+        report = load_json(tmp_path / "r" / "gt_route_gap.json")
+        assert [v["trial"] for v in report["violations"] if v["kind"] == "error"] == [19, 20, 30]
+        assert report["note"] == "found 113 witnesses, 3 error records"
+
     def test_bad_dims_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "check", "gibbs_identity",
                          "--dims", "2x2", "--out-dir", str(tmp_path / "r"))

@@ -27,6 +27,7 @@ from entropylab.functionals import (
     relative_entropy,
     trace_exp_functional,
 )
+from entropylab import matrix_core
 from entropylab.matrix_core import (
     Contraction,
     ContractionTuple,
@@ -38,6 +39,7 @@ from entropylab.matrix_core import (
     random_contraction_tuple,
     random_hermitian,
     random_pd,
+    stack,
 )
 from entropylab.serialization import matrix_to_json
 from entropylab.verifiers import _dump
@@ -269,7 +271,7 @@ class TestBlockLift:
         lift = block_lift(inst)
         assert np.array_equal(lift.a_hat.mat, a.mat)
         assert np.array_equal(lift.l_hat.mat, L.mat)
-        assert np.array_equal(lift.h_hat, tup.blocks[0])
+        assert np.array_equal(lift.h_hat.mat, tup.blocks[0])
         assert lift.lifted_value() == pytest.approx(multi_trace_exp(inst), abs=1e-12)
 
     def test_k2_scalar_lift_adds_one(self):
@@ -292,7 +294,7 @@ class TestBlockLift:
         assert np.all(off == 0.0)
         assert np.all(lift.l_hat.mat[2:, :] == 0.0)
         assert np.all(lift.l_hat.mat[:, 2:] == 0.0)
-        assert np.all(lift.h_hat[:, 2:] == 0.0)
+        assert np.all(lift.h_hat.mat[:, 2:] == 0.0)
 
     def test_identity_random_instance(self):
         rng = make_rng(21)
@@ -492,3 +494,97 @@ class TestValidatedContraction:
         validated = _dump(H=Contraction(d["H"]), A1=d["A"], lam=0.5)
         assert json.dumps(validated, sort_keys=True) == json.dumps(raw, sort_keys=True)
         assert matrix_to_json(Contraction(d["H"])) == matrix_to_json(d["H"])
+
+
+class TestCheckedBlockLift:
+    def test_lifted_value_checks_no_norm_and_equals_raw_route(self, monkeypatch):
+        rng = make_rng(48)
+        tup = random_contraction_tuple(3, 2, 3, False, rng)
+        inst = MultiInstance(L=random_hermitian(3, 1.0, rng), H=tup,
+                             a_list=[random_pd(2, (0.05, 5.0), rng) for _ in range(3)])
+        lift = block_lift(inst)
+        norm = matrix_core.operator_norm
+        calls = []
+        monkeypatch.setattr(matrix_core, "operator_norm", lambda a: calls.append(a) or norm(a))
+        value = lift.lifted_value()
+        assert calls == []
+        assert isinstance(lift.h_hat, Contraction)
+        assert value == trace_exp_functional(lift.a_hat, lift.l_hat, lift.h_hat.mat)
+        assert len(calls) == 1  # the raw-array route checks its norm
+
+
+def _stacked_instances(seed: int, count: int = 3) -> list:
+    rng = make_rng(seed)
+    out = []
+    for _ in range(count):
+        tup = random_contraction_tuple(2, 3, 2, True, rng)
+        out.append({
+            "A": random_pd(3, (0.05, 5.0), rng), "B": random_pd(2, (0.05, 5.0), rng),
+            "X": random_pd(2, (0.05, 5.0), rng), "L": random_hermitian(2, 1.0, rng),
+            "H": Contraction(0.9 * tup.blocks[0] / np.linalg.norm(tup.blocks[0], 2)),
+            "multi_a": MultiInstance(L=random_hermitian(2, 1.0, rng), H=tup,
+                                     a_list=[random_pd(3, (0.05, 5.0), rng) for _ in range(2)]),
+            "multi_b": MultiInstance(L=random_hermitian(2, 1.0, rng), H=tup,
+                                     b_list=[random_hermitian(3, 1.0, rng) for _ in range(2)]),
+        })
+    return out
+
+
+def _stack_instances(instances: list) -> dict:
+    out = {}
+    for key, first in instances[0].items():
+        column = [inst[key] for inst in instances]
+        if isinstance(first, MultiInstance):
+            lists = "a_list" if first.a_list is not None else "b_list"
+            out[key] = MultiInstance(
+                L=stack([m.L for m in column]), H=stack([m.H for m in column]),
+                **{lists: [stack(list(c)) for c in zip(*(getattr(m, lists) for m in column))]})
+        else:
+            out[key] = stack(column)
+    return out
+
+
+def _square(d):
+    # A 3 x 3 contraction: H H* has norm at most that of H.
+    h = d["H"].mat
+    return Contraction(h @ h.conj().swapaxes(-1, -2))
+
+
+STACKED_FUNCTIONALS = {
+    "relative_entropy": lambda d: relative_entropy(d["X"], d["B"]),
+    "reduced_relative_entropy": lambda d: reduced_relative_entropy(d["A"], d["A"], _square(d)),
+    "lieb_trace": lambda d: lieb_trace(d["A"], d["B"], d["H"], 0.3),
+    "lieb_derivative": lambda d: lieb_trace_derivative_at_zero(d["A"], d["B"], d["H"]),
+    "phi": lambda d: trace_exp_functional(d["A"], d["L"], d["H"]),
+    "phi_objective": lambda d: phi_objective(d["X"], d["A"], d["L"], d["H"]),
+    "multi_phi": lambda d: multi_trace_exp(d["multi_a"]),
+    "gt_jensen_lhs": lambda d: gt_jensen_lhs(d["multi_b"]),
+    "gt_jensen_rhs": lambda d: gt_jensen_rhs(d["multi_b"]),
+    "gibbs_objective": lambda d: gibbs_objective(d["X"], d["B"]),
+    "block_lift": lambda d: block_lift(d["multi_a"]).lifted_value(),
+}
+
+
+class TestStackedValues:
+    """A stack of arguments gives each entry the bits of its own 2-d call."""
+
+    @pytest.mark.parametrize("name", sorted(STACKED_FUNCTIONALS))
+    def test_stacked_values_bit_equal_to_single(self, name):
+        f = STACKED_FUNCTIONALS[name]
+        singles = _stacked_instances(50)
+        values = f(_stack_instances(singles))
+        assert isinstance(values, np.ndarray) and values.shape == (len(singles),)
+        expected = [f(d) for d in singles]
+        assert all(isinstance(v, float) for v in expected)
+        assert values.tolist() == expected
+
+    def test_imaginary_trace_in_one_entry_raises(self):
+        with pytest.raises(NumericalInconsistency):
+            _real_trace(np.array([1.0 + 0j, 2.0 + 1e-3j, 3.0 + 0j]))
+        assert _real_trace(np.array([1.0 + 0j, 2.0 + 1e-14j])).tolist() == [1.0, 2.0]
+
+    def test_overflow_in_one_entry_raises(self):
+        L = HermitianMatrix(np.stack([np.zeros((2, 2)), np.diag([800.0, 0.0])]))
+        a = PositiveDefiniteMatrix(np.stack([np.eye(2), np.eye(2)]))
+        with pytest.raises(NonFiniteObjective):
+            trace_exp_functional(a, L, np.eye(2))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from entropylab.errors import ConvergenceFailure, DimensionError, DomainError
+from entropylab.errors import ConvergenceFailure, DimensionError, DomainError, NotAContraction
 from entropylab.matrix_core import (
+    Contraction,
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -18,6 +19,7 @@ from entropylab.matrix_core import (
     random_hermitian,
     random_pd,
     spectral_decompose,
+    stack,
 )
 
 
@@ -279,3 +281,80 @@ class TestEigensolverFailure:
         monkeypatch.setattr(np.linalg, "eigvalsh", self._fail)
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             ContractionTuple([0.5 * np.eye(2)])
+
+
+class TestStacks:
+    """Every check runs on each matrix of a stack; one bad matrix fails it."""
+
+    @staticmethod
+    def _with(good, bad, at=1):
+        out = [good] * 3
+        out[at] = bad
+        return np.stack(out)
+
+    def test_hermitian_asymmetry(self):
+        m = HermitianMatrix(self._with(np.eye(2), np.eye(2)))
+        assert m.mat.shape == (3, 2, 2) and m.dim == 2
+        with pytest.raises(DomainError, match="not Hermitian"):
+            HermitianMatrix(self._with(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+    def test_finiteness(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            HermitianMatrix(self._with(np.eye(2), np.diag([np.inf, 1.0])))
+
+    def test_pd_floor(self):
+        a = PositiveDefiniteMatrix(self._with(np.eye(2), np.diag([0.5, 2.0]), at=2))
+        assert a.min_eigenvalue.tolist() == pytest.approx([1.0, 1.0, 0.5])
+        with pytest.raises(DomainError, match="positive definite"):
+            PositiveDefiniteMatrix(self._with(np.eye(2), np.diag([1e-12, 1.0])))
+
+    def test_unitarity(self, monkeypatch):
+        original = np.linalg.eigh
+
+        def one_bad(a):
+            w, u = original(a)
+            u = u.copy()
+            u[1] *= 2.0
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", one_bad)
+        with pytest.raises(ConvergenceFailure, match="not unitary"):
+            spectral_decompose(HermitianMatrix(self._with(np.eye(2), np.eye(2))))
+
+    def test_contraction_norm(self):
+        Contraction(self._with(0.5 * np.eye(2), np.eye(2)))
+        with pytest.raises(NotAContraction):
+            Contraction(self._with(0.5 * np.eye(2), 1.5 * np.eye(2)))
+
+    def test_contraction_tuple_gram_bound(self):
+        ok = ContractionTuple([self._with(0.5 * np.eye(2), 0.6 * np.eye(2))], sum_is_identity=False)
+        assert ok.gram().shape == (3, 2, 2)
+        with pytest.raises(NotAContraction):
+            ContractionTuple([self._with(0.5 * np.eye(2), 1.5 * np.eye(2))])
+        with pytest.raises(DomainError, match="identity"):
+            ContractionTuple([self._with(np.eye(2), 0.5 * np.eye(2))], sum_is_identity=True)
+
+    def test_single_values_give_floats(self):
+        a = random_pd(3, seed=36)
+        assert isinstance(a.min_eigenvalue, float) and isinstance(a.trace(), float)
+        assert isinstance(operator_norm(a), float)
+        stacked = stack([a, random_pd(3, seed=37)])
+        assert stacked.trace().shape == (2,) and operator_norm(stacked).shape == (2,)
+
+    def test_stack_keeps_values_and_spectra(self, monkeypatch):
+        values = [random_pd(3, seed=s) for s in (38, 39)]
+        eigh = _count_calls(monkeypatch, "eigh")
+        stacked = stack(values)
+        assert type(stacked) is PositiveDefiniteMatrix and eigh == []
+        dec = spectral_decompose(stacked)
+        assert eigh == []
+        for i, v in enumerate(values):
+            assert np.array_equal(stacked.mat[i], v.mat)
+            assert np.array_equal(dec.eigenvectors[i], spectral_decompose(v).eigenvectors)
+        assert np.array_equal(stacked.min_eigenvalue, [v.min_eigenvalue for v in values])
+        with pytest.raises(ValueError):
+            stacked.mat[0, 0, 0] = 0.0
+        tuples = [random_contraction_tuple(2, 2, 3, True, s) for s in (40, 41)]
+        t = stack(tuples)
+        assert (t.k, t.m, t.n, t.sum_is_identity) == (2, 2, 3, True)
+        assert t.blocks[1].shape == (2, 2, 3)

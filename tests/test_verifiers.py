@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from entropylab import functionals as fn
-from entropylab.errors import DomainError
+from entropylab import verifiers
+from entropylab.errors import DomainError, NumericalInconsistency
 from entropylab.serialization import matrix_from_json
 from entropylab.verifiers import (
     CHECKS,
@@ -294,3 +295,62 @@ class TestEqualPairEndpoints:
                 s_mid = fn.reduced_relative_entropy(mid, mid, h)
                 combo = lam * s1 + (1 - lam) * s2
                 assert s_mid <= combo + 1e-9 * (1.0 + max(abs(s_mid), abs(combo)))
+
+
+def _every_trial_alone(check, cfg, funcs, dims, trials):
+    return [verifiers._trial(check, cfg, funcs, dims, t) for t in trials]
+
+
+class TestBatchedEngine:
+    """Blocks of trials run as stacks, and the report keeps the bytes of
+    running every trial alone through the single-trial body."""
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_report_equals_every_trial_alone(self, name, size, monkeypatch):
+        if size == "small":
+            cfg = CheckConfig(trials=40, seed=5)
+        else:
+            cfg = CheckConfig(trials=4, seed=5,
+                              dims=((2, 8, 8),) if name == "gt_route_gap" else ((2, 14, 28),))
+        alone = []
+        trial = verifiers._trial
+        monkeypatch.setattr(verifiers, "_trial",
+                            lambda check, c, funcs, dims, t, *rest:
+                            alone.append(t) or trial(check, c, funcs, dims, t, *rest))
+        batched = run_check(name, cfg)
+        # Only the trials with a record ran alone: every stacked pass held.
+        assert sorted(alone) == sorted({r["trial"] for r in batched.violations})
+        monkeypatch.setattr(verifiers, "_run_block", _every_trial_alone)
+        assert run_check(name, cfg).to_json() == batched.to_json()
+
+    def test_error_in_one_stack_entry_stays_with_its_trial(self):
+        cfg = CheckConfig(trials=30, seed=5)
+        spec = verifiers._SPECS["phi_concavity"]
+        dims = spec.dims(cfg)
+        chosen = spec.sample(trial_rng(cfg.seed, 7), cfg, dims, 7)["L"].mat
+
+        def phi(a, L, h):
+            if L.mat.shape[-2:] == chosen.shape and np.all(L.mat == chosen, axis=(-2, -1)).any():
+                raise NumericalInconsistency("the chosen trial")
+            return fn.trace_exp_functional(a, L, h)
+
+        report = check_phi_concavity(cfg, phi_fn=phi)
+        assert report.violations == [{"kind": "error", "trial": 7, "error": "the chosen trial"}]
+        funcs = spec.functionals()
+        others = [verifiers._trial(spec, cfg, funcs, dims, t) for t in range(cfg.trials) if t != 7]
+        assert all(records == [] for records, _ in others)
+        assert report.worst_gap == max(g for _, gaps in others for g in gaps)
+
+    def test_stacks_stay_within_the_byte_budget(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def sized(a):
+            seen.append(a.nbytes)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", sized)
+        report = check_phi_concavity(CheckConfig(trials=400, dims=((1, 32, 32),)))
+        assert report.passed
+        assert 32 * 32 * 16 < max(seen) <= verifiers.BLOCK_BYTES
