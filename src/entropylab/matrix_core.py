@@ -331,9 +331,36 @@ def stack(values: Sequence):
     return out
 
 
+def _entry(value, i: int):
+    """Entry i of a stacked checked value, as a 2-d value that is not
+    checked again: read-only views, its share of the cached spectrum, and a
+    float ``min_eigenvalue``."""
+    out = type(value).__new__(type(value))
+    if isinstance(value, ContractionTuple):
+        out.blocks = tuple(b[i] for b in value.blocks)
+        out.k, out.m, out.n = value.k, value.m, value.n
+        out.sum_is_identity = value.sum_is_identity
+        return out
+    out.mat = value.mat[i]
+    if isinstance(value, HermitianMatrix):
+        s = value._spectrum
+        out._spectrum = None if s is None else SpectralDecomposition(
+            eigenvalues=s.eigenvalues[i], eigenvectors=s.eigenvectors[i])
+    if isinstance(value, PositiveDefiniteMatrix):
+        out.min_eigenvalue = float(value.min_eigenvalue[i])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Random instance generation.  Every generator accepts either a seed or an
 # existing numpy Generator, so callers can derive deterministic substreams.
+#
+# Each generator is a draw and a build.  The draw makes the generator calls
+# and nothing else; the build turns the drawn numbers into a checked value
+# and owns every check.  Builds are stack-generic: given draws stacked along
+# a leading axis, a build makes the stacked value, each entry with the bits
+# of building its draw alone, so a block of trials can draw one at a time
+# (each from its own substream) and build at once.
 # ---------------------------------------------------------------------------
 
 def make_rng(seed: SeedLike) -> np.random.Generator:
@@ -347,16 +374,36 @@ def make_rng(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
+def _per_entry(w) -> np.ndarray:
+    """A weight, or one weight per stack entry, shaped to scale matrices."""
+    return np.reshape(w, np.shape(w) + (1, 1))
+
+
 def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _build_haar(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of a complex Gaussian g with the R-diagonal phase fix,
+    giving a well-defined (Haar) distribution and exact determinism under a
+    seed."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """QR of a complex Gaussian with the R-diagonal phase fix, giving a
-    well-defined (Haar) distribution and exact determinism under a seed."""
-    q, r = np.linalg.qr(_complex_gaussian(rng, dim, dim))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _build_haar(_complex_gaussian(rng, dim, dim))
+
+
+def _draw_pd(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tuple:
+    """The numbers of a random PD matrix: its eigenvalues, then a Gaussian."""
+    return rng.uniform(lo, hi, size=dim), _complex_gaussian(rng, dim, dim)
+
+
+def _build_pd(w: np.ndarray, g: np.ndarray) -> PositiveDefiniteMatrix:
+    u = _build_haar(g)
+    return PositiveDefiniteMatrix((u * w[..., None, :]) @ _adjoint(u))
 
 
 def random_pd(dim: int, eig_range: tuple[float, float] = (0.05, 5.0),
@@ -368,19 +415,42 @@ def random_pd(dim: int, eig_range: tuple[float, float] = (0.05, 5.0),
     lo, hi = float(eig_range[0]), float(eig_range[1])
     if not 0.0 < lo <= hi:
         raise DomainError(f"eigenvalue range must satisfy 0 < lo <= hi, got {eig_range}")
-    rng = make_rng(seed)
-    w = rng.uniform(lo, hi, size=dim)
-    u = _haar_unitary(rng, dim)
-    return PositiveDefiniteMatrix((u * w) @ u.conj().T)
+    return _build_pd(*_draw_pd(make_rng(seed), dim, lo, hi))
+
+
+def _build_hermitian(g: np.ndarray, scale=1.0) -> HermitianMatrix:
+    return HermitianMatrix(_per_entry(scale) * (g + _adjoint(g)) / 2.0)
 
 
 def random_hermitian(dim: int, scale: float = 1.0, seed: SeedLike = 0) -> HermitianMatrix:
     """Random Hermitian matrix: symmetrized complex Gaussian times ``scale``."""
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
-    rng = make_rng(seed)
-    g = _complex_gaussian(rng, dim, dim)
-    return HermitianMatrix(scale * (g + g.conj().T) / 2.0)
+    return _build_hermitian(_complex_gaussian(make_rng(seed), dim, dim), scale)
+
+
+def _draw_tuple(rng: np.random.Generator, k: int, m: int, n: int,
+                sum_is_identity: bool) -> tuple:
+    """The numbers of a random contraction tuple, as (k, m, n, Gaussian,
+    scale): the scale is drawn only for a strict tuple, and is None for an
+    isometric one."""
+    g = _complex_gaussian(rng, k * m, n) if k * m >= n else _complex_gaussian(rng, n, k * m)
+    u = None
+    if not sum_is_identity:
+        u = rng.uniform()
+        if u == 0.0:
+            u = 0.5
+    return k, m, n, g, u
+
+
+def _build_tuple(k: int, m: int, n: int, g: np.ndarray, u) -> ContractionTuple:
+    stacked = _build_haar(g)
+    if k * m < n:
+        stacked = _adjoint(stacked)
+    if u is not None:
+        stacked = _per_entry(u) * stacked
+    blocks = [stacked[..., i * m:(i + 1) * m, :] for i in range(k)]
+    return ContractionTuple(blocks, sum_is_identity=u is None)
 
 
 def random_contraction_tuple(k: int, m: int, n: int, sum_is_identity: bool,
@@ -400,19 +470,4 @@ def random_contraction_tuple(k: int, m: int, n: int, sum_is_identity: bool,
             f"sum_is_identity requires k*m >= n (an isometry needs enough rows), "
             f"got k*m = {k * m} < n = {n}"
         )
-    rng = make_rng(seed)
-    if k * m >= n:
-        q, r = np.linalg.qr(_complex_gaussian(rng, k * m, n))
-        d = np.diag(r)
-        stacked = q * (d / np.abs(d))
-    else:
-        q, r = np.linalg.qr(_complex_gaussian(rng, n, k * m))
-        d = np.diag(r)
-        stacked = (q * (d / np.abs(d))).conj().T
-    if not sum_is_identity:
-        u = rng.uniform()
-        if u == 0.0:
-            u = 0.5
-        stacked = u * stacked
-    blocks = [stacked[i * m:(i + 1) * m, :] for i in range(k)]
-    return ContractionTuple(blocks, sum_is_identity=sum_is_identity)
+    return _build_tuple(*_draw_tuple(make_rng(seed), k, m, n, sum_is_identity))

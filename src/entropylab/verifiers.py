@@ -3,8 +3,18 @@ inequality claims about the trace functionals.
 
 Each check is declared as a :class:`Check` rather than written as a loop:
 
-- ``sample(rng, cfg, dims, trial) -> instance`` draws one trial's instance,
-  a dict of typed values, from the trial's substream;
+- ``draw(rng, cfg, dims, trial) -> draw`` makes one trial's generator
+  calls, from the trial's substream, and nothing else: it returns the
+  drawn numbers and the fields that choose a shape or a family (dims,
+  gt_jensen's family, ``sum_is_identity``).  Its calls keep the order of
+  the one-pass samplers it replaced; reordering two changes every later
+  number of the substream, and so the reports;
+- ``build(draw) -> instance`` does everything else and owns every check
+  (Hermitian, PD floor, contraction norm, Gram bound, identity sum): it
+  makes the instance, a dict of typed values, from one draw, or one
+  instance of stacked values from a group of draws stacked along a leading
+  axis, each entry with the bits of building its draw alone;
+  ``sample(rng, cfg, dims, trial)`` is the two for one trial;
 - ``compare(instance, cfg, functionals)`` is a lazy generator of
   :class:`Comparison` s (kind, lhs, rhs, gap, tol, strict), each with a
   thunk that dumps the instance its record holds;
@@ -23,17 +33,19 @@ breach.  A trial that raises an EntropyLabError becomes an error record
 ``{"kind": "error", "trial", "error"}`` and the check goes on.
 
 The loop runs the trials in consecutive blocks, as many as keep every
-matrix stack within ``BLOCK_BYTES``.  It samples each trial of a block
-alone, groups the instances by signature (the shape of every matrix and
-every field that is not a matrix or a float, such as gt_jensen's family),
-stacks each group into one instance of (T, n, n) stacks and per-trial
-weight arrays, and runs ``compare`` once on it, with the same functionals
-and generators that serve a single instance.  Every stacked value has the
-bits of its trial's own value, so the stacked pass decides, per trial,
-whether any comparison breached, and gives the trial's gaps to
-``worst_gap``.  Records and errors come from the single-trial path: a
-trial with a breach, and every trial of a group whose stack raised, runs
-alone (:func:`_trial`), and the results are merged in trial order.
+matrix stack within ``BLOCK_BYTES``.  It draws each trial of a block
+alone, groups the draws by signature (the shape of every array and every
+field that is not an array or a float), builds each group as one instance
+of (T, n, n) stacks and per-trial weight arrays, and runs ``compare`` once
+on it, with the same functionals and generators that serve a single
+instance.  Every stacked value has the bits of its trial's own value, so
+the stacked pass decides, per trial, whether any comparison breached, and
+gives the trial's gaps to ``worst_gap``.  A group whose build or compare
+raises is split in halves until the trials that raise stand alone.
+Records and errors come from the single-trial path (:func:`_trial`): a
+trial with a breach runs alone on its slice of the built stack, a trial
+that raises alone is sampled again alone, and the results are merged in
+trial order.
 
 Replay (:func:`re_evaluate`) reads a record's instance with ``fields``,
 passes the record's kind in as ``instance["kind"]``, runs the same
@@ -69,13 +81,18 @@ from .matrix_core import (
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
+    _adjoint,
+    _build_hermitian,
+    _build_pd,
+    _build_tuple,
+    _complex_gaussian,
+    _draw_pd,
+    _draw_tuple,
+    _entry,
+    _per_entry,
     _per_matrix,
     _trace,
     matrix_exp,
-    random_contraction_tuple,
-    random_hermitian,
-    random_pd,
-    stack,
 )
 from .serialization import matrix_to_json, multi_instance_to_json, read_fields
 
@@ -201,11 +218,14 @@ class Comparison(NamedTuple):
 
 @dataclass(frozen=True)
 class Check:
-    """A check declared as a sampler plus lazy comparisons; see the module
-    docstring for what each part must satisfy."""
+    """A check declared as a draw, a build and lazy comparisons; see the
+    module docstring for what each part must satisfy.  In short, ``draw``
+    makes only generator calls, in their fixed order, and ``build`` owns
+    every check, on one draw or on a stack of same-signature draws."""
 
     name: str
-    sample: Callable
+    draw: Callable
+    build: Callable
     compare: Callable
     functionals: Callable[[], dict]
     fields: dict
@@ -214,6 +234,11 @@ class Check:
     semantics: str = "violations"
     # Order of the largest matrix that a trial of dims (k, m, n) builds.
     order: Callable[[int, int, int], int] = lambda k, m, n: max(m, n)
+
+    def sample(self, rng: np.random.Generator, cfg: CheckConfig, dims: tuple,
+               trial: int) -> dict:
+        """One trial's instance: its draw, built alone."""
+        return self.build(self.draw(rng, cfg, dims, trial))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -237,17 +262,9 @@ def _lambda_values(cfg: CheckConfig, rng: np.random.Generator) -> tuple:
     return cfg.lambda_samples + (float(rng.uniform(0.01, 0.99)),)
 
 
-def _random_contraction(rng: np.random.Generator, rows: int, cols: int) -> Contraction:
-    """Generic contraction: complex Gaussian rescaled to a random norm < 1,
-    checked once here rather than by every functional call of the trial."""
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    target = float(rng.uniform(0.2, 1.0))
-    return Contraction(g * (target / np.linalg.norm(g, 2)))
-
-
 def _scaled(w, M) -> np.ndarray:
     """w M for a weight w, or each matrix of the stack M times its entry of w."""
-    return np.reshape(w, np.shape(w) + (1, 1)) * M.mat
+    return _per_entry(w) * M.mat
 
 
 def _mix(lam, M1, M2) -> PositiveDefiniteMatrix:
@@ -323,36 +340,39 @@ def _block_trials(check: Check, dims: tuple) -> int:
 def _run_block(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, trials: range) -> list:
     """(records, gaps) of each trial of a block, in trial order.
 
-    The block's instances are grouped by signature, and ``compare`` runs
-    once on each group's stack.  A trial whose stacked comparisons all pass
-    is done; a trial with a breach, and every trial of a group whose stack
-    raised, runs alone through :func:`_trial`."""
-    instances = {}
-    for t in trials:
-        try:
-            instances[t] = check.sample(trial_rng(cfg.seed, t), cfg, dims, t)
-        except EntropyLabError:
-            pass  # run alone below, which records the error
+    Each trial is drawn from its own substream; the draws are grouped by
+    signature, and each group is built as one stack and compared once.  A
+    trial whose stacked comparisons all pass is done.  A group whose build
+    or comparisons raise is split in halves, down to single trials.  A
+    trial with a breach runs alone through :func:`_trial` on its slice of
+    the built stack, and a single trial that raised runs alone from its
+    substream, which records its error."""
+    draws = {t: check.draw(trial_rng(cfg.seed, t), cfg, dims, t) for t in trials}
     groups: dict = {}
-    for t, instance in instances.items():
-        groups.setdefault(_signature(instance), []).append(t)
-    done, breached = {}, set()
-    for group in groups.values():
+    for t, d in draws.items():
+        groups.setdefault(_signature(d), []).append(t)
+    pending = list(groups.values())
+    done, breached = {}, {}
+    while pending:
+        group = pending.pop()
         try:
-            comparisons = list(check.compare(_stack([instances[t] for t in group]), cfg, funcs))
+            instance = check.build(_stacked([draws[t] for t in group]))
+            comparisons = list(check.compare(instance, cfg, funcs))
         except EntropyLabError:
+            if len(group) > 1:
+                pending += [group[:len(group) // 2], group[len(group) // 2:]]
             continue
         gaps = [np.broadcast_to(c.gap, len(group)).tolist() for c in comparisons]
         hit = reduce(np.logical_or, (c.breached for c in comparisons), np.zeros(len(group), bool))
         for i, t in enumerate(group):
             if hit[i]:
-                breached.add(t)
+                breached[t] = _slice(instance, i)
             else:
                 done[t] = ([], [g[i] for g in gaps])
     out = []
     for t in trials:
         if t not in done:
-            done[t] = _trial(check, cfg, funcs, dims, t, instances.get(t))
+            done[t] = _trial(check, cfg, funcs, dims, t, breached.get(t))
             assert t not in breached or done[t][0], f"trial {t} breached in its block, not alone"
         out.append(done[t])
     return out
@@ -377,40 +397,49 @@ def _trial(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, t: int,
     return records, gaps
 
 
-def _signature(value):
-    """What the instances of one stack share: types, matrix shapes and every
-    field that is neither a matrix nor a float."""
-    if isinstance(value, dict):
-        return tuple((key, _signature(v)) for key, v in value.items())
-    if isinstance(value, (list, tuple)):
-        return (type(value), *map(_signature, value))
-    if is_dataclass(value):
-        return (type(value), *(_signature(getattr(value, f.name)) for f in fields(value)))
-    if isinstance(value, ContractionTuple):
-        return (ContractionTuple, value.k, value.m, value.n, value.sum_is_identity)
-    if isinstance(value, (HermitianMatrix, Contraction)):
-        return (type(value), value.mat.shape)
-    if isinstance(value, float):
+def _signature(draw):
+    """What the draws of one stack share: the shape of every array and
+    every field that is neither an array nor a float."""
+    if isinstance(draw, dict):
+        return tuple((key, _signature(v)) for key, v in draw.items())
+    if isinstance(draw, (list, tuple)):
+        return (type(draw), *map(_signature, draw))
+    if isinstance(draw, np.ndarray):
+        return draw.shape
+    if isinstance(draw, float):
         return float
-    return value
+    return draw
 
 
-def _stack(values: list):
-    """One instance stacked from instances of one signature: matrices as
-    matrix stacks, floats as arrays, anything else as it is."""
-    first = values[0]
+def _stacked(draws: list):
+    """One draw stacked from draws of one signature: arrays as stacks,
+    floats as arrays, anything else as it is."""
+    first = draws[0]
     if isinstance(first, dict):
-        return {key: _stack([v[key] for v in values]) for key in first}
+        return {key: _stacked([d[key] for d in draws]) for key in first}
     if isinstance(first, (list, tuple)):
-        return type(first)(_stack(list(column)) for column in zip(*values))
-    if is_dataclass(first):
-        return type(first)(**{f.name: _stack([getattr(v, f.name) for v in values])
-                              for f in fields(first)})
+        return type(first)(_stacked(list(column)) for column in zip(*draws))
+    if isinstance(first, np.ndarray):
+        return np.stack(draws)
     if isinstance(first, float):
-        return np.array(values)
-    if isinstance(first, (HermitianMatrix, Contraction, ContractionTuple)):
-        return stack(values)
+        return np.array(draws)
     return first
+
+
+def _slice(value, i: int):
+    """Entry i of a built instance, as ``Check.sample`` builds it alone:
+    2-d values (with the stack's checks and cached spectra) and floats."""
+    if isinstance(value, dict):
+        return {key: _slice(v, i) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_slice(v, i) for v in value)
+    if is_dataclass(value):
+        return type(value)(**{f.name: _slice(getattr(value, f.name), i) for f in fields(value)})
+    if isinstance(value, (HermitianMatrix, Contraction, ContractionTuple)):
+        return _entry(value, i)
+    if isinstance(value, np.ndarray):
+        return float(value[i])
+    return value
 
 
 def _record(check: Check, trial: int, c: Comparison) -> dict:
@@ -439,15 +468,31 @@ def _replay(check: Check, record: dict) -> Comparison:
 
 
 # ---------------------------------------------------------------------------
-# Samplers and comparisons, one pair per check.
+# Draws, builds and comparisons, one triple per check.
 # ---------------------------------------------------------------------------
 
-def _sample_sh(rng, cfg, dims, trial) -> dict:
+def _draw_contraction(rng: np.random.Generator, rows: int, cols: int) -> tuple:
+    """The numbers of a generic contraction: a complex Gaussian, then its norm."""
+    return _complex_gaussian(rng, rows, cols), float(rng.uniform(0.2, 1.0))
+
+
+def _build_contraction(g: np.ndarray, target) -> Contraction:
+    """The Gaussian rescaled to its drawn norm < 1, checked once here rather
+    than by every functional call of the trial."""
+    return Contraction(g * _per_entry(target / np.linalg.norm(g, 2, axis=(-2, -1))))
+
+
+def _draw_sh(rng, cfg, dims, trial) -> dict:
     _, m, _ = _pick_dims(rng, dims)
-    return {"H": _random_contraction(rng, m, m),
-            "A1": random_pd(m, cfg.eig_range, rng), "B1": random_pd(m, cfg.eig_range, rng),
-            "A2": random_pd(m, cfg.eig_range, rng), "B2": random_pd(m, cfg.eig_range, rng),
+    return {"H": _draw_contraction(rng, m, m),
+            "A1": _draw_pd(rng, m, *cfg.eig_range), "B1": _draw_pd(rng, m, *cfg.eig_range),
+            "A2": _draw_pd(rng, m, *cfg.eig_range), "B2": _draw_pd(rng, m, *cfg.eig_range),
             "lam": _lambda_values(cfg, rng)}
+
+
+def _build_sh(d: dict) -> dict:
+    return {"H": _build_contraction(*d["H"]),
+            **{key: _build_pd(*d[key]) for key in ("A1", "B1", "A2", "B2")}, "lam": d["lam"]}
 
 
 def _compare_sh(inst, cfg, f):
@@ -461,11 +506,16 @@ def _compare_sh(inst, cfg, f):
                          partial(_dump, H=h, A1=a1, B1=b1, A2=a2, B2=b2, lam=lam))
 
 
-def _sample_phi(rng, cfg, dims, trial) -> dict:
+def _draw_phi(rng, cfg, dims, trial) -> dict:
     _, m, n = _pick_dims(rng, dims)
-    return {"H": _random_contraction(rng, m, n), "L": random_hermitian(n, 1.0, rng),
-            "A1": random_pd(m, cfg.eig_range, rng), "A2": random_pd(m, cfg.eig_range, rng),
+    return {"H": _draw_contraction(rng, m, n), "L": _complex_gaussian(rng, n, n),
+            "A1": _draw_pd(rng, m, *cfg.eig_range), "A2": _draw_pd(rng, m, *cfg.eig_range),
             "lam": _lambda_values(cfg, rng)}
+
+
+def _build_phi(d: dict) -> dict:
+    return {"H": _build_contraction(*d["H"]), "L": _build_hermitian(d["L"]),
+            "A1": _build_pd(*d["A1"]), "A2": _build_pd(*d["A2"]), "lam": d["lam"]}
 
 
 def _compare_phi(inst, cfg, f):
@@ -478,15 +528,21 @@ def _compare_phi(inst, cfg, f):
                          partial(_dump, L=L, H=h, A1=a1, A2=a2, lam=lam))
 
 
-def _sample_multi(rng, cfg, dims, trial) -> dict:
+def _draw_multi(rng, cfg, dims, trial) -> dict:
     k, m, n = _pick_dims(rng, dims)
     sum_id = bool(rng.integers(2)) and k * m >= n
-    tup = random_contraction_tuple(k, m, n, sum_id, rng)
-    L = random_hermitian(n, 1.0, rng)
-    a1s = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
-    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=a1s),
-            "A2": [random_pd(m, cfg.eig_range, rng) for _ in range(k)],
+    return {"H": _draw_tuple(rng, k, m, n, sum_id), "L": _complex_gaussian(rng, n, n),
+            "A1": [_draw_pd(rng, m, *cfg.eig_range) for _ in range(k)],
+            "A2": [_draw_pd(rng, m, *cfg.eig_range) for _ in range(k)],
             "lam": _lambda_values(cfg, rng)}
+
+
+def _build_multi(d: dict) -> dict:
+    tup = _build_tuple(*d["H"])
+    L = _build_hermitian(d["L"])
+    a1s = [_build_pd(*a) for a in d["A1"]]
+    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=a1s),
+            "A2": [_build_pd(*a) for a in d["A2"]], "lam": d["lam"]}
 
 
 def _compare_multi(inst, cfg, f):
@@ -511,19 +567,30 @@ def _compare_multi(inst, cfg, f):
                          partial(_dump, inst=first, A2=inst["A2"], lam=lam))
 
 
-def _sample_gt_jensen(rng, cfg, dims, trial) -> dict:
+def _draw_gt_jensen(rng, cfg, dims, trial) -> dict:
+    # The Golden-Thompson family takes H = I and draws no tuple; the Jensen
+    # family takes L = 0 and draws no L.
     family = GT_FAMILIES[trial % len(GT_FAMILIES)]
     k, m, n = _pick_dims(rng, dims)
     if family == "golden_thompson":
-        tup = ContractionTuple([np.eye(m)], sum_is_identity=True)
-        L = random_hermitian(m, 1.0, rng)
-        bs = [random_hermitian(m, 1.0, rng)]
+        return {"kind": family, "H": None, "L": _complex_gaussian(rng, m, m),
+                "B": [_complex_gaussian(rng, m, m)]}
+    return {"kind": family, "H": _draw_tuple(rng, k, m, n, True),
+            "L": None if family == "jensen" else _complex_gaussian(rng, n, n),
+            "B": [_complex_gaussian(rng, m, m) for _ in range(k)]}
+
+
+def _build_gt_jensen(d: dict) -> dict:
+    shape = d["B"][0].shape
+    if d["H"] is None:
+        tup = ContractionTuple([np.tile(np.eye(shape[-1]), shape[:-2] + (1, 1))],
+                               sum_is_identity=True)
     else:
-        tup = random_contraction_tuple(k, m, n, True, rng)
-        L = (HermitianMatrix(np.zeros((n, n))) if family == "jensen"
-             else random_hermitian(n, 1.0, rng))
-        bs = [random_hermitian(m, 1.0, rng) for _ in range(k)]
-    return {"kind": family, "inst": fn.MultiInstance(L=L, H=tup, b_list=bs)}
+        tup = _build_tuple(*d["H"])
+    L = (HermitianMatrix(np.zeros(shape[:-2] + (tup.n, tup.n))) if d["L"] is None
+         else _build_hermitian(d["L"]))
+    return {"kind": d["kind"],
+            "inst": fn.MultiInstance(L=L, H=tup, b_list=[_build_hermitian(b) for b in d["B"]])}
 
 
 def _compare_gt_jensen(inst, cfg, f):
@@ -533,9 +600,13 @@ def _compare_gt_jensen(inst, cfg, f):
                      partial(_dump, inst=m))
 
 
-def _sample_gibbs(rng, cfg, dims, trial) -> dict:
+def _draw_gibbs(rng, cfg, dims, trial) -> dict:
     _, m, _ = _pick_dims(rng, dims)
-    return {"B": random_pd(m, cfg.eig_range, rng), "X": random_pd(m, cfg.eig_range, rng)}
+    return {"B": _draw_pd(rng, m, *cfg.eig_range), "X": _draw_pd(rng, m, *cfg.eig_range)}
+
+
+def _build_gibbs(d: dict) -> dict:
+    return {"B": _build_pd(*d["B"]), "X": _build_pd(*d["X"])}
 
 
 def _compare_gibbs(inst, cfg, f):
@@ -551,10 +622,14 @@ def _compare_gibbs(inst, cfg, f):
                      partial(_dump, B=B))
 
 
-def _sample_derivative(rng, cfg, dims, trial) -> dict:
+def _draw_derivative(rng, cfg, dims, trial) -> dict:
     _, m, n = _pick_dims(rng, dims)
-    return {"A": random_pd(m, cfg.eig_range, rng), "B": random_pd(n, cfg.eig_range, rng),
-            "H": _random_contraction(rng, m, n)}
+    return {"A": _draw_pd(rng, m, *cfg.eig_range), "B": _draw_pd(rng, n, *cfg.eig_range),
+            "H": _draw_contraction(rng, m, n)}
+
+
+def _build_derivative(d: dict) -> dict:
+    return {"A": _build_pd(*d["A"]), "B": _build_pd(*d["B"]), "H": _build_contraction(*d["H"])}
 
 
 def _compare_derivative(inst, cfg, f):
@@ -582,21 +657,27 @@ def _route_dims(cfg: CheckConfig) -> tuple:
     return dims
 
 
-def _sample_route(rng, cfg, dims, trial) -> dict:
+def _draw_route(rng, cfg, dims, trial) -> dict:
+    k, m, n = _pick_dims(rng, dims)
+    return {"H": _draw_tuple(rng, k, m, n, True),
+            "B": [_complex_gaussian(rng, m, m) for _ in range(k)],
+            "L_scale": float(rng.uniform(0.5, 4.0)), "L": _complex_gaussian(rng, n, n),
+            "alpha": float(rng.uniform(4.0, 14.0))}
+
+
+def _build_route(d: dict) -> dict:
     # Two weights L: a purely random one, and a probe spiked along the top
     # eigendirection of e^(sum H* B H) - sum H* e^B H (a random search over
     # L alone almost never aligns with that thin direction).
-    k, m, n = _pick_dims(rng, dims)
-    tup = random_contraction_tuple(k, m, n, True, rng)
-    bs = [random_hermitian(m, 3.0, rng) for _ in range(k)]
-    l_random = random_hermitian(n, float(rng.uniform(0.5, 4.0)), rng)
-    alpha = float(rng.uniform(4.0, 14.0))
-    zero = HermitianMatrix(np.zeros((n, n)))
+    tup = _build_tuple(*d["H"])
+    bs = [_build_hermitian(b, 3.0) for b in d["B"]]
+    l_random = _build_hermitian(d["L"], d["L_scale"])
+    zero = HermitianMatrix(np.zeros(d["L"].shape))
     conj = fn._conjugated_sum(zero, tup, [b.mat for b in bs])
     diff = (matrix_exp(HermitianMatrix(conj)).mat
             - fn._conjugated_sum(zero, tup, [matrix_exp(b).mat for b in bs]))
-    spike = np.linalg.eigh((diff + diff.conj().T) / 2.0)[1][:, -1:]
-    l_probe = HermitianMatrix(alpha * (spike @ spike.conj().T))
+    spike = np.linalg.eigh((diff + _adjoint(diff)) / 2.0)[1][..., -1:]
+    l_probe = HermitianMatrix(_per_entry(d["alpha"]) * (spike @ _adjoint(spike)))
     return {"inst": fn.MultiInstance(L=l_random, H=tup, b_list=bs),
             "probe": fn.MultiInstance(L=l_probe, H=tup, b_list=bs)}
 
@@ -609,12 +690,17 @@ def _compare_route(inst, cfg, f):
                          partial(_dump, inst=m), extra={"candidate": candidate})
 
 
-def _sample_homogeneity(rng, cfg, dims, trial) -> dict:
+def _draw_homogeneity(rng, cfg, dims, trial) -> dict:
     k, m, n = _pick_dims(rng, dims)
-    tup = random_contraction_tuple(k, m, n, True, rng)
-    L = random_hermitian(n, 1.0, rng)
-    a_list = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
-    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=a_list), "t": T_FACTORS}
+    return {"H": _draw_tuple(rng, k, m, n, True), "L": _complex_gaussian(rng, n, n),
+            "A": [_draw_pd(rng, m, *cfg.eig_range) for _ in range(k)], "t": T_FACTORS}
+
+
+def _build_homogeneity(d: dict) -> dict:
+    tup = _build_tuple(*d["H"])
+    L = _build_hermitian(d["L"])
+    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=[_build_pd(*a) for a in d["A"]]),
+            "t": d["t"]}
 
 
 def _compare_homogeneity(inst, cfg, f):
@@ -633,7 +719,7 @@ def _strict_contraction_break(cfg: CheckConfig, phi: Callable, dims: tuple,
     for attempt in range(attempts):
         rng = trial_rng(cfg.seed, cfg.trials + attempt)
         try:
-            inst = _sample_homogeneity(rng, cfg, dims, attempt)
+            inst = _SPECS["homogeneity"].sample(rng, cfg, dims, attempt)
             m = inst["inst"]
             strict = ContractionTuple([0.9 * b for b in m.H.blocks], sum_is_identity=False)
             inst["inst"] = replace(m, H=strict)
@@ -648,32 +734,32 @@ def _strict_contraction_break(cfg: CheckConfig, phi: Callable, dims: tuple,
 
 
 _SPECS = {c.name: c for c in (
-    Check("sh_convexity", _sample_sh, _compare_sh,
+    Check("sh_convexity", _draw_sh, _build_sh, _compare_sh,
           lambda: {"entropy": fn.reduced_relative_entropy},
           {"H": "matrix", "A1": "pd", "B1": "pd", "A2": "pd", "B2": "pd", "lam": "floats"},
           ("segment",)),
-    Check("phi_concavity", _sample_phi, _compare_phi,
+    Check("phi_concavity", _draw_phi, _build_phi, _compare_phi,
           lambda: {"phi": fn.trace_exp_functional},
           {"L": "hermitian", "H": "matrix", "A1": "pd", "A2": "pd", "lam": "floats"},
           ("segment",)),
-    Check("multi_concavity", _sample_multi, _compare_multi,
+    Check("multi_concavity", _draw_multi, _build_multi, _compare_multi,
           lambda: {"phi": fn.multi_trace_exp},
           {"inst": "multi", "A2": "pd_list", "lam": "floats"},
           ("block_lift", "segment"), order=lambda k, m, n: k * max(m, n)),
-    Check("gt_jensen", _sample_gt_jensen, _compare_gt_jensen,
+    Check("gt_jensen", _draw_gt_jensen, _build_gt_jensen, _compare_gt_jensen,
           lambda: {"lhs": fn.gt_jensen_lhs, "rhs": fn.gt_jensen_rhs},
           {"inst": "multi"}, GT_FAMILIES, dims=_isometric_dims),
-    Check("gibbs_identity", _sample_gibbs, _compare_gibbs,
+    Check("gibbs_identity", _draw_gibbs, _build_gibbs, _compare_gibbs,
           lambda: {"objective": fn.gibbs_objective},
           {"B": "pd", "X": "pd"}, ("bound", "equality")),
-    Check("derivative_limit", _sample_derivative, _compare_derivative,
+    Check("derivative_limit", _draw_derivative, _build_derivative, _compare_derivative,
           lambda: {"derivative": fn.lieb_trace_derivative_at_zero},
           {"A": "pd", "B": "pd", "H": "matrix"},
           ("not_decreasing", "floor_exceeded", "above_scale")),
-    Check("gt_route_gap", _sample_route, _compare_route,
+    Check("gt_route_gap", _draw_route, _build_route, _compare_route,
           lambda: {"route": gt_route_value, "rhs": fn.gt_jensen_rhs},
           {"inst": "multi"}, ("witness",), dims=_route_dims, semantics="witness_search"),
-    Check("homogeneity", _sample_homogeneity, _compare_homogeneity,
+    Check("homogeneity", _draw_homogeneity, _build_homogeneity, _compare_homogeneity,
           lambda: {"phi": fn.multi_trace_exp},
           {"inst": "multi", "t": "floats"}, ("identity",), dims=_isometric_dims),
 )}

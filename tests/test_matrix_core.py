@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import sampling_reference as ref
 
+from entropylab import matrix_core
 from entropylab.errors import ConvergenceFailure, DimensionError, DomainError, NotAContraction
 from entropylab.matrix_core import (
     Contraction,
@@ -208,6 +210,54 @@ class TestGenerators:
             make_rng(2 ** 64)
         with pytest.raises(DomainError):
             random_pd(2, (0.0, 1.0), 3)
+
+
+class TestDrawThenBuild:
+    """Each generator is a draw plus a stack-generic build; both keep the
+    bits of the one-pass generator code, alone and stacked."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_square_generators_equal_the_reference(self, seed, dim):
+        ref.assert_same(random_pd(dim, (0.1, 3.0), seed), ref.random_pd(dim, (0.1, 3.0), seed))
+        ref.assert_same(random_hermitian(dim, 2.5, seed), ref.random_hermitian(dim, 2.5, seed))
+        u = matrix_core._haar_unitary(make_rng(seed), dim)
+        expected = ref.haar_unitary(make_rng(seed), dim)
+        assert u.shape == expected.shape and u.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kmn,isometric", [
+        ((2, 3, 4), False),   # tall: k*m > n
+        ((1, 2, 5), False),   # wide: k*m < n, orthonormal rows
+        ((3, 1, 5), False),
+        ((3, 2, 4), True),    # isometric
+        ((2, 4, 8), True),
+        ((1, 16, 16), True),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tuples_equal_the_reference(self, seed, kmn, isometric):
+        ref.assert_same(random_contraction_tuple(*kmn, isometric, seed),
+                        ref.random_contraction_tuple(*kmn, isometric, seed))
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_stacked_builds_equal_each_build_alone(self, dim):
+        def stacked(column):
+            if isinstance(column[0], np.ndarray):
+                return np.stack(column)
+            return np.array(column) if isinstance(column[0], float) else column[0]
+
+        def each(draw, build):
+            draws = [draw(make_rng(seed)) for seed in range(5)]
+            stack_built = build(*map(stacked, zip(*draws)))
+            for i, d in enumerate(draws):
+                ref.assert_same(matrix_core._entry(stack_built, i), build(*d))
+
+        each(lambda rng: matrix_core._draw_pd(rng, dim, 0.1, 3.0), matrix_core._build_pd)
+        each(lambda rng: (matrix_core._complex_gaussian(rng, dim, dim),),
+             matrix_core._build_hermitian)
+        for k, m, n, isometric in ((2, dim, dim, True), (2, dim, dim, False),
+                                   (1, dim, dim + 2, False)):
+            each(lambda rng: matrix_core._draw_tuple(rng, k, m, n, isometric),
+                 matrix_core._build_tuple)
 
 
 def _count_calls(monkeypatch, name: str) -> list:

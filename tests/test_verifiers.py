@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import sampling_reference as ref
 
 from entropylab import functionals as fn
 from entropylab import verifiers
@@ -354,3 +355,48 @@ class TestBatchedEngine:
         report = check_phi_concavity(CheckConfig(trials=400, dims=((1, 32, 32),)))
         assert report.passed
         assert 32 * 32 * 16 < max(seen) <= verifiers.BLOCK_BYTES
+
+
+def _sizes(name: str) -> dict:
+    return {"small": CheckConfig(trials=40, seed=5),
+            "large": CheckConfig(trials=4, seed=5,
+                                 dims=((2, 8, 8),) if name == "gt_route_gap" else ((2, 14, 28),))}
+
+
+class TestStackedSampling:
+    """Each trial is drawn alone and each same-signature group is built as
+    one stack; every entry keeps the bits of sampling its trial alone."""
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_built_stacks_slice_to_each_sample(self, name, size):
+        cfg = _sizes(name)[size]
+        spec = verifiers._SPECS[name]
+        dims = spec.dims(cfg)
+        draws = {t: spec.draw(trial_rng(cfg.seed, t), cfg, dims, t) for t in range(cfg.trials)}
+        groups = {}
+        for t, d in draws.items():
+            groups.setdefault(verifiers._signature(d), []).append(t)
+        if size == "small":
+            assert max(map(len, groups.values())) > 1
+        for group in groups.values():
+            built = spec.build(verifiers._stacked([draws[t] for t in group]))
+            for i, t in enumerate(group):
+                alone = spec.sample(trial_rng(cfg.seed, t), cfg, dims, t)
+                ref.assert_same(alone, ref.SAMPLERS[name](trial_rng(cfg.seed, t), cfg, dims, t))
+                ref.assert_same(verifiers._slice(built, i), alone)
+
+    def test_failing_group_splits_in_halves(self, monkeypatch):
+        # Trials 19, 20 and 30 raise in the first 64-trial block; splitting
+        # their group in halves keeps every other trial on a stacked path,
+        # so only the trials with a record run alone.
+        alone = []
+        trial = verifiers._trial
+        monkeypatch.setattr(verifiers, "_trial",
+                            lambda check, c, funcs, dims, t, *rest:
+                            alone.append(t) or trial(check, c, funcs, dims, t, *rest))
+        report = search_gt_route_gap(CheckConfig(trials=200, seed=7, dims=((2, 8, 8),)))
+        errors = [v["trial"] for v in report.violations if v["kind"] == "error"]
+        witnesses = [v["trial"] for v in report.violations if v["kind"] == "witness"]
+        assert errors == [19, 20, 30] and len(witnesses) == 113
+        assert sorted(alone) == sorted(errors + witnesses)
