@@ -392,10 +392,6 @@ def _build_haar(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _build_haar(_complex_gaussian(rng, dim, dim))
-
-
 def _draw_pd(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tuple:
     """The numbers of a random PD matrix: its eigenvalues, then a Gaussian."""
     return rng.uniform(lo, hi, size=dim), _complex_gaussian(rng, dim, dim)

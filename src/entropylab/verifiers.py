@@ -3,21 +3,23 @@ inequality claims about the trace functionals.
 
 Each check is declared as a :class:`Check` rather than written as a loop:
 
-- ``draw(rng, cfg, dims, trial) -> draw`` makes one trial's generator
-  calls, from the trial's substream, and nothing else: it returns the
-  drawn numbers and the fields that choose a shape or a family (dims,
-  gt_jensen's family, ``sum_is_identity``).  Its calls keep the order of
-  the one-pass samplers it replaced; reordering two changes every later
-  number of the substream, and so the reports;
+- ``draw(rng, cfg, kmn, trial) -> draw`` makes one trial's generator
+  calls, from the trial's substream, after the run loop has picked the
+  trial's (k, m, n) triple from that substream, and nothing else: it
+  returns the drawn numbers and the fields that choose a shape or a family
+  (dims, gt_jensen's family, ``sum_is_identity``).  Its calls keep the
+  order of the one-pass samplers it replaced; reordering two changes every
+  later number of the substream, and so the reports;
 - ``build(draw) -> instance`` does everything else and owns every check
   (Hermitian, PD floor, contraction norm, Gram bound, identity sum): it
   makes the instance, a dict of typed values, from one draw, or one
   instance of stacked values from a group of draws stacked along a leading
   axis, each entry with the bits of building its draw alone;
-  ``sample(rng, cfg, dims, trial)`` is the two for one trial;
+  ``sample(rng, cfg, dims, trial)`` is the pick, the draw and the build for
+  one trial;
 - ``compare(instance, cfg, functionals)`` is a lazy generator of
-  :class:`Comparison` s (kind, lhs, rhs, gap, tol, strict), each with a
-  thunk that dumps the instance its record holds;
+  :class:`Comparison` s (kind, lhs, rhs, gap, tol, strict), each holding
+  the values that its record's instance dump is made of;
 - ``functionals()`` looks up the genuine functionals at call time, and the
   check's keyword hooks replace them, so the harness self-test can corrupt
   a functional and prove the check is not vacuous;
@@ -32,20 +34,24 @@ the largest magnitude in the comparison; a record is built only on a
 breach.  A trial that raises an EntropyLabError becomes an error record
 ``{"kind": "error", "trial", "error"}`` and the check goes on.
 
-The loop runs the trials in consecutive blocks, as many as keep every
-matrix stack within ``BLOCK_BYTES``.  It draws each trial of a block
-alone, groups the draws by signature (the shape of every array and every
-field that is not an array or a float), builds each group as one instance
-of (T, n, n) stacks and per-trial weight arrays, and runs ``compare`` once
-on it, with the same functionals and generators that serve a single
-instance.  Every stacked value has the bits of its trial's own value, so
-the stacked pass decides, per trial, whether any comparison breached, and
-gives the trial's gaps to ``worst_gap``.  A group whose build or compare
-raises is split in halves until the trials that raise stand alone.
-Records and errors come from the single-trial path (:func:`_trial`): a
-trial with a breach runs alone on its slice of the built stack, a trial
-that raises alone is sampled again alone, and the results are merged in
-trial order.
+The loop draws the trials in order, each alone, and appends each draw to
+the pending group of its signature (the shape of every array and every
+field that is not an array or a float).  A group runs once it holds as
+many trials as keep its largest matrix stack within ``BLOCK_BYTES``, a cap
+set per signature from the ``order`` of that group's dims, and every group
+still pending runs at the end; so each signature is usually built and
+compared once per check.  A group runs as one instance of (T, n, n) stacks
+and per-trial weight arrays, through one ``compare`` pass, with the same
+functionals and generators that serve a single instance.  Every stacked
+value has the bits of its trial's own value, so each trial's gaps and
+records come from its entry of the stacked comparisons: lhs, rhs, gap,
+tol, extra, and the dump of the trial's slice of the held values (for the
+witness search, the gaps up to the first breach and one record).  A group
+whose build or compare raises is split in halves; a single trial that
+still raises runs alone through the single-trial path (:func:`_trial`),
+sampled again from its substream, which records its error.  The results
+are merged in trial order, so the report does not depend on the order in
+which groups run.
 
 Replay (:func:`re_evaluate`) reads a record's instance with ``fields``,
 passes the record's kind in as ``instance["kind"]``, runs the same
@@ -62,14 +68,15 @@ instance), which is exact up to arithmetic noise.  `search_gt_route_gap`
 inverts the usual pass meaning: it hunts for witnesses that the
 Golden-Thompson-first bound Tr(e^L e^(sum H_i* B_i H_i)) can exceed the
 commuting-case bound, keeps at most one per trial, re-verifies each by
-replaying its JSON dump, and passes when it finds one and no trial errored.
+replaying its JSON dump (the dumps of a group are read back, stacked and
+compared at once), and passes when it finds one and no trial errored.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -93,6 +100,7 @@ from .matrix_core import (
     _per_matrix,
     _trace,
     matrix_exp,
+    stack,
 )
 from .serialization import matrix_to_json, multi_instance_to_json, read_fields
 
@@ -107,10 +115,9 @@ T_FACTORS = (0.5, 2.0, 10.0)
 HOMOGENEITY_BREAK_MIN = 1e-3
 # Instance families of the gt_jensen check, cycled by trial index.
 GT_FAMILIES = ("general", "golden_thompson", "general", "jensen")
-# Bytes of the largest matrix stack that a block of trials may build: a
-# block holds all 200 trials of ``check all`` at the default dims (64 of
-# multi_concavity, whose block lift is k times larger), and four or five
-# trials at n = 28 to 32.
+# Bytes of the largest matrix stack that a group of trials may build: a
+# group of 2 x 2 matrices holds up to 1024 trials, one of multi_concavity
+# at k = 4 (whose block lift is 8 x 8) up to 64, and one at n = 32 four.
 BLOCK_BYTES = 1 << 16
 
 
@@ -199,15 +206,16 @@ class CheckReport:
 
 
 class Comparison(NamedTuple):
-    """One compared pair.  ``dump`` returns the JSON instance of its record;
-    ``extra`` holds further record fields."""
+    """One compared pair.  ``dump`` holds the values that the JSON instance
+    of its record is made of (see :func:`_dump`); ``extra`` holds further
+    record fields."""
 
     kind: str
     lhs: float
     rhs: float
     gap: float
     tol: float
-    dump: Callable[[], dict]
+    dump: dict
     strict: bool = False
     extra: dict | None = None
 
@@ -220,8 +228,9 @@ class Comparison(NamedTuple):
 class Check:
     """A check declared as a draw, a build and lazy comparisons; see the
     module docstring for what each part must satisfy.  In short, ``draw``
-    makes only generator calls, in their fixed order, and ``build`` owns
-    every check, on one draw or on a stack of same-signature draws."""
+    makes only generator calls, in their fixed order, after the pick of the
+    trial's dims, and ``build`` owns every check, on one draw or on a stack
+    of same-signature draws."""
 
     name: str
     draw: Callable
@@ -238,7 +247,7 @@ class Check:
     def sample(self, rng: np.random.Generator, cfg: CheckConfig, dims: tuple,
                trial: int) -> dict:
         """One trial's instance: its draw, built alone."""
-        return self.build(self.draw(rng, cfg, dims, trial))
+        return self.build(self.draw(rng, cfg, _pick_dims(rng, dims), trial))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -306,19 +315,30 @@ def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
     funcs = check.functionals()
     funcs.update((name, f) for name, f in hooks.items() if f is not None)
     dims = check.dims(cfg)
-    search = check.semantics == "witness_search"
+    caps, pending, results = {}, {}, {}
+    for t in range(cfg.trials):
+        rng = trial_rng(cfg.seed, t)
+        kmn = _pick_dims(rng, dims)
+        draw = check.draw(rng, cfg, kmn, t)
+        sig = _signature(draw)
+        if sig not in caps:
+            caps[sig] = _group_cap(check, kmn)
+        group = pending.setdefault(sig, [])
+        group.append((t, draw))
+        if len(group) == caps[sig]:
+            results.update(_run_group(check, cfg, funcs, dims, pending.pop(sig)))
+    for group in pending.values():
+        results.update(_run_group(check, cfg, funcs, dims, group))
     records: list = []
     worst: float | None = None
-    block = _block_trials(check, dims)
-    for start in range(0, cfg.trials, block):
-        trials = range(start, min(start + block, cfg.trials))
-        for trial_records, gaps in _run_block(check, cfg, funcs, dims, trials):
-            records += trial_records
-            for gap in gaps:
-                if worst is None or gap > worst:
-                    worst = gap
+    for t in range(cfg.trials):
+        trial_records, gaps = results[t]
+        records += trial_records
+        for gap in gaps:
+            if worst is None or gap > worst:
+                worst = gap
     passed, note = not records, None
-    if search:
+    if check.semantics == "witness_search":
         errors = sum(r["kind"] == "error" for r in records)
         found = len(records) - errors
         passed = found > 0 and not errors
@@ -331,66 +351,76 @@ def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
                        config=cfg.to_dict())
 
 
-def _block_trials(check: Check, dims: tuple) -> int:
-    """Trials per block, so that no stack of a block exceeds BLOCK_BYTES."""
-    largest = max(check.order(*d) for d in dims) ** 2 * np.dtype(np.complex128).itemsize
-    return max(1, BLOCK_BYTES // largest)
+def _group_cap(check: Check, kmn: tuple) -> int:
+    """Trials per group of a signature first drawn at dims ``kmn``, so that
+    no stack of the group exceeds BLOCK_BYTES.  Every trial of a signature
+    builds the same shapes, so the order of any of their dims bounds them."""
+    return max(1, BLOCK_BYTES // (check.order(*kmn) ** 2 * np.dtype(np.complex128).itemsize))
 
 
-def _run_block(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, trials: range) -> list:
-    """(records, gaps) of each trial of a block, in trial order.
+def _run_group(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, group: list) -> dict:
+    """{trial: (records, gaps)} for a group of same-signature (trial, draw)
+    pairs.
 
-    Each trial is drawn from its own substream; the draws are grouped by
-    signature, and each group is built as one stack and compared once.  A
-    trial whose stacked comparisons all pass is done.  A group whose build
-    or comparisons raise is split in halves, down to single trials.  A
-    trial with a breach runs alone through :func:`_trial` on its slice of
-    the built stack, and a single trial that raised runs alone from its
-    substream, which records its error."""
-    draws = {t: check.draw(trial_rng(cfg.seed, t), cfg, dims, t) for t in trials}
-    groups: dict = {}
-    for t, d in draws.items():
-        groups.setdefault(_signature(d), []).append(t)
-    pending = list(groups.values())
-    done, breached = {}, {}
-    while pending:
-        group = pending.pop()
+    The group is built as one stack and compared once, and each trial's
+    gaps and records come from its entry of the stacked comparisons.  A part
+    of the group whose build or comparisons raise is split in halves, down
+    to single trials, and a single trial that raises runs alone through
+    :func:`_trial`, sampled from its substream, which records its error.
+    The witnesses of the group are re-verified together, and should that
+    raise, their trials run alone."""
+    search = check.semantics == "witness_search"
+    out, witnesses = {}, []
+    parts = [group]
+    while parts:
+        part = parts.pop()
         try:
-            instance = check.build(_stacked([draws[t] for t in group]))
+            instance = check.build(_stacked([draw for _, draw in part]))
             comparisons = list(check.compare(instance, cfg, funcs))
         except EntropyLabError:
-            if len(group) > 1:
-                pending += [group[:len(group) // 2], group[len(group) // 2:]]
-            continue
-        gaps = [np.broadcast_to(c.gap, len(group)).tolist() for c in comparisons]
-        hit = reduce(np.logical_or, (c.breached for c in comparisons), np.zeros(len(group), bool))
-        for i, t in enumerate(group):
-            if hit[i]:
-                breached[t] = _slice(instance, i)
+            if len(part) > 1:
+                parts += [part[:len(part) // 2], part[len(part) // 2:]]
             else:
-                done[t] = ([], [g[i] for g in gaps])
-    out = []
-    for t in trials:
-        if t not in done:
-            done[t] = _trial(check, cfg, funcs, dims, t, breached.get(t))
-            assert t not in breached or done[t][0], f"trial {t} breached in its block, not alone"
-        out.append(done[t])
+                out[part[0][0]] = _trial(check, cfg, funcs, dims, part[0][0])
+            continue
+        gaps = [np.broadcast_to(c.gap, len(part)).tolist() for c in comparisons]
+        hits = [np.broadcast_to(c.breached, len(part)).tolist() for c in comparisons]
+        for i, (t, _) in enumerate(part):
+            records, trial_gaps = [], []
+            for c, gap, hit in zip(comparisons, gaps, hits):
+                trial_gaps.append(gap[i])
+                if hit[i]:
+                    records.append(_record(check, t, c, i))
+                    if search:
+                        break  # one witness per trial
+            out[t] = (records, trial_gaps)
+            if search:
+                witnesses += records
+    if witnesses:
+        try:
+            _reverify(check, witnesses)
+        except EntropyLabError:
+            for t in {w["trial"] for w in witnesses}:
+                out[t] = _trial(check, cfg, funcs, dims, t)
     return out
 
 
-def _trial(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, t: int,
-           instance: dict | None = None) -> tuple[list, list]:
-    """Trial t alone (sampled here unless ``instance`` is given): its records
-    and the gaps of its comparisons, in order."""
+def _trial(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, t: int) -> tuple[list, list]:
+    """Trial t alone, sampled from its substream: its records and the gaps
+    of its comparisons, in order.  The path of a trial that raises in a
+    stack, and the reference that the stacked path reproduces."""
+    search = check.semantics == "witness_search"
     records, gaps = [], []
     try:
-        if instance is None:
-            instance = check.sample(trial_rng(cfg.seed, t), cfg, dims, t)
+        instance = check.sample(trial_rng(cfg.seed, t), cfg, dims, t)
         for c in check.compare(instance, cfg, funcs):
             gaps.append(float(c.gap))
             if c.breached:
-                records.append(_record(check, t, c))
-                if check.semantics == "witness_search":
+                record = _record(check, t, c)
+                if search:
+                    _reverify(check, [record])
+                records.append(record)
+                if search:
                     break  # one witness per trial
     except EntropyLabError as exc:
         records.append({"kind": "error", "trial": t, "error": str(exc)})
@@ -411,18 +441,25 @@ def _signature(draw):
     return draw
 
 
-def _stacked(draws: list):
-    """One draw stacked from draws of one signature: arrays as stacks,
-    floats as arrays, anything else as it is."""
-    first = draws[0]
+def _stacked(values: list):
+    """One value stacked from values of one signature (draws, or instances
+    read back from dumps): arrays as stacks, floats as arrays, checked
+    matrix values as stacked values that are not checked again, dicts,
+    sequences and dataclasses field by field, anything else as it is."""
+    first = values[0]
     if isinstance(first, dict):
-        return {key: _stacked([d[key] for d in draws]) for key in first}
+        return {key: _stacked([v[key] for v in values]) for key in first}
     if isinstance(first, (list, tuple)):
-        return type(first)(_stacked(list(column)) for column in zip(*draws))
+        return type(first)(_stacked(list(column)) for column in zip(*values))
+    if is_dataclass(first):
+        return type(first)(**{f.name: _stacked([getattr(v, f.name) for v in values])
+                              for f in fields(first)})
+    if isinstance(first, (HermitianMatrix, Contraction, ContractionTuple)):
+        return stack(values)
     if isinstance(first, np.ndarray):
-        return np.stack(draws)
+        return np.stack(values)
     if isinstance(first, float):
-        return np.array(draws)
+        return np.array(values)
     return first
 
 
@@ -442,24 +479,45 @@ def _slice(value, i: int):
     return value
 
 
-def _record(check: Check, trial: int, c: Comparison) -> dict:
+def _at(x, i: int | None) -> float:
+    """x as a float: entry i of per-trial values, or x itself when i is None
+    or x is one number for every trial."""
+    return float(x[i] if i is not None and np.ndim(x) else x)
+
+
+def _record(check: Check, trial: int, c: Comparison, i: int | None = None) -> dict:
+    """The record of comparison c, or of entry i of a stacked c, with the
+    dump of that entry's slice of the values c holds.  A witness record
+    gets its re-verification from :func:`_reverify`."""
     record = {"kind": c.kind, "trial": trial, **(c.extra or {}),
-              "lhs": c.lhs, "rhs": c.rhs, "gap": float(c.gap), "instance": c.dump()}
-    if check.semantics == "witness_search":
-        # Re-verified from the serialized dump with the genuine functionals.
-        redo = _replay(check, json.loads(json.dumps(record)))
-        record["reverified_gap"] = float(redo.gap)
-        record["reverified"] = bool(abs(redo.gap - c.gap) <= 1e-12)
-    else:
-        record["tol"] = float(c.tol)
+              "lhs": _at(c.lhs, i), "rhs": _at(c.rhs, i), "gap": _at(c.gap, i),
+              "instance": _dump(**(c.dump if i is None else _slice(c.dump, i)))}
+    if check.semantics != "witness_search":
+        record["tol"] = _at(c.tol, i)
     return record
 
 
-def _replay(check: Check, record: dict) -> Comparison:
-    kind = record.get("kind")
-    if kind is not None and kind not in check.kinds:
-        raise DomainError(f"check {check.name!r} has no comparison of kind {kind!r}")
-    instance = read_fields(record["instance"], check.fields, required=False)
+def _reverify(check: Check, records: list) -> None:
+    """Re-verify witness records from their serialized dumps with the
+    genuine functionals.  The dumps of each record kind make a JSON round
+    trip, are read back with ``fields``, stacked, and compared once; each
+    record gets its replayed gap and whether it is within 1e-12 of its own."""
+    kinds: dict = {}
+    for r in records:
+        kinds.setdefault(r["kind"], []).append(r)
+    for kind, same in kinds.items():
+        read = [read_fields(json.loads(json.dumps(r["instance"])), check.fields, required=False)
+                for r in same]
+        redo = np.broadcast_to(_replay(check, kind, _stacked(read)).gap, len(same)).tolist()
+        for r, gap in zip(same, redo):
+            r["reverified_gap"] = gap
+            r["reverified"] = abs(gap - r["gap"]) <= 1e-12
+
+
+def _replay(check: Check, kind: str | None, instance: dict) -> Comparison:
+    """The first comparison of ``kind`` (the first at all for None) on an
+    instance read back from a dump, or on a stack of them, with the genuine
+    functionals."""
     instance["kind"] = kind
     for c in check.compare(instance, CheckConfig(), check.functionals()):
         if kind is None or c.kind == kind:
@@ -482,8 +540,8 @@ def _build_contraction(g: np.ndarray, target) -> Contraction:
     return Contraction(g * _per_entry(target / np.linalg.norm(g, 2, axis=(-2, -1))))
 
 
-def _draw_sh(rng, cfg, dims, trial) -> dict:
-    _, m, _ = _pick_dims(rng, dims)
+def _draw_sh(rng, cfg, kmn, trial) -> dict:
+    _, m, _ = kmn
     return {"H": _draw_contraction(rng, m, m),
             "A1": _draw_pd(rng, m, *cfg.eig_range), "B1": _draw_pd(rng, m, *cfg.eig_range),
             "A2": _draw_pd(rng, m, *cfg.eig_range), "B2": _draw_pd(rng, m, *cfg.eig_range),
@@ -503,11 +561,11 @@ def _compare_sh(inst, cfg, f):
         s_mid = entropy(_mix(lam, a1, a2), _mix(lam, b1, b2), h)
         combo = lam * s1 + (1.0 - lam) * s2
         yield Comparison("segment", s_mid, combo, s_mid - combo, _tol(cfg, s_mid, s1, s2),
-                         partial(_dump, H=h, A1=a1, B1=b1, A2=a2, B2=b2, lam=lam))
+                         dict(H=h, A1=a1, B1=b1, A2=a2, B2=b2, lam=lam))
 
 
-def _draw_phi(rng, cfg, dims, trial) -> dict:
-    _, m, n = _pick_dims(rng, dims)
+def _draw_phi(rng, cfg, kmn, trial) -> dict:
+    _, m, n = kmn
     return {"H": _draw_contraction(rng, m, n), "L": _complex_gaussian(rng, n, n),
             "A1": _draw_pd(rng, m, *cfg.eig_range), "A2": _draw_pd(rng, m, *cfg.eig_range),
             "lam": _lambda_values(cfg, rng)}
@@ -525,11 +583,11 @@ def _compare_phi(inst, cfg, f):
         p_mid = phi(_mix(lam, a1, a2), L, h)
         combo = lam * p1 + (1.0 - lam) * p2
         yield Comparison("segment", combo, p_mid, combo - p_mid, _tol(cfg, p_mid, p1, p2),
-                         partial(_dump, L=L, H=h, A1=a1, A2=a2, lam=lam))
+                         dict(L=L, H=h, A1=a1, A2=a2, lam=lam))
 
 
-def _draw_multi(rng, cfg, dims, trial) -> dict:
-    k, m, n = _pick_dims(rng, dims)
+def _draw_multi(rng, cfg, kmn, trial) -> dict:
+    k, m, n = kmn
     sum_id = bool(rng.integers(2)) and k * m >= n
     return {"H": _draw_tuple(rng, k, m, n, sum_id), "L": _complex_gaussian(rng, n, n),
             "A1": [_draw_pd(rng, m, *cfg.eig_range) for _ in range(k)],
@@ -554,7 +612,7 @@ def _compare_multi(inst, cfg, f):
         lifted = fn.block_lift(m).lifted_value()
         expected = direct + (m.k - 1) * m.H.n
         yield Comparison("block_lift", lifted, expected, abs(lifted - expected),
-                         cfg.tol_abs + cfg.tol_rel * abs(direct), partial(_dump, inst=m))
+                         cfg.tol_abs + cfg.tol_rel * abs(direct), dict(inst=m))
         return direct
 
     p1 = yield from evaluate(first)
@@ -564,14 +622,14 @@ def _compare_multi(inst, cfg, f):
         p_mid = yield from evaluate(replace(first, a_list=mids))
         combo = lam * p1 + (1.0 - lam) * p2
         yield Comparison("segment", combo, p_mid, combo - p_mid, _tol(cfg, p_mid, p1, p2),
-                         partial(_dump, inst=first, A2=inst["A2"], lam=lam))
+                         dict(inst=first, A2=inst["A2"], lam=lam))
 
 
-def _draw_gt_jensen(rng, cfg, dims, trial) -> dict:
+def _draw_gt_jensen(rng, cfg, kmn, trial) -> dict:
     # The Golden-Thompson family takes H = I and draws no tuple; the Jensen
     # family takes L = 0 and draws no L.
     family = GT_FAMILIES[trial % len(GT_FAMILIES)]
-    k, m, n = _pick_dims(rng, dims)
+    k, m, n = kmn
     if family == "golden_thompson":
         return {"kind": family, "H": None, "L": _complex_gaussian(rng, m, m),
                 "B": [_complex_gaussian(rng, m, m)]}
@@ -597,11 +655,11 @@ def _compare_gt_jensen(inst, cfg, f):
     m = inst["inst"]
     lhs, rhs = f["lhs"](m), f["rhs"](m)
     yield Comparison(inst["kind"], lhs, rhs, lhs - rhs, _tol(cfg, lhs, rhs),
-                     partial(_dump, inst=m))
+                     dict(inst=m))
 
 
-def _draw_gibbs(rng, cfg, dims, trial) -> dict:
-    _, m, _ = _pick_dims(rng, dims)
+def _draw_gibbs(rng, cfg, kmn, trial) -> dict:
+    _, m, _ = kmn
     return {"B": _draw_pd(rng, m, *cfg.eig_range), "X": _draw_pd(rng, m, *cfg.eig_range)}
 
 
@@ -616,14 +674,14 @@ def _compare_gibbs(inst, cfg, f):
         X = inst["X"]
         val = objective(X, B)
         yield Comparison("bound", val, tr_b, val - tr_b, _tol(cfg, val, tr_b),
-                         partial(_dump, X=X, B=B))
+                         dict(X=X, B=B))
     at_max = objective(B, B)
     yield Comparison("equality", at_max, tr_b, abs(at_max - tr_b), _tol(cfg, at_max, tr_b),
-                     partial(_dump, B=B))
+                     dict(B=B))
 
 
-def _draw_derivative(rng, cfg, dims, trial) -> dict:
-    _, m, n = _pick_dims(rng, dims)
+def _draw_derivative(rng, cfg, kmn, trial) -> dict:
+    _, m, n = kmn
     return {"A": _draw_pd(rng, m, *cfg.eig_range), "B": _draw_pd(rng, n, *cfg.eig_range),
             "H": _draw_contraction(rng, m, n)}
 
@@ -643,7 +701,7 @@ def _compare_derivative(inst, cfg, f):
         errors[repr(p)] = abs((gp - g0) / p - d0)
         scale = _max(scale, abs(gp))
     e_big, e_mid, e_small = errors.values()
-    dump = partial(_dump, A=A, B=B, H=h, errors=errors, scale=scale)
+    dump = dict(A=A, B=B, H=h, errors=errors, scale=scale)
     yield Comparison("not_decreasing", e_mid, e_big, e_mid - e_big, 0.0, dump, strict=True)
     yield Comparison("floor_exceeded", e_small, 10.0 * e_mid, e_small - 10.0 * e_mid, 0.0,
                      dump, strict=True)
@@ -657,8 +715,8 @@ def _route_dims(cfg: CheckConfig) -> tuple:
     return dims
 
 
-def _draw_route(rng, cfg, dims, trial) -> dict:
-    k, m, n = _pick_dims(rng, dims)
+def _draw_route(rng, cfg, kmn, trial) -> dict:
+    k, m, n = kmn
     return {"H": _draw_tuple(rng, k, m, n, True),
             "B": [_complex_gaussian(rng, m, m) for _ in range(k)],
             "L_scale": float(rng.uniform(0.5, 4.0)), "L": _complex_gaussian(rng, n, n),
@@ -687,11 +745,11 @@ def _compare_route(inst, cfg, f):
         m = inst[key]
         route, rhs = f["route"](m), f["rhs"](m)
         yield Comparison("witness", route, rhs, route - rhs, _tol(cfg, route, rhs),
-                         partial(_dump, inst=m), extra={"candidate": candidate})
+                         dict(inst=m), extra={"candidate": candidate})
 
 
-def _draw_homogeneity(rng, cfg, dims, trial) -> dict:
-    k, m, n = _pick_dims(rng, dims)
+def _draw_homogeneity(rng, cfg, kmn, trial) -> dict:
+    k, m, n = kmn
     return {"H": _draw_tuple(rng, k, m, n, True), "L": _complex_gaussian(rng, n, n),
             "A": [_draw_pd(rng, m, *cfg.eig_range) for _ in range(k)], "t": T_FACTORS}
 
@@ -709,7 +767,7 @@ def _compare_homogeneity(inst, cfg, f):
     for t in inst["t"]:
         val = phi(replace(m, a_list=[PositiveDefiniteMatrix(_scaled(t, a)) for a in m.a_list]))
         yield Comparison("identity", val, t * base, abs(val - t * base),
-                         cfg.tol_abs + cfg.tol_rel * t * abs(base), partial(_dump, inst=m, t=t))
+                         cfg.tol_abs + cfg.tol_rel * t * abs(base), dict(inst=m, t=t))
 
 
 def _strict_contraction_break(cfg: CheckConfig, phi: Callable, dims: tuple,
@@ -725,7 +783,7 @@ def _strict_contraction_break(cfg: CheckConfig, phi: Callable, dims: tuple,
             inst["inst"] = replace(m, H=strict)
             for c in _compare_homogeneity(inst, cfg, {"phi": phi}):
                 if c.gap > HOMOGENEITY_BREAK_MIN:
-                    dump = c.dump()
+                    dump = _dump(**c.dump)
                     return {"attempt": attempt, "t": dump["t"], "lhs": float(c.lhs),
                             "rhs": float(c.rhs), "gap": float(c.gap), "instance": dump}
         except EntropyLabError:
@@ -767,7 +825,7 @@ _SPECS = {c.name: c for c in (
 
 # ---------------------------------------------------------------------------
 # The public checks.  Each accepts the functional under test as a keyword.
-# Such a hook receives the arguments of a block's stacked trials (matrix
+# Such a hook receives the arguments of a group's stacked trials (matrix
 # values of shape (T, n, n), see ``matrix_core``) and returns one value per
 # stack entry, as the genuine functionals do; a trial that runs alone
 # passes it 2-d arguments, for which it returns a float.
@@ -896,5 +954,9 @@ def re_evaluate(check_name: str, record: dict) -> dict:
     reproduce their gaps."""
     if check_name not in _SPECS:
         raise DomainError(f"no re-evaluation rule for check {check_name!r}")
-    c = _replay(_SPECS[check_name], record)
+    check = _SPECS[check_name]
+    kind = record.get("kind")
+    if kind is not None and kind not in check.kinds:
+        raise DomainError(f"check {check.name!r} has no comparison of kind {kind!r}")
+    c = _replay(check, kind, read_fields(record["instance"], check.fields, required=False))
     return {"lhs": c.lhs, "rhs": c.rhs, "gap": c.gap}

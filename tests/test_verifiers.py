@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,13 +299,13 @@ class TestEqualPairEndpoints:
                 assert s_mid <= combo + 1e-9 * (1.0 + max(abs(s_mid), abs(combo)))
 
 
-def _every_trial_alone(check, cfg, funcs, dims, trials):
-    return [verifiers._trial(check, cfg, funcs, dims, t) for t in trials]
+def _every_trial_alone(check, cfg, funcs, dims, group):
+    return {t: verifiers._trial(check, cfg, funcs, dims, t) for t, _ in group}
 
 
 class TestBatchedEngine:
-    """Blocks of trials run as stacks, and the report keeps the bytes of
-    running every trial alone through the single-trial body."""
+    """Same-signature groups of trials run as stacks, and the report keeps
+    the bytes of running every trial alone through the single-trial body."""
 
     @pytest.mark.parametrize("size", ["small", "large"])
     @pytest.mark.parametrize("name", list(CHECKS))
@@ -320,9 +321,10 @@ class TestBatchedEngine:
                             lambda check, c, funcs, dims, t, *rest:
                             alone.append(t) or trial(check, c, funcs, dims, t, *rest))
         batched = run_check(name, cfg)
-        # Only the trials with a record ran alone: every stacked pass held.
-        assert sorted(alone) == sorted({r["trial"] for r in batched.violations})
-        monkeypatch.setattr(verifiers, "_run_block", _every_trial_alone)
+        # Only error trials ran alone: every other record came from a stack.
+        assert sorted(alone) == sorted(r["trial"] for r in batched.violations
+                                       if r["kind"] == "error")
+        monkeypatch.setattr(verifiers, "_run_group", _every_trial_alone)
         assert run_check(name, cfg).to_json() == batched.to_json()
 
     def test_error_in_one_stack_entry_stays_with_its_trial(self):
@@ -363,6 +365,24 @@ def _sizes(name: str) -> dict:
                                  dims=((2, 8, 8),) if name == "gt_route_gap" else ((2, 14, 28),))}
 
 
+def _draws(spec, cfg: CheckConfig) -> dict:
+    """{trial: draw} for every trial of a run, drawn as the run loop draws."""
+    dims = spec.dims(cfg)
+    draws = {}
+    for t in range(cfg.trials):
+        rng = trial_rng(cfg.seed, t)
+        draws[t] = spec.draw(rng, cfg, verifiers._pick_dims(rng, dims), t)
+    return draws
+
+
+def _groups(draws: dict) -> dict:
+    """{signature: trials} of the draws."""
+    groups = {}
+    for t, d in draws.items():
+        groups.setdefault(verifiers._signature(d), []).append(t)
+    return groups
+
+
 class TestStackedSampling:
     """Each trial is drawn alone and each same-signature group is built as
     one stack; every entry keeps the bits of sampling its trial alone."""
@@ -373,10 +393,8 @@ class TestStackedSampling:
         cfg = _sizes(name)[size]
         spec = verifiers._SPECS[name]
         dims = spec.dims(cfg)
-        draws = {t: spec.draw(trial_rng(cfg.seed, t), cfg, dims, t) for t in range(cfg.trials)}
-        groups = {}
-        for t, d in draws.items():
-            groups.setdefault(verifiers._signature(d), []).append(t)
+        draws = _draws(spec, cfg)
+        groups = _groups(draws)
         if size == "small":
             assert max(map(len, groups.values())) > 1
         for group in groups.values():
@@ -387,9 +405,9 @@ class TestStackedSampling:
                 ref.assert_same(verifiers._slice(built, i), alone)
 
     def test_failing_group_splits_in_halves(self, monkeypatch):
-        # Trials 19, 20 and 30 raise in the first 64-trial block; splitting
-        # their group in halves keeps every other trial on a stacked path,
-        # so only the trials with a record run alone.
+        # Trials 19, 20 and 30 raise in their group's stack; splitting the
+        # group in halves keeps every other trial on a stacked path, so only
+        # the error trials run alone.
         alone = []
         trial = verifiers._trial
         monkeypatch.setattr(verifiers, "_trial",
@@ -399,4 +417,106 @@ class TestStackedSampling:
         errors = [v["trial"] for v in report.violations if v["kind"] == "error"]
         witnesses = [v["trial"] for v in report.violations if v["kind"] == "witness"]
         assert errors == [19, 20, 30] and len(witnesses) == 113
-        assert sorted(alone) == sorted(errors + witnesses)
+        assert sorted(alone) == [19, 20, 30]
+
+
+class TestWholeRunGroups:
+    """Each signature is built and compared once per run, within the byte
+    budget of its own dims, and witnesses are re-verified in stacks."""
+
+    def _count_compares(self, monkeypatch, name: str) -> list:
+        spec = verifiers._SPECS[name]
+        calls = []
+
+        def counting(inst, cfg, funcs):
+            calls.append(inst)
+            return spec.compare(inst, cfg, funcs)
+
+        monkeypatch.setitem(verifiers._SPECS, name, replace(spec, compare=counting))
+        return calls
+
+    def test_one_stacked_compare_per_signature(self, monkeypatch):
+        cfg = CheckConfig(trials=200, seed=7)
+        calls = self._count_compares(monkeypatch, "multi_concavity")
+        report = check_multi_concavity(cfg)
+        assert report.passed
+        assert len(calls) == len(_groups(_draws(verifiers._SPECS["multi_concavity"], cfg))) == 14
+
+    def test_route_search_runs_no_trial_alone(self, monkeypatch):
+        # One pass per signature, plus one stacked re-verification per
+        # group that holds witnesses; no trial runs alone.
+        cfg = CheckConfig(trials=200, seed=7)
+        spec = verifiers._SPECS["gt_route_gap"]
+        groups = _groups(_draws(spec, cfg))
+        calls = self._count_compares(monkeypatch, "gt_route_gap")
+        alone = []
+        trial = verifiers._trial
+        monkeypatch.setattr(verifiers, "_trial", lambda *args: alone.append(args[4]) or trial(*args))
+        report = search_gt_route_gap(cfg)
+        witnesses = {w["trial"] for w in report.violations}
+        assert report.passed and len(witnesses) == 44 and alone == []
+        with_witnesses = sum(bool(witnesses & set(g)) for g in groups.values())
+        assert len(calls) == len(groups) + with_witnesses == 7
+
+    def test_each_group_stacks_up_to_its_own_cap(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def sized(a):
+            seen.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", sized)
+        report = check_phi_concavity(CheckConfig(trials=60, seed=3, dims=((1, 2, 2), (1, 32, 32))))
+        assert report.passed
+        itemsize = np.dtype(np.complex128).itemsize
+        assert max(np.prod(s) * itemsize for s in seen) <= verifiers.BLOCK_BYTES
+        cap_at_32 = verifiers.BLOCK_BYTES // (32 * 32 * itemsize)
+        largest_at_2 = max(int(np.prod(s[:-2])) for s in seen if s[-2:] == (2, 2))
+        assert largest_at_2 > cap_at_32
+
+    def test_reverified_gap_is_the_replayed_gap(self):
+        report = search_gt_route_gap(CheckConfig(trials=100, seed=7))
+        assert report.violations
+        for w in report.violations:
+            assert w["reverified"]
+            redo = re_evaluate("gt_route_gap", w)
+            assert float(w["reverified_gap"]).hex() == float(redo["gap"]).hex()
+
+    def test_reverification_uses_the_genuine_functionals(self):
+        scaled = lambda inst: gt_route_value(inst) * (1.0 + 1e-6)
+        report = search_gt_route_gap(CheckConfig(trials=100, seed=7), route_fn=scaled)
+        assert report.violations
+        for w in report.violations:
+            assert w["kind"] == "witness" and w["reverified"] is False
+            assert w["reverified_gap"] < w["gap"]
+
+    def test_first_breach_ends_a_witness_trial(self, monkeypatch):
+        # Both candidates of every trial breach: each trial keeps its first
+        # witness and the gaps up to it, as it does alone.
+        shifted = lambda inst: fn.gt_jensen_rhs(inst) + 1.0
+        cfg = CheckConfig(trials=30, seed=5)
+        batched = search_gt_route_gap(cfg, route_fn=shifted)
+        assert [w["candidate"] for w in batched.violations] == ["random"] * cfg.trials
+        monkeypatch.setattr(verifiers, "_run_group", _every_trial_alone)
+        assert search_gt_route_gap(cfg, route_fn=shifted).to_json() == batched.to_json()
+
+    def test_reverification_error_stays_with_its_trial(self, monkeypatch):
+        # The replay of one witness raises: that trial becomes an error
+        # record, as it does alone, and the other witnesses keep theirs.
+        cfg = CheckConfig(trials=40, seed=5)
+        found = search_gt_route_gap(cfg).violations
+        chosen = found[3]
+        L = matrix_from_json(chosen["instance"]["L"])
+
+        def replayed(inst):
+            if inst.L.mat.shape[-2:] == L.shape and np.all(inst.L.mat == L, axis=(-2, -1)).any():
+                raise NumericalInconsistency("the chosen witness")
+            return gt_route_value(inst)
+
+        monkeypatch.setattr(verifiers, "gt_route_value", replayed)
+        report = search_gt_route_gap(cfg, route_fn=gt_route_value)
+        error = {"kind": "error", "trial": chosen["trial"], "error": "the chosen witness"}
+        assert report.violations == [error if w is chosen else w for w in found]
+        monkeypatch.setattr(verifiers, "_run_group", _every_trial_alone)
+        assert search_gt_route_gap(cfg, route_fn=gt_route_value).to_json() == report.to_json()
