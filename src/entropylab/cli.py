@@ -25,11 +25,8 @@ from pathlib import Path
 from . import functionals as fn
 from .errors import (
     ConvergenceFailure,
-    DimensionError,
-    DomainError,
     EntropyLabError,
     NonFiniteObjective,
-    NotAContraction,
     NumericalInconsistency,
     ParseError,
 )
@@ -263,9 +260,6 @@ def main(argv=None) -> int:
     except (NumericalInconsistency, NonFiniteObjective, ConvergenceFailure) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, DimensionError, NotAContraction, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EntropyLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

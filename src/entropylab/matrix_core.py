@@ -369,9 +369,14 @@ def make_rng(seed: SeedLike) -> np.random.Generator:
         return seed
     if not isinstance(seed, (int, np.integer)):
         raise DomainError(f"seed must be an integer or Generator, got {type(seed).__name__}")
+    return np.random.default_rng(checked_seed(seed))
+
+
+def checked_seed(seed) -> int:
+    """An integer seed as an int, if it fits in 64 unsigned bits."""
     if not 0 <= int(seed) < 2 ** 64:
         raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return np.random.default_rng(int(seed))
+    return int(seed)
 
 
 def _per_entry(w) -> np.ndarray:

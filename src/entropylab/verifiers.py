@@ -34,24 +34,24 @@ the largest magnitude in the comparison; a record is built only on a
 breach.  A trial that raises an EntropyLabError becomes an error record
 ``{"kind": "error", "trial", "error"}`` and the check goes on.
 
-The loop draws the trials in order, each alone, and appends each draw to
-the pending group of its signature (the shape of every array and every
-field that is not an array or a float).  A group runs once it holds as
-many trials as keep its largest matrix stack within ``BLOCK_BYTES``, a cap
-set per signature from the ``order`` of that group's dims, and every group
-still pending runs at the end; so each signature is usually built and
-compared once per check.  A group runs as one instance of (T, n, n) stacks
-and per-trial weight arrays, through one ``compare`` pass, with the same
-functionals and generators that serve a single instance.  Every stacked
-value has the bits of its trial's own value, so each trial's gaps and
-records come from its entry of the stacked comparisons: lhs, rhs, gap,
+The loop draws the trials in order, each alone and once, and appends each
+draw to the pending group of its signature (the shape of every array and
+every field that is not an array or a float).  A group runs once it holds
+as many trials as keep its largest matrix stack within ``BLOCK_BYTES``, a
+cap set per signature from the ``order`` of that group's dims, and every
+group still pending runs at the end; so each signature is usually built
+and compared once per check.  A group runs as one instance of (T, n, n)
+stacks and per-trial weight arrays, through one lazy ``compare`` pass, with
+the same functionals and generators that serve a single instance.  Every
+stacked value has the bits of its trial's own value, so each trial's gaps
+and records come from its entry of the stacked comparisons: lhs, rhs, gap,
 tol, extra, and the dump of the trial's slice of the held values (for the
 witness search, the gaps up to the first breach and one record).  A group
-whose build or compare raises is split in halves; a single trial that
-still raises runs alone through the single-trial path (:func:`_trial`),
-sampled again from its substream, which records its error.  The results
-are merged in trial order, so the report does not depend on the order in
-which groups run.
+whose build, compare or re-verification raises is split in halves, down to
+stacks of one trial; such a trial keeps what it recorded before the raise
+and gets its error record.  There is no other trial path: a lone trial is
+a stack of one.  The results are merged in trial order, so the report does
+not depend on the order in which groups run.
 
 Replay (:func:`re_evaluate`) reads a record's instance with ``fields``,
 passes the record's kind in as ``instance["kind"]``, runs the same
@@ -99,6 +99,7 @@ from .matrix_core import (
     _per_entry,
     _per_matrix,
     _trace,
+    checked_seed,
     matrix_exp,
     stack,
 )
@@ -145,8 +146,10 @@ class CheckConfig:
         object.__setattr__(self, "eig_range", tuple(float(x) for x in self.eig_range))
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise DomainError("tolerances must be positive")
+        checked_seed(self.seed)
+        if not (0.0 < self.tol_abs < np.inf and 0.0 < self.tol_rel < np.inf):
+            raise DomainError("tolerances must be finite and positive, "
+                              f"got tol_abs={self.tol_abs}, tol_rel={self.tol_rel}")
         if not self.dims or any(len(d) != 3 or min(d) < 1 for d in self.dims):
             raise DomainError(f"dims must be non-empty (k, m, n) triples >= 1, got {self.dims}")
         if any(not 0.0 < lam < 1.0 for lam in self.lambda_samples):
@@ -326,9 +329,9 @@ def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
         group = pending.setdefault(sig, [])
         group.append((t, draw))
         if len(group) == caps[sig]:
-            results.update(_run_group(check, cfg, funcs, dims, pending.pop(sig)))
+            results.update(_run_group(check, cfg, funcs, pending.pop(sig)))
     for group in pending.values():
-        results.update(_run_group(check, cfg, funcs, dims, group))
+        results.update(_run_group(check, cfg, funcs, group))
     records: list = []
     worst: float | None = None
     for t in range(cfg.trials):
@@ -358,73 +361,49 @@ def _group_cap(check: Check, kmn: tuple) -> int:
     return max(1, BLOCK_BYTES // (check.order(*kmn) ** 2 * np.dtype(np.complex128).itemsize))
 
 
-def _run_group(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, group: list) -> dict:
+def _run_group(check: Check, cfg: CheckConfig, funcs: dict, group: list) -> dict:
     """{trial: (records, gaps)} for a group of same-signature (trial, draw)
     pairs.
 
-    The group is built as one stack and compared once, and each trial's
-    gaps and records come from its entry of the stacked comparisons.  A part
-    of the group whose build or comparisons raise is split in halves, down
-    to single trials, and a single trial that raises runs alone through
-    :func:`_trial`, sampled from its substream, which records its error.
-    The witnesses of the group are re-verified together, and should that
-    raise, their trials run alone."""
+    The group is built as one stack and its comparisons are walked lazily;
+    each live trial takes its gap, and its record on a breach, from its
+    entry of each stacked comparison.  A witness trial leaves at its first
+    breach and the walk ends once no trial is live; the witnesses are then
+    re-verified together.  A part of the group whose build, comparisons or
+    re-verification raise is split in halves, and a part of one trial that
+    raises keeps the gaps and records it had, less an unverified witness,
+    and gets an error record."""
     search = check.semantics == "witness_search"
-    out, witnesses = {}, []
+    out = {}
     parts = [group]
     while parts:
         part = parts.pop()
+        records, gaps = [[] for _ in part], [[] for _ in part]
+        live = range(len(part))
         try:
             instance = check.build(_stacked([draw for _, draw in part]))
-            comparisons = list(check.compare(instance, cfg, funcs))
-        except EntropyLabError:
+            for c in check.compare(instance, cfg, funcs):
+                gap = np.broadcast_to(c.gap, len(part)).tolist()
+                hit = np.broadcast_to(c.breached, len(part)).tolist()
+                for i in live:
+                    gaps[i].append(gap[i])
+                    if hit[i]:
+                        records[i].append(_record(check, part[i][0], c, i))
+                if search:
+                    live = [i for i in live if not hit[i]]  # one witness per trial
+                    if not live:
+                        break
+            if search:
+                _reverify(check, [r for trial_records in records for r in trial_records])
+        except EntropyLabError as exc:
             if len(part) > 1:
                 parts += [part[:len(part) // 2], part[len(part) // 2:]]
-            else:
-                out[part[0][0]] = _trial(check, cfg, funcs, dims, part[0][0])
-            continue
-        gaps = [np.broadcast_to(c.gap, len(part)).tolist() for c in comparisons]
-        hits = [np.broadcast_to(c.breached, len(part)).tolist() for c in comparisons]
-        for i, (t, _) in enumerate(part):
-            records, trial_gaps = [], []
-            for c, gap, hit in zip(comparisons, gaps, hits):
-                trial_gaps.append(gap[i])
-                if hit[i]:
-                    records.append(_record(check, t, c, i))
-                    if search:
-                        break  # one witness per trial
-            out[t] = (records, trial_gaps)
+                continue
             if search:
-                witnesses += records
-    if witnesses:
-        try:
-            _reverify(check, witnesses)
-        except EntropyLabError:
-            for t in {w["trial"] for w in witnesses}:
-                out[t] = _trial(check, cfg, funcs, dims, t)
+                records[0].clear()  # a witness here is one whose re-verification raised
+            records[0].append({"kind": "error", "trial": part[0][0], "error": str(exc)})
+        out.update((t, (records[i], gaps[i])) for i, (t, _) in enumerate(part))
     return out
-
-
-def _trial(check: Check, cfg: CheckConfig, funcs: dict, dims: tuple, t: int) -> tuple[list, list]:
-    """Trial t alone, sampled from its substream: its records and the gaps
-    of its comparisons, in order.  The path of a trial that raises in a
-    stack, and the reference that the stacked path reproduces."""
-    search = check.semantics == "witness_search"
-    records, gaps = [], []
-    try:
-        instance = check.sample(trial_rng(cfg.seed, t), cfg, dims, t)
-        for c in check.compare(instance, cfg, funcs):
-            gaps.append(float(c.gap))
-            if c.breached:
-                record = _record(check, t, c)
-                if search:
-                    _reverify(check, [record])
-                records.append(record)
-                if search:
-                    break  # one witness per trial
-    except EntropyLabError as exc:
-        records.append({"kind": "error", "trial": t, "error": str(exc)})
-    return records, gaps
 
 
 def _signature(draw):
@@ -479,19 +458,19 @@ def _slice(value, i: int):
     return value
 
 
-def _at(x, i: int | None) -> float:
-    """x as a float: entry i of per-trial values, or x itself when i is None
-    or x is one number for every trial."""
-    return float(x[i] if i is not None and np.ndim(x) else x)
+def _at(x, i: int) -> float:
+    """Entry i of per-trial values, or x itself when it is one number for
+    every trial, as a float."""
+    return float(x[i] if np.ndim(x) else x)
 
 
-def _record(check: Check, trial: int, c: Comparison, i: int | None = None) -> dict:
-    """The record of comparison c, or of entry i of a stacked c, with the
-    dump of that entry's slice of the values c holds.  A witness record
-    gets its re-verification from :func:`_reverify`."""
+def _record(check: Check, trial: int, c: Comparison, i: int) -> dict:
+    """The record of entry i of a stacked comparison c, with the dump of
+    that entry's slice of the values c holds.  A witness record gets its
+    re-verification from :func:`_reverify`."""
     record = {"kind": c.kind, "trial": trial, **(c.extra or {}),
               "lhs": _at(c.lhs, i), "rhs": _at(c.rhs, i), "gap": _at(c.gap, i),
-              "instance": _dump(**(c.dump if i is None else _slice(c.dump, i)))}
+              "instance": _dump(**_slice(c.dump, i))}
     if check.semantics != "witness_search":
         record["tol"] = _at(c.tol, i)
     return record
@@ -826,9 +805,10 @@ _SPECS = {c.name: c for c in (
 # ---------------------------------------------------------------------------
 # The public checks.  Each accepts the functional under test as a keyword.
 # Such a hook receives the arguments of a group's stacked trials (matrix
-# values of shape (T, n, n), see ``matrix_core``) and returns one value per
-# stack entry, as the genuine functionals do; a trial that runs alone
-# passes it 2-d arguments, for which it returns a float.
+# values of shape (T, n, n), see ``matrix_core``; a lone trial gives T = 1)
+# and returns one value per stack entry, as the genuine functionals do.
+# Only homogeneity's counterexample search passes it 2-d arguments, for
+# which it returns a float.
 # ---------------------------------------------------------------------------
 
 def check_sh_convexity(cfg: CheckConfig,

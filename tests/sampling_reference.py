@@ -2,11 +2,15 @@
 were written before sampling was split into per-trial draws and stacked
 builds: each generator draws its numbers and builds its value in one pass,
 one trial at a time.  The tests pin the split code to these copies bit for
-bit, so a draw that reorders two generator calls fails them."""
+bit, so a draw that reorders two generator calls fails them.
+
+``every_trial_alone`` is the reference for the run loop: it samples each
+trial alone and builds its records from the 2-d comparisons."""
 
 import numpy as np
 
 from entropylab import functionals as fn
+from entropylab.errors import EntropyLabError
 from entropylab.matrix_core import (
     Contraction,
     ContractionTuple,
@@ -15,7 +19,7 @@ from entropylab.matrix_core import (
     make_rng,
     matrix_exp,
 )
-from entropylab.verifiers import GT_FAMILIES, T_FACTORS
+from entropylab.verifiers import GT_FAMILIES, T_FACTORS, _dump, re_evaluate, trial_rng
 
 
 def complex_gaussian(rng, rows, cols):
@@ -161,6 +165,39 @@ SAMPLERS = {
     "gt_route_gap": _sample_route,
     "homogeneity": _sample_homogeneity,
 }
+
+
+def trial_alone(check, cfg, funcs, t):
+    """(records, gaps) of trial t, sampled alone from its substream and run
+    through the 2-d comparisons: a record on each breach, a witness search
+    stopping at its first, verified by replaying its dump, and an error
+    record for a raise, after whatever the trial recorded before it."""
+    search = check.semantics == "witness_search"
+    records, gaps = [], []
+    try:
+        instance = check.sample(trial_rng(cfg.seed, t), cfg, check.dims(cfg), t)
+        for c in check.compare(instance, cfg, funcs):
+            gaps.append(float(c.gap))
+            if not c.breached:
+                continue
+            record = {"kind": c.kind, "trial": t, **(c.extra or {}), "lhs": float(c.lhs),
+                      "rhs": float(c.rhs), "gap": float(c.gap), "instance": _dump(**c.dump)}
+            if not search:
+                records.append({**record, "tol": float(c.tol)})
+                continue
+            redo = re_evaluate(check.name, record)["gap"]
+            records.append({**record, "reverified_gap": redo,
+                            "reverified": abs(redo - record["gap"]) <= 1e-12})
+            break
+    except EntropyLabError as exc:
+        records.append({"kind": "error", "trial": t, "error": str(exc)})
+    return records, gaps
+
+
+def every_trial_alone(check, cfg, funcs, group):
+    """Stand-in for ``verifiers._run_group`` that runs each trial of the
+    group through :func:`trial_alone`."""
+    return {t: trial_alone(check, cfg, funcs, t) for t, _ in group}
 
 
 def assert_same(a, b, path="value"):

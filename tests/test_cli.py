@@ -171,6 +171,28 @@ class TestCheck:
             main(["check", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tolerance_not_finite_and_positive_exits_2(self, tmp_path, capsys, tol):
+        # A NaN tolerance would pass every comparison, so it is refused.
+        code, out, err = run(capsys, "check", "gibbs_identity", "--trials", "2",
+                             "--tol-abs", tol, "--out-dir", str(tmp_path / "r"))
+        assert code == 2 and not out
+        assert "finite and positive" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_unsigned_bits_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                    how, seed):
+        argv = ["check", "gibbs_identity", "--trials", "2", "--out-dir", str(tmp_path / "r")]
+        if how == "flag":
+            argv += ["--seed", seed]
+        else:
+            monkeypatch.setenv("ENTROPYLAB_SEED", seed)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "64 unsigned bits" in err
+
 
 class TestOptimize:
     def test_gibbs_diag(self, tmp_path, capsys):

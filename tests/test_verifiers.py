@@ -52,6 +52,20 @@ class TestConfig:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_rejects_tolerances_that_are_not_finite_and_positive(self, tol):
+        # A NaN tolerance would make every comparison pass.
+        with pytest.raises(DomainError, match="finite and positive"):
+            CheckConfig(tol_abs=tol)
+        with pytest.raises(DomainError, match="finite and positive"):
+            CheckConfig(tol_rel=tol)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_rejects_seeds_outside_64_unsigned_bits(self, seed):
+        with pytest.raises(DomainError, match="64 unsigned bits"):
+            CheckConfig(seed=seed)
+        assert CheckConfig(seed=2 ** 64 - 1, trials=1).seed == 2 ** 64 - 1
+
 
 class TestChecksPass:
     @pytest.mark.parametrize("name", list(CHECKS))
@@ -299,13 +313,17 @@ class TestEqualPairEndpoints:
                 assert s_mid <= combo + 1e-9 * (1.0 + max(abs(s_mid), abs(combo)))
 
 
-def _every_trial_alone(check, cfg, funcs, dims, group):
-    return {t: verifiers._trial(check, cfg, funcs, dims, t) for t, _ in group}
+def _count_trial_rngs(monkeypatch) -> list:
+    """The trial index of every ``trial_rng`` call that the run loop makes."""
+    calls = []
+    monkeypatch.setattr(verifiers, "trial_rng",
+                        lambda seed, t: calls.append(t) or trial_rng(seed, t))
+    return calls
 
 
 class TestBatchedEngine:
     """Same-signature groups of trials run as stacks, and the report keeps
-    the bytes of running every trial alone through the single-trial body."""
+    the bytes of running every trial alone through the 2-d comparisons."""
 
     @pytest.mark.parametrize("size", ["small", "large"])
     @pytest.mark.parametrize("name", list(CHECKS))
@@ -315,16 +333,12 @@ class TestBatchedEngine:
         else:
             cfg = CheckConfig(trials=4, seed=5,
                               dims=((2, 8, 8),) if name == "gt_route_gap" else ((2, 14, 28),))
-        alone = []
-        trial = verifiers._trial
-        monkeypatch.setattr(verifiers, "_trial",
-                            lambda check, c, funcs, dims, t, *rest:
-                            alone.append(t) or trial(check, c, funcs, dims, t, *rest))
+        drawn = _count_trial_rngs(monkeypatch)
         batched = run_check(name, cfg)
-        # Only error trials ran alone: every other record came from a stack.
-        assert sorted(alone) == sorted(r["trial"] for r in batched.violations
-                                       if r["kind"] == "error")
-        monkeypatch.setattr(verifiers, "_run_group", _every_trial_alone)
+        # Each trial is drawn once (homogeneity's counterexample search draws
+        # its attempts after the trials).
+        assert [t for t in drawn if t < cfg.trials] == list(range(cfg.trials))
+        monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
         assert run_check(name, cfg).to_json() == batched.to_json()
 
     def test_error_in_one_stack_entry_stays_with_its_trial(self):
@@ -341,9 +355,33 @@ class TestBatchedEngine:
         report = check_phi_concavity(cfg, phi_fn=phi)
         assert report.violations == [{"kind": "error", "trial": 7, "error": "the chosen trial"}]
         funcs = spec.functionals()
-        others = [verifiers._trial(spec, cfg, funcs, dims, t) for t in range(cfg.trials) if t != 7]
+        others = [ref.trial_alone(spec, cfg, funcs, t) for t in range(cfg.trials) if t != 7]
         assert all(records == [] for records, _ in others)
         assert report.worst_gap == max(g for _, gaps in others for g in gaps)
+
+    def test_raise_after_a_breach_keeps_the_trial_records(self, monkeypatch):
+        # Every trial breaches the bound, the chosen one by the most; its
+        # hook raises on its later equality comparison.  The trial keeps its
+        # bound record and gap, then gets its error record, as it does alone.
+        cfg = CheckConfig(trials=30, seed=5)
+        spec = verifiers._SPECS["gibbs_identity"]
+        chosen = spec.sample(trial_rng(cfg.seed, 7), cfg, spec.dims(cfg), 7)["B"].mat
+
+        def objective(x, b):
+            mine = (np.all(b.mat == chosen, axis=(-2, -1))
+                    if b.mat.shape[-2:] == chosen.shape else False)
+            if x is b and np.any(mine):
+                raise NumericalInconsistency("the chosen trial")
+            return fn.gibbs_objective(x, b) + 1e6 * (1.0 + mine)
+
+        report = check_gibbs_identity(cfg, objective_fn=objective)
+        kinds = [(r["trial"], r["kind"]) for r in report.violations]
+        assert kinds == [(t, kind) for t in range(cfg.trials)
+                         for kind in (("bound", "error") if t == 7 else ("bound", "equality"))]
+        assert report.violations[15]["error"] == "the chosen trial"
+        assert report.worst_gap == report.violations[14]["gap"] > 1.5e6
+        monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
+        assert check_gibbs_identity(cfg, objective_fn=objective).to_json() == report.to_json()
 
     def test_stacks_stay_within_the_byte_budget(self, monkeypatch):
         seen = []
@@ -405,19 +443,14 @@ class TestStackedSampling:
                 ref.assert_same(verifiers._slice(built, i), alone)
 
     def test_failing_group_splits_in_halves(self, monkeypatch):
-        # Trials 19, 20 and 30 raise in their group's stack; splitting the
-        # group in halves keeps every other trial on a stacked path, so only
-        # the error trials run alone.
-        alone = []
-        trial = verifiers._trial
-        monkeypatch.setattr(verifiers, "_trial",
-                            lambda check, c, funcs, dims, t, *rest:
-                            alone.append(t) or trial(check, c, funcs, dims, t, *rest))
+        # Trials 19, 20 and 30 raise in their group's stack; the group is
+        # split in halves down to stacks of one, and no trial is drawn again.
+        drawn = _count_trial_rngs(monkeypatch)
         report = search_gt_route_gap(CheckConfig(trials=200, seed=7, dims=((2, 8, 8),)))
         errors = [v["trial"] for v in report.violations if v["kind"] == "error"]
         witnesses = [v["trial"] for v in report.violations if v["kind"] == "witness"]
         assert errors == [19, 20, 30] and len(witnesses) == 113
-        assert sorted(alone) == [19, 20, 30]
+        assert len(drawn) == 200 and sorted(drawn) == list(range(200))
 
 
 class TestWholeRunGroups:
@@ -444,17 +477,15 @@ class TestWholeRunGroups:
 
     def test_route_search_runs_no_trial_alone(self, monkeypatch):
         # One pass per signature, plus one stacked re-verification per
-        # group that holds witnesses; no trial runs alone.
+        # group that holds witnesses; each trial is drawn once.
         cfg = CheckConfig(trials=200, seed=7)
         spec = verifiers._SPECS["gt_route_gap"]
         groups = _groups(_draws(spec, cfg))
         calls = self._count_compares(monkeypatch, "gt_route_gap")
-        alone = []
-        trial = verifiers._trial
-        monkeypatch.setattr(verifiers, "_trial", lambda *args: alone.append(args[4]) or trial(*args))
+        drawn = _count_trial_rngs(monkeypatch)
         report = search_gt_route_gap(cfg)
         witnesses = {w["trial"] for w in report.violations}
-        assert report.passed and len(witnesses) == 44 and alone == []
+        assert report.passed and len(witnesses) == 44 and drawn == list(range(cfg.trials))
         with_witnesses = sum(bool(witnesses & set(g)) for g in groups.values())
         assert len(calls) == len(groups) + with_witnesses == 7
 
@@ -498,8 +529,23 @@ class TestWholeRunGroups:
         cfg = CheckConfig(trials=30, seed=5)
         batched = search_gt_route_gap(cfg, route_fn=shifted)
         assert [w["candidate"] for w in batched.violations] == ["random"] * cfg.trials
-        monkeypatch.setattr(verifiers, "_run_group", _every_trial_alone)
+        monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
         assert search_gt_route_gap(cfg, route_fn=shifted).to_json() == batched.to_json()
+
+    def test_search_stops_once_every_trial_has_a_witness(self, monkeypatch):
+        # Every trial breaches on its random candidate and the rank-one probe
+        # candidate raises; no trial reaches its probe, in a stack or alone.
+        def shifted(inst):
+            if (np.abs(np.linalg.eigvalsh(inst.L.mat)[..., :-1]).max(axis=-1) < 1e-6).any():
+                raise NumericalInconsistency("a probe candidate")
+            return fn.gt_jensen_rhs(inst) + 1.0
+
+        cfg = CheckConfig(trials=30, seed=5)
+        report = search_gt_route_gap(cfg, route_fn=shifted)
+        assert report.passed
+        assert [w["candidate"] for w in report.violations] == ["random"] * cfg.trials
+        monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
+        assert search_gt_route_gap(cfg, route_fn=shifted).to_json() == report.to_json()
 
     def test_reverification_error_stays_with_its_trial(self, monkeypatch):
         # The replay of one witness raises: that trial becomes an error
@@ -518,5 +564,5 @@ class TestWholeRunGroups:
         report = search_gt_route_gap(cfg, route_fn=gt_route_value)
         error = {"kind": "error", "trial": chosen["trial"], "error": "the chosen witness"}
         assert report.violations == [error if w is chosen else w for w in found]
-        monkeypatch.setattr(verifiers, "_run_group", _every_trial_alone)
+        monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
         assert search_gt_route_gap(cfg, route_fn=gt_route_value).to_json() == report.to_json()
