@@ -10,6 +10,10 @@ All commands are reproducible: the seed defaults to 0xC0FFEE, can be set
 with --seed or the ENTROPYLAB_SEED environment variable, and identical
 arguments produce byte-identical output files.
 
+``main`` builds its argument parser on its first call and reuses it for
+every later call in the process; parsing leaves the parser unchanged, so
+a call sees nothing of the calls before it.
+
 Exit codes: 0 success / all checks passed, 1 check violations (or an
 inconclusive witness search), 2 usage or input errors, 3 numerical errors.
 """
@@ -17,6 +21,7 @@ inconclusive witness search), 2 usage or input errors, 3 numerical errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -209,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("functional", choices=tuple(FUNCTIONALS))
     p_eval.add_argument("instance", type=Path, help="JSON instance file")
     p_eval.add_argument("--out", type=Path, default=None, help="write a JSON record here")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="run verifier suites")
     p_check.add_argument("suite", choices=("all",) + tuple(CHECKS))
@@ -220,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--dims", action="append", metavar="k,m,n",
                          help="instance dimension triple; repeatable")
     p_check.add_argument("--out-dir", type=Path, default=Path("reports"))
-    p_check.set_defaults(func=cmd_check)
 
     p_opt = sub.add_parser("optimize", help="maximize a variational objective")
     p_opt.add_argument("objective", choices=tuple(OBJECTIVE_FIELDS))
@@ -231,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--backtrack-factor", type=float, default=0.5)
     p_opt.add_argument("--armijo-c", type=float, default=1e-4)
     p_opt.add_argument("--out", type=Path, default=None)
-    p_opt.set_defaults(func=cmd_optimize)
 
     p_gen = sub.add_parser("gen", help="generate random instance files")
     p_gen.add_argument("kind", choices=("pd", "hermitian", "contraction_tuple", "multi_instance"))
@@ -247,16 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--sum-identity", action="store_true")
     p_gen.add_argument("--b-list", action="store_true",
                        help="multi_instance: generate self-adjoint B_i instead of PD A_i")
-    p_gen.set_defaults(func=cmd_gen)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The handler is looked up at call time, not stored in the long-lived
+    # parser, so a rebinding of a ``cmd_*`` function takes effect.
+    handler = {"eval": cmd_eval, "check": cmd_check, "optimize": cmd_optimize,
+               "gen": cmd_gen}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (NumericalInconsistency, NonFiniteObjective, ConvergenceFailure) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -34,25 +34,34 @@ def matrix_to_json(M) -> dict:
 
 
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
+    """The ``rows x cols`` complex matrix of a JSON matrix object.
+
+    Each entry of ``data`` must be a pair ``[re, im]`` of numbers (or of
+    strings that ``float`` reads); an entry that is anything else, a number
+    too large for a double, null, or a non-finite value is a ParseError
+    naming ``name``.  The pairs are read as one float array and viewed as
+    complex, so every part keeps its exact bits, the sign of a zero included.
+    """
     if not isinstance(obj, dict):
         raise ParseError(f"{name}: expected a JSON object, got {type(obj).__name__}")
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{name}: missing or malformed rows/cols/data: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ParseError(f"{name}: rows and cols must be >= 1, got {rows} x {cols}")
-    if not isinstance(data, list) or len(data) != rows * cols:
-        raise ParseError(f"{name}: data must hold rows*cols = {rows * cols} entries")
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"{name}: entry {i} is not a [re, im] pair")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
-    a = flat.reshape(rows, cols)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ParseError(f"{name}: non-finite entries")
-    return a
+    expected = f"{name}: data must hold rows*cols = {rows * cols} [re, im] pairs of numbers"
+    if not isinstance(data, list):
+        raise ParseError(expected)
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{expected}: {exc}") from exc
+    if pairs.shape != (rows * cols, 2):
+        raise ParseError(expected)
+    if not np.isfinite(pairs).all():
+        raise ParseError(f"{name}: non-finite or null entries")
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def hermitian_from_json(obj, name: str = "matrix") -> HermitianMatrix:
@@ -119,7 +128,7 @@ def multi_instance_from_json(obj, name: str = "instance"):
 def _float(obj, name: str) -> float:
     try:
         return float(obj)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{name}: expected a number, got {obj!r}") from exc
 
 

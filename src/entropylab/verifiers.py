@@ -155,8 +155,8 @@ class CheckConfig:
         if any(not 0.0 < lam < 1.0 for lam in self.lambda_samples):
             raise DomainError(f"lambda samples must lie in (0, 1), got {self.lambda_samples}")
         lo, hi = self.eig_range
-        if not 0.0 < lo <= hi:
-            raise DomainError(f"eig_range must satisfy 0 < lo <= hi, got {self.eig_range}")
+        if not 0.0 < lo <= hi < np.inf:
+            raise DomainError(f"eig_range must satisfy 0 < lo <= hi < inf, got {self.eig_range}")
 
     def to_dict(self) -> dict:
         return {

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from entropylab import cli
 from entropylab.cli import main
 from entropylab.errors import NonFiniteObjective
 from entropylab.matrix_core import random_pd
+from entropylab.verifiers import DEFAULT_DIMS
 from entropylab.serialization import (
     dump_json,
     load_json,
@@ -85,7 +87,16 @@ class TestEval:
         code, _, err = run(capsys, "eval", "reduced_relative_entropy", path)
         assert code == 2 and "norm" in err
 
-    @pytest.mark.parametrize("p", ["half", None])
+    @pytest.mark.parametrize("entry", ["x", None, pytest.param(10 ** 400, id="400-digit")])
+    def test_non_number_matrix_entry_exits_2(self, tmp_path, capsys, entry):
+        a = matrix_to_json(np.diag([2.0]))
+        path = write_instance(tmp_path, "inst.json", {
+            "A": a, "B": {"rows": 1, "cols": 1, "data": [[entry, 0.0]]}})
+        code, out, err = run(capsys, "eval", "relative_entropy", path)
+        assert code == 2 and not out
+        assert "key 'B'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["half", None, pytest.param(10 ** 400, id="400-digit")])
     def test_malformed_scalar_exits_2(self, tmp_path, capsys, p):
         a = matrix_to_json(np.diag([2.0]))
         path = write_instance(tmp_path, "inst.json", {
@@ -230,6 +241,14 @@ class TestOptimize:
         assert code_opt == code_eval == 0
         assert record["value"] == pytest.approx(float(out_eval.strip()), abs=1e-6)
 
+    @pytest.mark.parametrize("entry", ["x", None, pytest.param(10 ** 400, id="400-digit")])
+    def test_non_number_matrix_entry_exits_2(self, tmp_path, capsys, entry):
+        path = write_instance(tmp_path, "b.json",
+                              {"B": {"rows": 1, "cols": 1, "data": [[entry, 0.0]]}})
+        code, out, err = run(capsys, "optimize", "gibbs", path)
+        assert code == 2 and not out
+        assert "key 'B'" in err
+
     def test_numerical_error_exits_3(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path, "b.json",
                               {"B": matrix_to_json(np.diag([1.0]))})
@@ -305,3 +324,68 @@ class TestGen:
                          "--m", "1", "--n", "3", "--sum-identity",
                          "--seed", "0", "--out", str(tmp_path / "t.json"))
         assert code == 2
+
+
+class TestParserReuse:
+    """``main`` builds one parser per process; no call may see an earlier one."""
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(1)
+            return real()
+
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            a = matrix_to_json(np.diag([2.0, 3.0]))
+            path = write_instance(tmp_path, "inst.json", {"A": a, "B": a})
+            for _ in range(3):
+                assert run(capsys, "eval", "relative_entropy", path)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_rebound_handler_is_called(self, tmp_path, capsys, monkeypatch):
+        # The parser outlives the call that built it; the handler must not.
+        a = matrix_to_json(np.diag([1.5]))
+        path = write_instance(tmp_path, "inst.json", {"A": a, "B": a})
+        assert run(capsys, "eval", "relative_entropy", path)[0] == 0
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: 7)
+        assert run(capsys, "eval", "relative_entropy", path)[0] == 7
+
+    def test_dims_do_not_carry_over(self, tmp_path, capsys):
+        argv = ["check", "gibbs_identity", "--trials", "2", "--seed", "7"]
+        code, _, _ = run(capsys, *argv, "--dims", "1,2,2", "--out-dir", str(tmp_path / "r1"))
+        assert code == 0
+        assert load_json(tmp_path / "r1" / "gibbs_identity.json")["config"]["dims"] == [[1, 2, 2]]
+        code, _, _ = run(capsys, *argv, "--out-dir", str(tmp_path / "r2"))
+        assert code == 0
+        report = load_json(tmp_path / "r2" / "gibbs_identity.json")
+        assert report["config"]["dims"] == [list(d) for d in DEFAULT_DIMS]
+
+    def test_out_does_not_carry_over(self, tmp_path, capsys):
+        a = matrix_to_json(np.diag([1.5]))
+        path = write_instance(tmp_path, "inst.json", {"A": a, "B": a})
+        record = tmp_path / "rec.json"
+        assert run(capsys, "eval", "relative_entropy", path, "--out", str(record))[0] == 0
+        record.unlink()
+        assert run(capsys, "eval", "relative_entropy", path)[0] == 0
+        assert not record.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "relative_entropy"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        path = write_instance(tmp_path, "inst.json", {
+            "A": matrix_to_json(np.array([[4.0]])),
+            "L": matrix_to_json(np.array([[0.0]])),
+            "H": matrix_to_json(np.array([[0.5]])),
+        })
+        code, out, err = run(capsys, "eval", "phi", path)
+        assert code == 0 and not err
+        assert float(out.strip()) == pytest.approx(math.sqrt(2.0), abs=1e-12)

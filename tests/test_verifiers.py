@@ -45,6 +45,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             CheckConfig(eig_range=(0.0, 1.0))
 
+    @pytest.mark.parametrize("eig_range", [(0.05, float("inf")), (float("inf"), float("inf")),
+                                           (0.05, float("nan")), (2.0, 1.0)])
+    def test_rejects_eig_range_outside_finite_positive_window(self, eig_range):
+        # An infinite upper end used to reach the PD draw and crash there.
+        with pytest.raises(DomainError, match="0 < lo <= hi < inf"):
+            CheckConfig(trials=3, seed=1, eig_range=eig_range)
+
     def test_trial_rng_is_pure_function_of_seed_and_index(self):
         a = trial_rng(7, 3).standard_normal(4)
         b = trial_rng(7, 3).standard_normal(4)
