@@ -12,7 +12,8 @@ arguments produce byte-identical output files.
 
 ``main`` builds its argument parser on its first call and reuses it for
 every later call in the process; parsing leaves the parser unchanged, so
-a call sees nothing of the calls before it.
+a call sees nothing of the calls before it.  Only repeated calls in one
+process gain from this: the ``entropylab`` script calls ``main`` once.
 
 Exit codes: 0 success / all checks passed, 1 check violations (or an
 inconclusive witness search), 2 usage or input errors, 3 numerical errors.
