@@ -21,7 +21,9 @@ part raises NumericalInconsistency instead of being silently discarded.
 
 Every functional also takes stacks of arguments (see ``matrix_core``): given
 values of shape (T, n, n) it returns the T values, each bit-equal to the
-value of its own 2-d arguments; given 2-d values it returns a float.
+value of its own 2-d arguments; given 2-d values it returns a float.  The
+stack shapes of the arguments broadcast, so a (P, T, n, n) stack of P points
+against (T, n, n) stacks of the other arguments gives (P, T) values.
 
 A contraction argument H is either a raw array, whose operator norm is
 checked on every call, or a :class:`~entropylab.matrix_core.Contraction`,
@@ -185,9 +187,12 @@ class MultiInstance:
 
 def _conjugated_sum(L: HermitianMatrix, H: ContractionTuple,
                     middles: list[np.ndarray]) -> np.ndarray:
-    arg = L.mat.astype(np.complex128, copy=True)
-    for h, mid in zip(H.blocks, middles):
-        arg += _adjoint(h) @ mid @ h
+    """L + sum_i H_i* M_i H_i, broadcast over the stack shapes of L and the
+    M_i (a stack of points of the M_i against one stack of L and H)."""
+    terms = (_adjoint(h) @ mid @ h for h, mid in zip(H.blocks, middles))
+    arg = L.mat + next(terms)
+    for term in terms:
+        arg += term
     return arg
 
 
@@ -243,7 +248,7 @@ def block_lift(inst: MultiInstance) -> BlockLift:
     if inst.a_list is None:
         raise DimensionError("block_lift needs an instance with a_list")
     k, m, n = inst.H.k, inst.H.m, inst.H.n
-    batch = inst.L.mat.shape[:-2]
+    batch = np.broadcast_shapes(inst.L.mat.shape[:-2], inst.a_list[0].mat.shape[:-2])
     a_hat = np.zeros(batch + (k * m, k * m), dtype=np.complex128)
     for i, a in enumerate(inst.a_list):
         a_hat[..., i * m:(i + 1) * m, i * m:(i + 1) * m] = a.mat

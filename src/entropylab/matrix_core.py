@@ -313,28 +313,38 @@ def operator_norm(M):
 def stack(values: Sequence):
     """One stacked value of checked values of one type and shape, which are
     not checked again; their spectra are stacked when each value has one."""
+    return _combined(values, np.stack)
+
+
+def _joined(values: Sequence):
+    """One value of stacked checked values of one type, joined along their
+    leading axis and not checked again; a value alone is returned as is."""
+    return values[0] if len(values) == 1 else _combined(values, np.concatenate)
+
+
+def _combined(values: Sequence, join: Callable):
     first = values[0]
     out = type(first).__new__(type(first))
     if isinstance(first, ContractionTuple):
-        out.blocks = tuple(_frozen(np.stack(b)) for b in zip(*(v.blocks for v in values)))
+        out.blocks = tuple(_frozen(join(b)) for b in zip(*(v.blocks for v in values)))
         out.k, out.m, out.n = first.k, first.m, first.n
         out.sum_is_identity = first.sum_is_identity
         return out
-    out.mat = _frozen(np.stack([v.mat for v in values]))
+    out.mat = _frozen(join([v.mat for v in values]))
     if isinstance(first, HermitianMatrix):
         spectra = [v._spectrum for v in values]
         out._spectrum = None if any(s is None for s in spectra) else SpectralDecomposition(
-            eigenvalues=_frozen(np.stack([s.eigenvalues for s in spectra])),
-            eigenvectors=_frozen(np.stack([s.eigenvectors for s in spectra])))
+            eigenvalues=_frozen(join([s.eigenvalues for s in spectra])),
+            eigenvectors=_frozen(join([s.eigenvectors for s in spectra])))
     if isinstance(first, PositiveDefiniteMatrix):
-        out.min_eigenvalue = np.array([v.min_eigenvalue for v in values])
+        out.min_eigenvalue = join([v.min_eigenvalue for v in values])
     return out
 
 
 def _entry(value, i: int):
-    """Entry i of a stacked checked value, as a 2-d value that is not
-    checked again: read-only views, its share of the cached spectrum, and a
-    float ``min_eigenvalue``."""
+    """Entry i of a stacked checked value, as a value of one axis fewer that
+    is not checked again: read-only views, its share of the cached spectrum,
+    and its ``min_eigenvalue`` (a float for a 2-d entry)."""
     out = type(value).__new__(type(value))
     if isinstance(value, ContractionTuple):
         out.blocks = tuple(b[i] for b in value.blocks)
@@ -347,7 +357,7 @@ def _entry(value, i: int):
         out._spectrum = None if s is None else SpectralDecomposition(
             eigenvalues=s.eigenvalues[i], eigenvectors=s.eigenvectors[i])
     if isinstance(value, PositiveDefiniteMatrix):
-        out.min_eigenvalue = float(value.min_eigenvalue[i])
+        out.min_eigenvalue = _per_matrix(value.min_eigenvalue[i])
     return out
 
 
@@ -385,7 +395,12 @@ def _per_entry(w) -> np.ndarray:
 
 
 def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    """A rows x cols complex Gaussian: the real parts, then the imaginary
+    parts, from one generator call."""
+    parts = rng.standard_normal((2, rows, cols))
+    g = np.empty((rows, cols), dtype=np.complex128)
+    g.real, g.imag = parts
+    return g
 
 
 def _build_haar(g: np.ndarray) -> np.ndarray:

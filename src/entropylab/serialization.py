@@ -36,18 +36,22 @@ def matrix_to_json(M) -> dict:
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     """The ``rows x cols`` complex matrix of a JSON matrix object.
 
-    Each entry of ``data`` must be a pair ``[re, im]`` of numbers (or of
-    strings that ``float`` reads); an entry that is anything else, a number
-    too large for a double, null, or a non-finite value is a ParseError
-    naming ``name``.  The pairs are read as one float array and viewed as
-    complex, so every part keeps its exact bits, the sign of a zero included.
+    ``rows`` and ``cols`` must be JSON integers (not booleans), and each
+    entry of ``data`` a pair ``[re, im]`` of numbers (or of strings that
+    ``float`` reads); anything else, a number too large for a double, null,
+    or a non-finite value is a ParseError naming ``name``.  The pairs are
+    read as one float array and viewed as complex, so every part keeps its
+    exact bits, the sign of a zero included.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{name}: expected a JSON object, got {type(obj).__name__}")
-    try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{name}: missing or malformed rows/cols/data: {exc}") from exc
+    for key in ("rows", "cols", "data"):
+        if key not in obj:
+            raise ParseError(f"{name}: missing key '{key}'")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    for key, count in (("rows", rows), ("cols", cols)):
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ParseError(f"{name}: key '{key}' must be an integer, got {count!r}")
     if rows < 1 or cols < 1:
         raise ParseError(f"{name}: rows and cols must be >= 1, got {rows} x {cols}")
     expected = f"{name}: data must hold rows*cols = {rows * cols} [re, im] pairs of numbers"
@@ -86,7 +90,10 @@ def contraction_tuple_from_json(obj, name: str = "contraction tuple") -> Contrac
     if not isinstance(blocks_json, list) or not blocks_json:
         raise ParseError(f"{name}: 'H' must be a non-empty list of matrices")
     blocks = [matrix_from_json(b, name=f"{name} block {i}") for i, b in enumerate(blocks_json)]
-    return ContractionTuple(blocks, sum_is_identity=bool(obj.get("sum_is_identity", False)))
+    flag = obj.get("sum_is_identity", False)
+    if not isinstance(flag, bool):
+        raise ParseError(f"{name}: key 'sum_is_identity' must be true or false, got {flag!r}")
+    return ContractionTuple(blocks, sum_is_identity=flag)
 
 
 def multi_instance_to_json(inst) -> dict:

@@ -24,7 +24,9 @@ Each check is declared as a :class:`Check` rather than written as a loop:
   check's keyword hooks replace them, so the harness self-test can corrupt
   a functional and prove the check is not vacuous;
 - ``fields`` gives the kind of each key of a dumped instance (see
-  ``serialization.read_fields``), and ``kinds`` the comparison kinds.
+  ``serialization.read_fields``), and ``kinds`` the comparison kinds;
+- ``key(kmn, draw)`` is what fixes the shapes of a draw: the dims it uses
+  and the fields that choose a family.  Draws of one key stack together.
 
 One run loop (:func:`_run`) serves every check.  Trial i uses the substream
 derived from (seed, i), so results are bit-identical across runs and
@@ -35,23 +37,37 @@ breach.  A trial that raises an EntropyLabError becomes an error record
 ``{"kind": "error", "trial", "error"}`` and the check goes on.
 
 The loop draws the trials in order, each alone and once, and appends each
-draw to the pending group of its signature (the shape of every array and
-every field that is not an array or a float).  A group runs once it holds
-as many trials as keep its largest matrix stack within ``BLOCK_BYTES``, a
-cap set per signature from the ``order`` of that group's dims, and every
-group still pending runs at the end; so each signature is usually built
-and compared once per check.  A group runs as one instance of (T, n, n)
-stacks and per-trial weight arrays, through one lazy ``compare`` pass, with
-the same functionals and generators that serve a single instance.  Every
-stacked value has the bits of its trial's own value, so each trial's gaps
-and records come from its entry of the stacked comparisons: lhs, rhs, gap,
-tol, extra, and the dump of the trial's slice of the held values (for the
-witness search, the gaps up to the first breach and one record).  A group
-whose build, compare or re-verification raises is split in halves, down to
-stacks of one trial; such a trial keeps what it recorded before the raise
-and gets its error record.  There is no other trial path: a lone trial is
-a stack of one.  The results are merged in trial order, so the report does
-not depend on the order in which groups run.
+draw to the pending group of its key.  A group runs once it holds as many
+trials as keep its largest matrix stack within ``BLOCK_BYTES``, a cap set
+per key from the ``order`` of that group's dims, and every group still
+pending runs at the end; so each key is usually built and compared once
+per check.  A group runs as one instance of (T, n, n) stacks and per-trial
+weight arrays, through one lazy ``compare`` pass, with the same functionals
+and generators that serve a single instance.  Every stacked value has the
+bits of its trial's own value, so each trial's gaps and records come from
+its entry of the stacked comparisons: lhs, rhs, gap, tol, extra, and the
+dump of the trial's slice of the held values (for the witness search, the
+gaps up to the first breach and one record).  A group whose build, compare
+or re-verification raises is split in halves, down to stacks of one trial;
+such a trial keeps what it recorded before the raise and gets its error
+record.  There is no other trial path: a lone trial is a stack of one.  The
+results are merged in trial order, so the report does not depend on the
+order in which groups run.
+
+A segment check evaluates its functional at several points per instance:
+the two ends and the mix at each weight of ``lam`` (sh_convexity,
+phi_concavity, multi_concavity), or the base and each scale of
+``T_FACTORS`` (homogeneity).  ``compare`` gives these points a leading axis
+(:func:`_by_point`): the ends keep their checked spectra, the mixes at a
+pass's weights are built as one (P, T, n, n) stack, and the functionals
+broadcast it against the group's (T, n, n) values and return (P, T)
+values.  The points run in as few passes as keep every matrix stack of a
+pass, point axis included, within ``BLOCK_BYTES``: at n <= 4 a pass
+usually holds every point, and when a group alone fills the budget (n = 32)
+each pass holds one.  The comparisons come out in the order of the points,
+each from its point's entry, with the bits of evaluating that point alone.
+A raise inside a pass comes before any comparison of that pass, so a lone
+trial that raises there keeps the gaps and records of earlier passes only.
 
 Replay (:func:`re_evaluate`) reads a record's instance with ``fields``,
 passes the record's kind in as ``instance["kind"]``, runs the same
@@ -76,8 +92,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import reduce
-from typing import Callable, NamedTuple
+from functools import partial, reduce
+from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
 
@@ -96,6 +112,7 @@ from .matrix_core import (
     _draw_pd,
     _draw_tuple,
     _entry,
+    _joined,
     _per_entry,
     _per_matrix,
     _trace,
@@ -116,9 +133,10 @@ T_FACTORS = (0.5, 2.0, 10.0)
 HOMOGENEITY_BREAK_MIN = 1e-3
 # Instance families of the gt_jensen check, cycled by trial index.
 GT_FAMILIES = ("general", "golden_thompson", "general", "jensen")
-# Bytes of the largest matrix stack that a group of trials may build: a
-# group of 2 x 2 matrices holds up to 1024 trials, one of multi_concavity
-# at k = 4 (whose block lift is 8 x 8) up to 64, and one at n = 32 four.
+# Bytes of the largest matrix stack that a group of trials, or one pass of
+# a group over several points of a segment, may build: a group of 2 x 2
+# matrices holds up to 1024 trials, one of multi_concavity at k = 4 (whose
+# block lift is 8 x 8) up to 64, and one at n = 32 four.
 BLOCK_BYTES = 1 << 16
 
 
@@ -233,7 +251,7 @@ class Check:
     module docstring for what each part must satisfy.  In short, ``draw``
     makes only generator calls, in their fixed order, after the pick of the
     trial's dims, and ``build`` owns every check, on one draw or on a stack
-    of same-signature draws."""
+    of same-key draws."""
 
     name: str
     draw: Callable
@@ -246,6 +264,9 @@ class Check:
     semantics: str = "violations"
     # Order of the largest matrix that a trial of dims (k, m, n) builds.
     order: Callable[[int, int, int], int] = lambda k, m, n: max(m, n)
+    # What fixes the shapes of a trial's draw of dims (k, m, n): the dims
+    # it uses and any field that chooses a family.  Draws of one key stack.
+    key: Callable[[tuple, dict], Hashable] = lambda kmn, draw: kmn
 
     def sample(self, rng: np.random.Generator, cfg: CheckConfig, dims: tuple,
                trial: int) -> dict:
@@ -281,6 +302,46 @@ def _scaled(w, M) -> np.ndarray:
 
 def _mix(lam, M1, M2) -> PositiveDefiniteMatrix:
     return PositiveDefiniteMatrix(_scaled(lam, M1) + _scaled(1.0 - lam, M2))
+
+
+def _scale(t, M) -> PositiveDefiniteMatrix:
+    return PositiveDefiniteMatrix(_scaled(t, M))
+
+
+def _stack_bytes(order: int, count: int = 1) -> int:
+    """Bytes of a stack of ``count`` complex matrices of order ``order``."""
+    return count * order * order * np.dtype(np.complex128).itemsize
+
+
+def _by_point(evaluate: Callable, n_ends: int, weights: tuple, point_bytes: int):
+    """Walk the points of a segment: ``n_ends`` ends, then one per weight.
+
+    The points run in passes of as many consecutive points as keep every
+    matrix stack within BLOCK_BYTES, given ``point_bytes``, the bytes of the
+    largest stack of one point.  ``evaluate(points)`` computes a pass; it
+    builds each argument with ``points(ends, make)``, one value whose leading
+    axis holds the pass's points: its share of the checked values ``ends``,
+    which keep their spectra, then ``make(w, *ends)`` at its weights ``w``
+    (an array, points first).  Yields (weight, j, result) per point, in
+    order: its weight (None at an end), its index j in its pass, and the
+    result of its pass."""
+    size = max(1, BLOCK_BYTES // point_bytes)
+    total = n_ends + len(weights)
+    for start in range(0, total, size):
+        stop = min(start + size, total)
+        kept = slice(min(start, n_ends), min(stop, n_ends))
+        w = np.array(weights[max(start - n_ends, 0):max(stop - n_ends, 0)])
+        result = evaluate(partial(_points, kept, w))
+        for j, at in enumerate(range(start, stop)):
+            yield (weights[at - n_ends] if at >= n_ends else None), j, result
+
+
+def _points(kept: slice, w: np.ndarray, ends: list, make: Callable):
+    """The ends ``ends[kept]``, then ``make(w, *ends)``, along one axis."""
+    parts = [stack(ends[kept])] if kept.stop > kept.start else []
+    if len(w):
+        parts.append(make(w, *ends))
+    return _joined(parts)
 
 
 def _max(*values):
@@ -323,13 +384,13 @@ def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
         rng = trial_rng(cfg.seed, t)
         kmn = _pick_dims(rng, dims)
         draw = check.draw(rng, cfg, kmn, t)
-        sig = _signature(draw)
-        if sig not in caps:
-            caps[sig] = _group_cap(check, kmn)
-        group = pending.setdefault(sig, [])
+        key = check.key(kmn, draw)
+        if key not in caps:
+            caps[key] = _group_cap(check, kmn)
+        group = pending.setdefault(key, [])
         group.append((t, draw))
-        if len(group) == caps[sig]:
-            results.update(_run_group(check, cfg, funcs, pending.pop(sig)))
+        if len(group) == caps[key]:
+            results.update(_run_group(check, cfg, funcs, pending.pop(key)))
     for group in pending.values():
         results.update(_run_group(check, cfg, funcs, group))
     records: list = []
@@ -355,14 +416,14 @@ def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
 
 
 def _group_cap(check: Check, kmn: tuple) -> int:
-    """Trials per group of a signature first drawn at dims ``kmn``, so that
-    no stack of the group exceeds BLOCK_BYTES.  Every trial of a signature
+    """Trials per group of a key first drawn at dims ``kmn``, so that
+    no stack of the group exceeds BLOCK_BYTES.  Every trial of a key
     builds the same shapes, so the order of any of their dims bounds them."""
-    return max(1, BLOCK_BYTES // (check.order(*kmn) ** 2 * np.dtype(np.complex128).itemsize))
+    return max(1, BLOCK_BYTES // _stack_bytes(check.order(*kmn)))
 
 
 def _run_group(check: Check, cfg: CheckConfig, funcs: dict, group: list) -> dict:
-    """{trial: (records, gaps)} for a group of same-signature (trial, draw)
+    """{trial: (records, gaps)} for a group of same-key (trial, draw)
     pairs.
 
     The group is built as one stack and its comparisons are walked lazily;
@@ -406,25 +467,12 @@ def _run_group(check: Check, cfg: CheckConfig, funcs: dict, group: list) -> dict
     return out
 
 
-def _signature(draw):
-    """What the draws of one stack share: the shape of every array and
-    every field that is neither an array nor a float."""
-    if isinstance(draw, dict):
-        return tuple((key, _signature(v)) for key, v in draw.items())
-    if isinstance(draw, (list, tuple)):
-        return (type(draw), *map(_signature, draw))
-    if isinstance(draw, np.ndarray):
-        return draw.shape
-    if isinstance(draw, float):
-        return float
-    return draw
-
-
 def _stacked(values: list):
-    """One value stacked from values of one signature (draws, or instances
-    read back from dumps): arrays as stacks, floats as arrays, checked
-    matrix values as stacked values that are not checked again, dicts,
-    sequences and dataclasses field by field, anything else as it is."""
+    """One value stacked from values of one shape (draws of one key, or
+    instances read back from dumps): arrays as stacks, floats as arrays,
+    checked matrix values as stacked values that are not checked again,
+    dicts, sequences and dataclasses field by field, anything else as it
+    is."""
     first = values[0]
     if isinstance(first, dict):
         return {key: _stacked([v[key] for v in values]) for key in first}
@@ -532,12 +580,22 @@ def _build_sh(d: dict) -> dict:
             **{key: _build_pd(*d[key]) for key in ("A1", "B1", "A2", "B2")}, "lam": d["lam"]}
 
 
+def _batch(value) -> int:
+    """Number of matrices in the stack of a value (1 for a 2-d value)."""
+    return int(np.prod(value.mat.shape[:-2]))
+
+
 def _compare_sh(inst, cfg, f):
     entropy, h = f["entropy"], inst["H"]
     a1, b1, a2, b2 = inst["A1"], inst["B1"], inst["A2"], inst["B2"]
-    s1, s2 = entropy(a1, b1, h), entropy(a2, b2, h)
-    for lam in inst["lam"]:
-        s_mid = entropy(_mix(lam, a1, a2), _mix(lam, b1, b2), h)
+    ends = []
+    walk = _by_point(lambda points: entropy(points([a1, a2], _mix), points([b1, b2], _mix), h),
+                     2, inst["lam"], _stack_bytes(a1.dim, _batch(a1)))
+    for lam, j, values in walk:
+        if lam is None:
+            ends.append(values[j])
+            continue
+        (s1, s2), s_mid = ends, values[j]
         combo = lam * s1 + (1.0 - lam) * s2
         yield Comparison("segment", s_mid, combo, s_mid - combo, _tol(cfg, s_mid, s1, s2),
                          dict(H=h, A1=a1, B1=b1, A2=a2, B2=b2, lam=lam))
@@ -557,9 +615,14 @@ def _build_phi(d: dict) -> dict:
 
 def _compare_phi(inst, cfg, f):
     phi, L, h, a1, a2 = f["phi"], inst["L"], inst["H"], inst["A1"], inst["A2"]
-    p1, p2 = phi(a1, L, h), phi(a2, L, h)
-    for lam in inst["lam"]:
-        p_mid = phi(_mix(lam, a1, a2), L, h)
+    ends = []
+    walk = _by_point(lambda points: phi(points([a1, a2], _mix), L, h),
+                     2, inst["lam"], _stack_bytes(max(a1.dim, L.dim), _batch(L)))
+    for lam, j, values in walk:
+        if lam is None:
+            ends.append(values[j])
+            continue
+        (p1, p2), p_mid = ends, values[j]
         combo = lam * p1 + (1.0 - lam) * p2
         yield Comparison("segment", combo, p_mid, combo - p_mid, _tol(cfg, p_mid, p1, p2),
                          dict(L=L, H=h, A1=a1, A2=a2, lam=lam))
@@ -584,21 +647,27 @@ def _build_multi(d: dict) -> dict:
 
 def _compare_multi(inst, cfg, f):
     phi, first = f["phi"], inst["inst"]
+    # A block_lift record dumps its instance alone, which is then the one point.
+    ends = [first.a_list] + ([inst["A2"]] if "A2" in inst else [])
 
-    def evaluate(m: fn.MultiInstance):
+    def evaluate(points):
+        m = replace(first, a_list=[points([a[i] for a in ends], _mix) for i in range(first.k)])
         # Every value is cross-checked against the block-lift route.
-        direct = phi(m)
-        lifted = fn.block_lift(m).lifted_value()
+        return m.a_list, phi(m), fn.block_lift(m).lifted_value()
+
+    p_ends = []
+    walk = _by_point(evaluate, len(ends), inst.get("lam", ()),
+                     _stack_bytes(first.k * max(first.H.m, first.H.n), _batch(first.L)))
+    for lam, j, (a_lists, directs, lifteds) in walk:
+        m = replace(first, a_list=[_entry(a, j) for a in a_lists])
+        direct, lifted = directs[j], lifteds[j]
         expected = direct + (m.k - 1) * m.H.n
         yield Comparison("block_lift", lifted, expected, abs(lifted - expected),
                          cfg.tol_abs + cfg.tol_rel * abs(direct), dict(inst=m))
-        return direct
-
-    p1 = yield from evaluate(first)
-    p2 = yield from evaluate(replace(first, a_list=inst["A2"]))
-    for lam in inst["lam"]:
-        mids = [_mix(lam, x, y) for x, y in zip(first.a_list, inst["A2"])]
-        p_mid = yield from evaluate(replace(first, a_list=mids))
+        if lam is None:
+            p_ends.append(direct)
+            continue
+        (p1, p2), p_mid = p_ends, direct
         combo = lam * p1 + (1.0 - lam) * p2
         yield Comparison("segment", combo, p_mid, combo - p_mid, _tol(cfg, p_mid, p1, p2),
                          dict(inst=first, A2=inst["A2"], lam=lam))
@@ -742,9 +811,13 @@ def _build_homogeneity(d: dict) -> dict:
 
 def _compare_homogeneity(inst, cfg, f):
     phi, m = f["phi"], inst["inst"]
-    base = phi(m)
-    for t in inst["t"]:
-        val = phi(replace(m, a_list=[PositiveDefiniteMatrix(_scaled(t, a)) for a in m.a_list]))
+    walk = _by_point(lambda points: phi(replace(m, a_list=[points([a], _scale) for a in m.a_list])),
+                     1, inst["t"], _stack_bytes(max(m.H.m, m.H.n), _batch(m.L)))
+    for t, j, values in walk:
+        if t is None:
+            base = values[j]
+            continue
+        val = values[j]
         yield Comparison("identity", val, t * base, abs(val - t * base),
                          cfg.tol_abs + cfg.tol_rel * t * abs(base), dict(inst=m, t=t))
 
@@ -774,25 +847,27 @@ _SPECS = {c.name: c for c in (
     Check("sh_convexity", _draw_sh, _build_sh, _compare_sh,
           lambda: {"entropy": fn.reduced_relative_entropy},
           {"H": "matrix", "A1": "pd", "B1": "pd", "A2": "pd", "B2": "pd", "lam": "floats"},
-          ("segment",)),
+          ("segment",), key=lambda kmn, d: kmn[1]),
     Check("phi_concavity", _draw_phi, _build_phi, _compare_phi,
           lambda: {"phi": fn.trace_exp_functional},
           {"L": "hermitian", "H": "matrix", "A1": "pd", "A2": "pd", "lam": "floats"},
-          ("segment",)),
+          ("segment",), key=lambda kmn, d: kmn[1:]),
     Check("multi_concavity", _draw_multi, _build_multi, _compare_multi,
           lambda: {"phi": fn.multi_trace_exp},
           {"inst": "multi", "A2": "pd_list", "lam": "floats"},
-          ("block_lift", "segment"), order=lambda k, m, n: k * max(m, n)),
+          ("block_lift", "segment"), order=lambda k, m, n: k * max(m, n),
+          key=lambda kmn, d: (kmn, d["H"][-1] is None)),  # an isometric tuple draws no scale
     Check("gt_jensen", _draw_gt_jensen, _build_gt_jensen, _compare_gt_jensen,
           lambda: {"lhs": fn.gt_jensen_lhs, "rhs": fn.gt_jensen_rhs},
-          {"inst": "multi"}, GT_FAMILIES, dims=_isometric_dims),
+          {"inst": "multi"}, GT_FAMILIES, dims=_isometric_dims,
+          key=lambda kmn, d: (d["kind"], kmn[1] if d["H"] is None else kmn)),
     Check("gibbs_identity", _draw_gibbs, _build_gibbs, _compare_gibbs,
           lambda: {"objective": fn.gibbs_objective},
-          {"B": "pd", "X": "pd"}, ("bound", "equality")),
+          {"B": "pd", "X": "pd"}, ("bound", "equality"), key=lambda kmn, d: kmn[1]),
     Check("derivative_limit", _draw_derivative, _build_derivative, _compare_derivative,
           lambda: {"derivative": fn.lieb_trace_derivative_at_zero},
           {"A": "pd", "B": "pd", "H": "matrix"},
-          ("not_decreasing", "floor_exceeded", "above_scale")),
+          ("not_decreasing", "floor_exceeded", "above_scale"), key=lambda kmn, d: kmn[1:]),
     Check("gt_route_gap", _draw_route, _build_route, _compare_route,
           lambda: {"route": gt_route_value, "rhs": fn.gt_jensen_rhs},
           {"inst": "multi"}, ("witness",), dims=_route_dims, semantics="witness_search"),
@@ -806,23 +881,27 @@ _SPECS = {c.name: c for c in (
 # The public checks.  Each accepts the functional under test as a keyword.
 # Such a hook receives the arguments of a group's stacked trials (matrix
 # values of shape (T, n, n), see ``matrix_core``; a lone trial gives T = 1)
-# and returns one value per stack entry, as the genuine functionals do.
-# Only homogeneity's counterexample search passes it 2-d arguments, for
-# which it returns a float.
+# and returns one value per stack entry, as the genuine functionals do.  In
+# the segment checks (sh_convexity, phi_concavity, multi_concavity and
+# homogeneity) the arguments that vary along the segment are (P, T, n, n)
+# stacks of P points against (T, n, n) values of the others, and the hook
+# returns (P, T) values.  Homogeneity's counterexample search passes it
+# (P, n, n) stacks of one instance's points, for which it returns P values.
 # ---------------------------------------------------------------------------
 
 def check_sh_convexity(cfg: CheckConfig,
                        entropy_fn: Callable | None = None) -> CheckReport:
     """Joint convexity of the reduced relative entropy on segments.
-    ``entropy_fn`` receives stacked arguments and returns one value per
-    stack entry (see the comment above)."""
+    ``entropy_fn`` receives (P, T, n, n) stacks of the points of A and B and
+    a (T, n, n) H, and returns (P, T) values (see the comment above)."""
     return _run(_SPECS["sh_convexity"], cfg, entropy=entropy_fn)
 
 
 def check_phi_concavity(cfg: CheckConfig,
                         phi_fn: Callable | None = None) -> CheckReport:
     """Concavity of A -> Tr exp(L + H* log(A) H) on segments.  ``phi_fn``
-    receives stacked arguments and returns one value per stack entry."""
+    receives a (P, T, m, m) stack of the points of A and (T, ., .) L and H,
+    and returns (P, T) values."""
     return _run(_SPECS["phi_concavity"], cfg, phi=phi_fn)
 
 
@@ -830,7 +909,8 @@ def check_multi_concavity(cfg: CheckConfig,
                           phi_fn: Callable | None = None) -> CheckReport:
     """Joint concavity of the k-variable trace exponential, with every
     evaluation cross-checked against the block-lift route.  ``phi_fn``
-    receives a stacked MultiInstance and returns one value per stack entry."""
+    receives a MultiInstance whose A_i are (P, T, m, m) stacks of points and
+    whose L and H are (T, ., .) stacks, and returns (P, T) values."""
     return _run(_SPECS["multi_concavity"], cfg, phi=phi_fn)
 
 
@@ -889,8 +969,10 @@ def check_homogeneity(cfg: CheckConfig,
     """phi(t A_1 .. t A_k) = t phi(A_1 .. A_k) whenever sum(H_i* H_i) = I,
     and provably not otherwise: the check also exhibits a strict-contraction
     instance that breaks the identity by a visible margin.  ``phi_fn``
-    receives a stacked MultiInstance and returns one value per stack entry
-    (a single instance in the counterexample search)."""
+    receives a MultiInstance whose A_i are (P, T, m, m) stacks of the base
+    and its scales, and returns (P, T) values; in the counterexample search
+    they are (P, m, m) stacks of one instance's points, and it returns P
+    values."""
     spec = _SPECS["homogeneity"]
     report = _run(spec, cfg, phi=phi_fn)
     counterexample = _strict_contraction_break(cfg, phi_fn or fn.multi_trace_exp, spec.dims(cfg))
@@ -939,4 +1021,4 @@ def re_evaluate(check_name: str, record: dict) -> dict:
     if kind is not None and kind not in check.kinds:
         raise DomainError(f"check {check.name!r} has no comparison of kind {kind!r}")
     c = _replay(check, kind, read_fields(record["instance"], check.fields, required=False))
-    return {"lhs": c.lhs, "rhs": c.rhs, "gap": c.gap}
+    return {"lhs": float(c.lhs), "rhs": float(c.rhs), "gap": float(c.gap)}

@@ -5,7 +5,9 @@ one trial at a time.  The tests pin the split code to these copies bit for
 bit, so a draw that reorders two generator calls fails them.
 
 ``every_trial_alone`` is the reference for the run loop: it samples each
-trial alone and builds its records from the 2-d comparisons."""
+trial alone and builds its records from the 2-d comparisons.  ``signature``
+is the reference for the run loop's group keys: the draws that stack
+together are those of one shape walk."""
 
 import numpy as np
 
@@ -192,6 +194,20 @@ def trial_alone(check, cfg, funcs, t):
     except EntropyLabError as exc:
         records.append({"kind": "error", "trial": t, "error": str(exc)})
     return records, gaps
+
+
+def signature(draw):
+    """What the draws of one stack share: the shape of every array and
+    every field that is neither an array nor a float."""
+    if isinstance(draw, dict):
+        return tuple((key, signature(v)) for key, v in draw.items())
+    if isinstance(draw, (list, tuple)):
+        return (type(draw), *map(signature, draw))
+    if isinstance(draw, np.ndarray):
+        return draw.shape
+    if isinstance(draw, float):
+        return float
+    return draw
 
 
 def every_trial_alone(check, cfg, funcs, group):

@@ -96,6 +96,22 @@ class TestEval:
         assert code == 2 and not out
         assert "key 'B'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value", [("sum_is_identity", "false"),
+                                           ("rows", 2.9), ("rows", True)])
+    def test_loosely_typed_field_exits_2(self, tmp_path, capsys, key, value):
+        obj = {
+            "L": matrix_to_json(np.array([[0.0]])),
+            "H": [matrix_to_json(np.array([[0.5]]))],
+            "A": [matrix_to_json(np.array([[4.0]]))],
+        }
+        if key == "sum_is_identity":
+            obj[key] = value
+        else:
+            obj["A"][0][key] = value
+        code, out, err = run(capsys, "eval", "multi_phi", write_instance(tmp_path, "inst.json", obj))
+        assert code == 2 and not out
+        assert f"'{key}'" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("p", ["half", None, pytest.param(10 ** 400, id="400-digit")])
     def test_malformed_scalar_exits_2(self, tmp_path, capsys, p):
         a = matrix_to_json(np.diag([2.0]))

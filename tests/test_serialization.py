@@ -55,6 +55,11 @@ class TestMatrixFormat:
         {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [1.0]]},
         {"rows": 1, "cols": 1, "data": "[[1.0, 0.0]]"},
         {"rows": float("inf"), "cols": 1, "data": [[1.0, 0.0]]},
+        # rows and cols must be JSON integers: no truncation, no booleans.
+        pytest.param({"rows": 2.9, "cols": 1, "data": [[1.0, 0.0], [2.0, 0.0]]}, id="rows-2.9"),
+        pytest.param({"rows": 1, "cols": 1.0, "data": [[1.0, 0.0]]}, id="cols-1.0"),
+        pytest.param({"rows": True, "cols": 1, "data": [[1.0, 0.0]]}, id="rows-true"),
+        pytest.param({"rows": 1, "cols": "1", "data": [[1.0, 0.0]]}, id="cols-string"),
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ParseError):
@@ -125,6 +130,17 @@ class TestTupleAndInstance:
         assert back.b_list is not None
         assert all(np.array_equal(x.mat, y.mat)
                    for x, y in zip(back.b_list, inst.b_list))
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [False]])
+    def test_sum_is_identity_must_be_a_boolean(self, flag):
+        # bool("false") is True: a string flag once read as an isometric tuple.
+        obj = {"H": [matrix_to_json(np.array([[0.5]]))], "sum_is_identity": flag}
+        with pytest.raises(ParseError, match="'sum_is_identity'"):
+            contraction_tuple_from_json(obj)
+
+    def test_missing_sum_is_identity_means_false(self):
+        tup = contraction_tuple_from_json({"H": [matrix_to_json(np.array([[0.5]]))]})
+        assert tup.sum_is_identity is False
 
     def test_instance_needs_exactly_one_matrix_family(self):
         tup = random_contraction_tuple(1, 2, 2, True, 8)

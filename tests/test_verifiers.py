@@ -404,6 +404,83 @@ class TestBatchedEngine:
         assert 32 * 32 * 16 < max(seen) <= verifiers.BLOCK_BYTES
 
 
+class TestPointPasses:
+    """A segment check evaluates its functional once per pass over the
+    points of a group (the ends and then each weight, or the base and then
+    each scale), with every stack of a pass within the byte budget."""
+
+    @pytest.mark.parametrize("name", ["sh_convexity", "multi_concavity", "homogeneity"])
+    def test_point_passes_stay_within_the_byte_budget(self, name, monkeypatch):
+        # 45 trials at n = 32 leave groups of one or two trials, whose
+        # passes hold several points.
+        seen = []
+        eigh = np.linalg.eigh
+
+        def sized(a):
+            seen.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", sized)
+        report = run_check(name, CheckConfig(trials=45, dims=((1, 32, 32),)))
+        assert report.passed
+        itemsize = np.dtype(np.complex128).itemsize
+        assert 32 * 32 * itemsize < max(np.prod(s) * itemsize for s in seen) <= verifiers.BLOCK_BYTES
+        assert any(len(s) == 4 and s[0] > 1 for s in seen)
+
+    def test_few_passes_per_group_at_small_dims(self, monkeypatch):
+        # One pass per point made 84 multi_trace_exp calls (six per group)
+        # and 18 reduced_relative_entropy calls here.
+        cfg = CheckConfig(trials=200, seed=7)
+        counts = {"multi_trace_exp": 0, "reduced_relative_entropy": 0}
+        for name in counts:
+            def counting(*args, _f=getattr(fn, name), _name=name):
+                counts[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(fn, name, counting)
+        assert check_multi_concavity(cfg).passed and check_sh_convexity(cfg).passed
+        groups = _groups(verifiers._SPECS["multi_concavity"], cfg)
+        assert counts["multi_trace_exp"] <= 2 * len(groups) == 28
+        assert counts["reduced_relative_entropy"] <= 9
+
+    @pytest.mark.parametrize("name,corrupt_kw,corrupted", [
+        ("sh_convexity", "entropy_fn", lambda a, b, h: -fn.reduced_relative_entropy(a, b, h)),
+        ("phi_concavity", "phi_fn", lambda a, l, h: -fn.trace_exp_functional(a, l, h)),
+        ("multi_concavity", "phi_fn", lambda inst: -fn.multi_trace_exp(inst)),
+        ("homogeneity", "phi_fn", lambda inst: fn.multi_trace_exp(inst) + 1.0),
+    ])
+    def test_reevaluate_of_a_segment_record_returns_floats(self, name, corrupt_kw, corrupted):
+        report = CHECKS[name](CheckConfig(trials=5, seed=13), **{corrupt_kw: corrupted})
+        records = [r for r in report.violations if r["kind"] != "error"]
+        assert {r["kind"] for r in records} == set(verifiers._SPECS[name].kinds)
+        for record in records:
+            redo = re_evaluate(name, json.loads(json.dumps(record)))
+            assert [type(v) for v in redo.values()] == [float] * 3
+
+    def test_raise_in_a_point_pass_leaves_the_trial_its_error_record(self, monkeypatch):
+        # The hook raises on the chosen trial's mix at its third weight.  That
+        # pass also holds the trial's ends and other weights, so the trial
+        # keeps no gap and gets only its error record, as it does alone.
+        cfg = CheckConfig(trials=30, seed=5)
+        spec = verifiers._SPECS["phi_concavity"]
+        chosen = spec.sample(trial_rng(cfg.seed, 7), cfg, spec.dims(cfg), 7)
+        mix = verifiers._mix(chosen["lam"][2], chosen["A1"], chosen["A2"]).mat
+
+        def phi(a, L, h):
+            if a.mat.shape[-2:] == mix.shape and np.all(a.mat == mix, axis=(-2, -1)).any():
+                raise NumericalInconsistency("the chosen point")
+            return fn.trace_exp_functional(a, L, h)
+
+        error = {"kind": "error", "trial": 7, "error": "the chosen point"}
+        report = check_phi_concavity(cfg, phi_fn=phi)
+        assert report.violations == [error]
+        assert ref.trial_alone(spec, cfg, {"phi": phi}, 7) == ([error], [])
+        others = [ref.trial_alone(spec, cfg, spec.functionals(), t)
+                  for t in range(cfg.trials) if t != 7]
+        assert report.worst_gap == max(g for _, gaps in others for g in gaps)
+        monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
+        assert check_phi_concavity(cfg, phi_fn=phi).to_json() == report.to_json()
+
+
 def _sizes(name: str) -> dict:
     return {"small": CheckConfig(trials=40, seed=5),
             "large": CheckConfig(trials=4, seed=5,
@@ -420,11 +497,14 @@ def _draws(spec, cfg: CheckConfig) -> dict:
     return draws
 
 
-def _groups(draws: dict) -> dict:
-    """{signature: trials} of the draws."""
+def _groups(spec, cfg: CheckConfig) -> dict:
+    """{key: trials} of the draws of a run, keyed as the run loop keys them."""
+    dims = spec.dims(cfg)
     groups = {}
-    for t, d in draws.items():
-        groups.setdefault(verifiers._signature(d), []).append(t)
+    for t in range(cfg.trials):
+        rng = trial_rng(cfg.seed, t)
+        kmn = verifiers._pick_dims(rng, dims)
+        groups.setdefault(spec.key(kmn, spec.draw(rng, cfg, kmn, t)), []).append(t)
     return groups
 
 
@@ -439,7 +519,7 @@ class TestStackedSampling:
         spec = verifiers._SPECS[name]
         dims = spec.dims(cfg)
         draws = _draws(spec, cfg)
-        groups = _groups(draws)
+        groups = _groups(spec, cfg)
         if size == "small":
             assert max(map(len, groups.values())) > 1
         for group in groups.values():
@@ -448,6 +528,20 @@ class TestStackedSampling:
                 alone = spec.sample(trial_rng(cfg.seed, t), cfg, dims, t)
                 ref.assert_same(alone, ref.SAMPLERS[name](trial_rng(cfg.seed, t), cfg, dims, t))
                 ref.assert_same(verifiers._slice(built, i), alone)
+
+    @pytest.mark.parametrize("size", ["small", "large", "mixed"])
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_keys_group_as_the_shape_walk(self, name, size):
+        # A draw's key (its dims and family) splits a run into the groups of
+        # the shapes of every array and field of the draws.
+        mixed = CheckConfig(trials=120, seed=3,
+                            dims=((1, 2, 2), (2, 2, 2), (1, 3, 3), (2, 2, 4), (3, 2, 4), (1, 4, 2)))
+        cfg = {**_sizes(name), "mixed": mixed}[size]
+        spec = verifiers._SPECS[name]
+        by_shape = {}
+        for t, d in _draws(spec, cfg).items():
+            by_shape.setdefault(ref.signature(d), []).append(t)
+        assert sorted(_groups(spec, cfg).values()) == sorted(by_shape.values())
 
     def test_failing_group_splits_in_halves(self, monkeypatch):
         # Trials 19, 20 and 30 raise in their group's stack; the group is
@@ -480,14 +574,14 @@ class TestWholeRunGroups:
         calls = self._count_compares(monkeypatch, "multi_concavity")
         report = check_multi_concavity(cfg)
         assert report.passed
-        assert len(calls) == len(_groups(_draws(verifiers._SPECS["multi_concavity"], cfg))) == 14
+        assert len(calls) == len(_groups(verifiers._SPECS["multi_concavity"], cfg)) == 14
 
     def test_route_search_runs_no_trial_alone(self, monkeypatch):
         # One pass per signature, plus one stacked re-verification per
         # group that holds witnesses; each trial is drawn once.
         cfg = CheckConfig(trials=200, seed=7)
         spec = verifiers._SPECS["gt_route_gap"]
-        groups = _groups(_draws(spec, cfg))
+        groups = _groups(spec, cfg)
         calls = self._count_compares(monkeypatch, "gt_route_gap")
         drawn = _count_trial_rngs(monkeypatch)
         report = search_gt_route_gap(cfg)
