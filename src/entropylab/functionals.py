@@ -44,13 +44,14 @@ from .matrix_core import (
     PositiveDefiniteMatrix,
     _adjoint,
     _any,
+    _block_diagonal,
+    _checked_eigvalsh,
     _per_matrix,
     _trace,
     as_complex_matrix,
     matrix_exp,
     matrix_log,
     matrix_power,
-    spectral_decompose,
 )
 
 IMAG_TOL = 1e-10
@@ -80,8 +81,9 @@ def _contraction_arg(H, rows: int, cols: int, what: str = "H") -> Contraction:
 
 
 def _trace_exp(arg: np.ndarray):
-    """Tr exp of a Hermitian matrix via its (real) eigenvalue sum."""
-    w = spectral_decompose(HermitianMatrix(arg)).eigenvalues
+    """Tr exp of a Hermitian matrix via its (real) eigenvalue sum; only the
+    checked eigenvalues are computed."""
+    w = _checked_eigvalsh(HermitianMatrix(arg).mat)
     with np.errstate(over="ignore"):
         total = np.exp(w).sum(axis=-1)
     if _any(~np.isfinite(total)):
@@ -249,9 +251,6 @@ def block_lift(inst: MultiInstance) -> BlockLift:
         raise DimensionError("block_lift needs an instance with a_list")
     k, m, n = inst.H.k, inst.H.m, inst.H.n
     batch = np.broadcast_shapes(inst.L.mat.shape[:-2], inst.a_list[0].mat.shape[:-2])
-    a_hat = np.zeros(batch + (k * m, k * m), dtype=np.complex128)
-    for i, a in enumerate(inst.a_list):
-        a_hat[..., i * m:(i + 1) * m, i * m:(i + 1) * m] = a.mat
     l_hat = np.zeros(batch + (k * n, k * n), dtype=np.complex128)
     l_hat[..., :n, :n] = inst.L.mat
     h_hat = np.zeros(batch + (k * m, k * n), dtype=np.complex128)
@@ -260,7 +259,7 @@ def block_lift(inst: MultiInstance) -> BlockLift:
     # ||h_hat||^2 is the top eigenvalue of sum(H_i* H_i), which the tuple
     # bounds by 1 + CONTRACTION_TOL, so ||h_hat|| <= 1 + CONTRACTION_TOL.
     return BlockLift(
-        a_hat=PositiveDefiniteMatrix(a_hat),
+        a_hat=_block_diagonal(inst.a_list, batch),
         l_hat=HermitianMatrix(l_hat),
         h_hat=Contraction._bounded(h_hat),
     )

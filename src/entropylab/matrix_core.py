@@ -6,7 +6,12 @@ All matrix values are immutable after construction; every operation here is
 a pure function, so values are safe to share across threads.  A Hermitian
 value keeps its checked spectral decomposition once it has been computed,
 so each value is decomposed at most once (two threads that race to compute
-it store equal results).
+it store equal results).  A PD value whose spectrum is known when it is
+built is never decomposed: it keeps that spectrum as its checked one.  So
+exp(M) and A^p carry f(w) with the eigenvectors of their argument, a random
+PD matrix its sorted drawn eigenvalues with its Haar eigenvectors, and a
+positive multiple or a block diagonal of PD values the spectra of those
+values.
 
 A value may be a stack: its entries have shape ``(..., n, n)`` (``(..., m,
 n)`` for a contraction), and every check runs on each matrix of the stack,
@@ -113,15 +118,44 @@ class PositiveDefiniteMatrix(HermitianMatrix):
     Construction computes the value's checked spectral decomposition (one
     ``eigh``), which later matrix functions of the value reuse, and takes
     ``min_eigenvalue`` from it; inputs with min eigenvalue <= ``pd_floor``
-    are rejected rather than regularized.
+    are rejected rather than regularized.  A value built inside the library
+    from a known spectrum (see the module docstring) keeps that spectrum and
+    runs no ``eigh``.
+
+    The kept spectrum, not ``.mat``, is what makes the value positive
+    definite.  The ``.mat`` of exp(M) over a wide spectrum of M need not be
+    numerically PD: its small eigenvalues are lost in the round-off of its
+    large entries, and a new ``eigh`` of it can find them negative, while
+    the carried exp(w) is accurate.  So no consumer may infer positivity
+    from ``.mat`` alone (by a Cholesky, say); read ``min_eigenvalue`` or
+    the spectrum.
     """
 
     __slots__ = ("min_eigenvalue",)
 
     def __init__(self, entries, pd_floor: float = PD_FLOOR):
         super().__init__(entries)
-        w0 = spectral_decompose(self).eigenvalues[..., 0]
-        if _any(w0 <= pd_floor):
+        spectral_decompose(self)
+        self._check_floor(pd_floor)
+
+    @classmethod
+    def _with_spectrum(cls, entries, w: np.ndarray, u: np.ndarray,
+                       pd_floor: float = PD_FLOOR) -> PositiveDefiniteMatrix:
+        """``entries`` as a PD value whose spectrum the caller knows: the
+        ascending eigenvalues ``w`` and unitary column eigenvectors ``u``,
+        kept as the value's checked spectrum without an ``eigh``.  The
+        entries are checked and symmetrized as by the constructor, and ``w``
+        must be finite and above ``pd_floor``."""
+        out = cls.__new__(cls)
+        HermitianMatrix.__init__(out, entries)
+        out._spectrum = SpectralDecomposition(eigenvalues=_frozen(w), eigenvectors=_frozen(u))
+        out._check_floor(pd_floor)
+        return out
+
+    def _check_floor(self, pd_floor: float) -> None:
+        w = self._spectrum.eigenvalues
+        w0 = w[..., 0]
+        if _any(w0 <= pd_floor) or not np.isfinite(w).all():
             raise DomainError(
                 f"matrix is not positive definite above floor {pd_floor:.1e}: "
                 f"min eigenvalue {np.min(w0):.3e}"
@@ -248,16 +282,47 @@ def _checked_eigh(a: np.ndarray) -> SpectralDecomposition:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    uh = _check_unitary(u)
+    recon_dev = np.abs((u * w[..., None, :]) @ uh - a).max(axis=_MATRIX_AXES)
+    if _any(recon_dev > 1e-10 * (1.0 + _max_abs(w))):
+        raise ConvergenceFailure(f"spectral reconstruction error {np.max(recon_dev):.3e}")
+    return SpectralDecomposition(eigenvalues=_frozen(w), eigenvectors=_frozen(u))
+
+
+def _max_abs(w: np.ndarray) -> np.ndarray:
+    """max |w| of ascending eigenvalues, from their ends."""
+    return np.maximum(-w[..., 0], w[..., -1])
+
+
+def _check_unitary(u: np.ndarray) -> np.ndarray:
+    """U*, after checking that U (or each matrix of a stack) is unitary."""
     uh = _adjoint(u)
-    unit_dev = np.abs(u @ uh - np.eye(a.shape[-1])).max(axis=_MATRIX_AXES)
+    unit_dev = np.abs(u @ uh - np.eye(u.shape[-1])).max(axis=_MATRIX_AXES)
     if _any(unit_dev > 1e-10):
         raise ConvergenceFailure(
             f"eigenvector matrix is not unitary: deviation {np.max(unit_dev):.3e}")
-    recon_dev = np.abs((u * w[..., None, :]) @ uh - a).max(axis=_MATRIX_AXES)
-    # max |w| from the ends of the ascending w
-    if _any(recon_dev > 1e-10 * (1.0 + np.maximum(-w[..., 0], w[..., -1]))):
-        raise ConvergenceFailure(f"spectral reconstruction error {np.max(recon_dev):.3e}")
-    return SpectralDecomposition(eigenvalues=_frozen(w), eigenvectors=_frozen(u))
+    return uh
+
+
+def _checked_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of a Hermitian matrix (or of each matrix of
+    a stack), without eigenvectors.  With no eigenvectors to test, the check
+    is on the invariants: sum(w) against Tr a and sum(w^2) against the
+    squared Frobenius norm of a, in the tolerance form of ``_checked_eigh``.
+    Raises ConvergenceFailure if the eigensolver fails or a check does."""
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    top = _max_abs(w)
+    trace_dev = np.abs(w.sum(axis=-1) - _trace(a).real)
+    frob_dev = np.abs((w * w).sum(axis=-1) - (a.real ** 2 + a.imag ** 2).sum(axis=_MATRIX_AXES))
+    n = a.shape[-1]
+    if _any(trace_dev > 1e-10 * n * (1.0 + top)) or _any(frob_dev > 1e-10 * n * (1.0 + top) ** 2):
+        raise ConvergenceFailure(
+            f"eigenvalues do not match the trace and norm: deviations "
+            f"{np.max(trace_dev):.3e}, {np.max(frob_dev):.3e}")
+    return w
 
 
 def matrix_function(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
@@ -268,12 +333,12 @@ def matrix_function(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
     non-finite result (eigenvalue outside the function's domain) raises
     DomainError.
     """
-    return HermitianMatrix(_on_spectrum(M, f, fname))
+    return HermitianMatrix(_on_spectrum(M, f, fname)[0])
 
 
 def _on_spectrum(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
-                 fname: str | None) -> np.ndarray:
-    """U diag(f(w)) U* for M = U diag(w) U*, as an array."""
+                 fname: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U diag(f(w)) U* for M = U diag(w) U*, as an array, with f(w) and U."""
     dec = spectral_decompose(M)
     label = fname or getattr(f, "__name__", "f")
     with np.errstate(all="ignore"):
@@ -284,7 +349,7 @@ def _on_spectrum(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
     if fw.shape != dec.eigenvalues.shape or not np.all(np.isfinite(fw)):
         raise DomainError(f"{label} is not finite on the spectrum {dec.eigenvalues}")
     u = dec.eigenvectors
-    return (u * fw[..., None, :]) @ _adjoint(u)
+    return (u * fw[..., None, :]) @ _adjoint(u), fw, u
 
 
 def matrix_log(A: PositiveDefiniteMatrix) -> HermitianMatrix:
@@ -293,15 +358,51 @@ def matrix_log(A: PositiveDefiniteMatrix) -> HermitianMatrix:
 
 
 def matrix_exp(M: HermitianMatrix) -> PositiveDefiniteMatrix:
-    """Matrix exponential of a Hermitian matrix; always positive definite."""
-    return PositiveDefiniteMatrix(_on_spectrum(M, np.exp, "exp"))
+    """Matrix exponential of a Hermitian matrix; always positive definite.
+
+    The result keeps exp(w) with the eigenvectors of M as its spectrum (exp
+    keeps the order of w), so it is not decomposed again, and it is
+    rejected only where exp(w) underflows to zero."""
+    return PositiveDefiniteMatrix._with_spectrum(*_on_spectrum(M, np.exp, "exp"), pd_floor=0.0)
 
 
 def matrix_power(A: PositiveDefiniteMatrix, p: float) -> PositiveDefiniteMatrix:
-    """Fractional power A^p for p in [0, 1]."""
+    """Fractional power A^p for p in [0, 1], which keeps w^p with the
+    eigenvectors of A as its spectrum, as :func:`matrix_exp` does."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"power must lie in [0, 1], got {p}")
-    return PositiveDefiniteMatrix(_on_spectrum(A, lambda w: w ** p, "power"))
+    return PositiveDefiniteMatrix._with_spectrum(*_on_spectrum(A, lambda w: w ** p, "power"),
+                                                 pd_floor=0.0)
+
+
+def _scaled_pd(t, A: PositiveDefiniteMatrix) -> PositiveDefiniteMatrix:
+    """t A for a weight t > 0, or the stack A times each entry of the
+    weights t (weights first, as ``_per_entry`` shapes them), keeping t w
+    with the eigenvectors of A as its spectrum."""
+    dec = spectral_decompose(A)
+    mat = _per_entry(t) * A.mat
+    w = np.reshape(t, np.shape(t) + (1,)) * dec.eigenvalues
+    return PositiveDefiniteMatrix._with_spectrum(
+        mat, w, np.broadcast_to(dec.eigenvectors, mat.shape))
+
+
+def _block_diagonal(values: Sequence[PositiveDefiniteMatrix],
+                    batch: tuple) -> PositiveDefiniteMatrix:
+    """The block diagonal of PD values of one order, broadcast to the stack
+    shape ``batch``.  Its spectrum is the union of the values' kept spectra,
+    sorted ascending, with block-diagonal eigenvectors."""
+    m = values[0].dim
+    size = len(values) * m
+    mat = np.zeros(batch + (size, size), dtype=np.complex128)
+    u = np.zeros_like(mat)
+    w = np.empty(batch + (size,))
+    for i, value in enumerate(values):
+        block = slice(i * m, (i + 1) * m)
+        dec = spectral_decompose(value)
+        mat[..., block, block] = value.mat
+        u[..., block, block] = dec.eigenvectors
+        w[..., block] = dec.eigenvalues
+    return PositiveDefiniteMatrix._with_spectrum(mat, *_sorted_spectrum(w, u))
 
 
 def operator_norm(M):
@@ -418,8 +519,20 @@ def _draw_pd(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tuple:
 
 
 def _build_pd(w: np.ndarray, g: np.ndarray) -> PositiveDefiniteMatrix:
+    """U diag(w) U* for the Haar U of g, keeping w sorted ascending, with
+    the columns of U in the same order, as its spectrum.  U comes from a QR
+    and not from a checked eigensolver, so its unitarity is checked here."""
     u = _build_haar(g)
-    return PositiveDefiniteMatrix((u * w[..., None, :]) @ _adjoint(u))
+    mat = (u * w[..., None, :]) @ _check_unitary(u)
+    return PositiveDefiniteMatrix._with_spectrum(mat, *_sorted_spectrum(w, u))
+
+
+def _sorted_spectrum(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w sorted ascending (a stable sort) and the columns of the
+    eigenvectors u in the same order."""
+    order = np.argsort(w, axis=-1, kind="stable")
+    return (np.take_along_axis(w, order, axis=-1),
+            np.take_along_axis(u, order[..., None, :], axis=-1))
 
 
 def random_pd(dim: int, eig_range: tuple[float, float] = (0.05, 5.0),

@@ -115,6 +115,7 @@ from .matrix_core import (
     _joined,
     _per_entry,
     _per_matrix,
+    _scaled_pd,
     _trace,
     checked_seed,
     matrix_exp,
@@ -302,10 +303,6 @@ def _scaled(w, M) -> np.ndarray:
 
 def _mix(lam, M1, M2) -> PositiveDefiniteMatrix:
     return PositiveDefiniteMatrix(_scaled(lam, M1) + _scaled(1.0 - lam, M2))
-
-
-def _scale(t, M) -> PositiveDefiniteMatrix:
-    return PositiveDefiniteMatrix(_scaled(t, M))
 
 
 def _stack_bytes(order: int, count: int = 1) -> int:
@@ -811,8 +808,9 @@ def _build_homogeneity(d: dict) -> dict:
 
 def _compare_homogeneity(inst, cfg, f):
     phi, m = f["phi"], inst["inst"]
-    walk = _by_point(lambda points: phi(replace(m, a_list=[points([a], _scale) for a in m.a_list])),
-                     1, inst["t"], _stack_bytes(max(m.H.m, m.H.n), _batch(m.L)))
+    walk = _by_point(
+        lambda points: phi(replace(m, a_list=[points([a], _scaled_pd) for a in m.a_list])),
+        1, inst["t"], _stack_bytes(max(m.H.m, m.H.n), _batch(m.L)))
     for t, j, values in walk:
         if t is None:
             base = values[j]
@@ -847,7 +845,7 @@ _SPECS = {c.name: c for c in (
     Check("sh_convexity", _draw_sh, _build_sh, _compare_sh,
           lambda: {"entropy": fn.reduced_relative_entropy},
           {"H": "matrix", "A1": "pd", "B1": "pd", "A2": "pd", "B2": "pd", "lam": "floats"},
-          ("segment",), key=lambda kmn, d: kmn[1]),
+          ("segment",), order=lambda k, m, n: m, key=lambda kmn, d: kmn[1]),
     Check("phi_concavity", _draw_phi, _build_phi, _compare_phi,
           lambda: {"phi": fn.trace_exp_functional},
           {"L": "hermitian", "H": "matrix", "A1": "pd", "A2": "pd", "lam": "floats"},
@@ -863,7 +861,8 @@ _SPECS = {c.name: c for c in (
           key=lambda kmn, d: (d["kind"], kmn[1] if d["H"] is None else kmn)),
     Check("gibbs_identity", _draw_gibbs, _build_gibbs, _compare_gibbs,
           lambda: {"objective": fn.gibbs_objective},
-          {"B": "pd", "X": "pd"}, ("bound", "equality"), key=lambda kmn, d: kmn[1]),
+          {"B": "pd", "X": "pd"}, ("bound", "equality"), order=lambda k, m, n: m,
+          key=lambda kmn, d: kmn[1]),
     Check("derivative_limit", _draw_derivative, _build_derivative, _compare_derivative,
           lambda: {"derivative": fn.lieb_trace_derivative_at_zero},
           {"A": "pd", "B": "pd", "H": "matrix"},

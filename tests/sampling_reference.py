@@ -7,17 +7,21 @@ bit, so a draw that reorders two generator calls fails them.
 ``every_trial_alone`` is the reference for the run loop: it samples each
 trial alone and builds its records from the 2-d comparisons.  ``signature``
 is the reference for the run loop's group keys: the draws that stack
-together are those of one shape walk."""
+together are those of one shape walk.  ``route_raising_on`` is a
+``gt_route_gap`` hook that raises on chosen trials, which sends them down
+the run loop's split-and-error path."""
 
 import numpy as np
 
 from entropylab import functionals as fn
-from entropylab.errors import EntropyLabError
+from entropylab import verifiers
+from entropylab.errors import DomainError, EntropyLabError
 from entropylab.matrix_core import (
     Contraction,
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
+    SpectralDecomposition,
     make_rng,
     matrix_exp,
 )
@@ -35,11 +39,22 @@ def haar_unitary(rng, dim):
 
 
 def random_pd(dim, eig_range=(0.05, 5.0), seed=0):
+    """U diag(w) U*, keeping the drawn w, sorted ascending, and the columns
+    of U in that order as its spectrum: a random PD matrix is not
+    decomposed."""
     lo, hi = float(eig_range[0]), float(eig_range[1])
     rng = make_rng(seed)
     w = rng.uniform(lo, hi, size=dim)
     u = haar_unitary(rng, dim)
-    return PositiveDefiniteMatrix((u * w) @ u.conj().T)
+    a = PositiveDefiniteMatrix.__new__(PositiveDefiniteMatrix)
+    HermitianMatrix.__init__(a, (u * w) @ u.conj().T)
+    order = np.argsort(w, kind="stable")
+    w_sorted, u_sorted = w[order], np.ascontiguousarray(u[:, order])
+    w_sorted.setflags(write=False)
+    u_sorted.setflags(write=False)
+    a._spectrum = SpectralDecomposition(eigenvalues=w_sorted, eigenvectors=u_sorted)
+    a.min_eigenvalue = float(w_sorted[0])
+    return a
 
 
 def random_hermitian(dim, scale=1.0, seed=0):
@@ -251,3 +266,21 @@ def assert_same(a, b, path="value"):
         assert np.float64(a).tobytes() == np.float64(b).tobytes(), f"{path}: {a!r} != {b!r}"
     else:
         assert a == b, f"{path}: {a!r} != {b!r}"
+
+
+def route_raising_on(cfg, trials):
+    """``gt_route_value``, except that it raises a DomainError on any stack
+    that holds the random candidate of one of ``trials`` of a
+    ``gt_route_gap`` run at ``cfg``."""
+    spec = verifiers._SPECS["gt_route_gap"]
+    chosen = [spec.sample(trial_rng(cfg.seed, t), cfg, spec.dims(cfg), t)["inst"].L.mat
+              for t in trials]
+    genuine = verifiers.gt_route_value
+
+    def route(inst):
+        mats = inst.L.mat.reshape((-1,) + inst.L.mat.shape[-2:])
+        if any(np.array_equal(m, c) for m in mats for c in chosen):
+            raise DomainError("a chosen trial")
+        return genuine(inst)
+
+    return route

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import sampling_reference as ref
 
-from entropylab import cli
+from entropylab import cli, verifiers
 from entropylab.cli import main
 from entropylab.errors import NonFiniteObjective
 from entropylab.matrix_core import random_pd
-from entropylab.verifiers import DEFAULT_DIMS
+from entropylab.verifiers import DEFAULT_DIMS, CheckConfig
 from entropylab.serialization import (
     dump_json,
     load_json,
@@ -166,9 +167,11 @@ class TestCheck:
         assert code == 1
         assert "INCONCLUSIVE" in out
 
-    def test_route_gap_trial_error_exits_1(self, tmp_path, capsys):
-        # Trial 19 errors (exp below the PD floor at n = 8); the search
-        # records it, goes on, and fails.
+    def test_route_gap_trial_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        # Trial 19 raises (a hook on the route value); the search records
+        # it, goes on, and fails.
+        monkeypatch.setattr(verifiers, "gt_route_value", ref.route_raising_on(
+            CheckConfig(trials=20, seed=7, dims=((2, 8, 8),)), [19]))
         code, out, _ = run(capsys, "check", "gt_route_gap",
                            "--trials", "20", "--seed", "7",
                            "--dims", "2,8,8",
@@ -178,15 +181,31 @@ class TestCheck:
         report = load_json(tmp_path / "r" / "gt_route_gap.json")
         assert [v["trial"] for v in report["violations"] if v["kind"] == "error"] == [19]
 
-    def test_route_gap_errors_stay_with_their_trials(self, tmp_path, capsys):
+    def test_route_gap_errors_stay_with_their_trials(self, tmp_path, capsys, monkeypatch):
         # Error trials sit in blocks of stacked trials; each becomes its own
         # error record and every other trial is judged as before.
+        cfg = CheckConfig(trials=200, seed=7, dims=((2, 8, 8),))
+        monkeypatch.setattr(verifiers, "gt_route_value", ref.route_raising_on(cfg, [19, 20, 30]))
         code, out, _ = run(capsys, "check", "gt_route_gap", "--trials", "200",
                            "--seed", "7", "--dims", "2,8,8", "--out-dir", str(tmp_path / "r"))
         assert code == 1
         report = load_json(tmp_path / "r" / "gt_route_gap.json")
         assert [v["trial"] for v in report["violations"] if v["kind"] == "error"] == [19, 20, 30]
+        assert {v["error"] for v in report["violations"] if v["kind"] == "error"} == {
+            "a chosen trial"}
         assert report["note"] == "found 113 witnesses, 3 error records"
+
+    def test_route_gap_passes_at_n_8(self, tmp_path, capsys):
+        # exp over the wide spectra at n = 8 keeps its exact spectrum, so no
+        # trial falls below the PD floor and every witness re-verifies.
+        code, out, _ = run(capsys, "check", "gt_route_gap", "--trials", "200",
+                           "--seed", "7", "--dims", "2,8,8", "--out-dir", str(tmp_path / "r"))
+        assert code == 0
+        assert "gt_route_gap: PASS" in out
+        report = load_json(tmp_path / "r" / "gt_route_gap.json")
+        assert report["note"] == "found 115 witnesses"
+        assert len(report["violations"]) == 115
+        assert all(v["kind"] == "witness" and v["reverified"] for v in report["violations"])
 
     def test_bad_dims_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "check", "gibbs_identity",

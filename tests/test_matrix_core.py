@@ -281,12 +281,15 @@ class TestSpectrumCache:
         matrix_log(a)
         root = matrix_power(a, 0.5)
         spectral_decompose(a)
-        # A itself is decomposed once, at construction; the one call here is
-        # the floor check of the new value A^(1/2).
-        assert len(eigh) == 1
+        # A itself is decomposed once, at construction (before counting);
+        # A^(1/2) keeps w^(1/2) with the eigenvectors of A, so nothing here
+        # is decomposed.
+        assert eigh == []
         assert eigvalsh == []
         matrix_log(root)
-        assert len(eigh) == 1
+        assert eigh == []
+        assert np.array_equal(spectral_decompose(root).eigenvectors,
+                              spectral_decompose(a).eigenvectors)
 
     def test_spectrum_is_kept_with_the_value(self):
         a = random_pd(3, seed=32)

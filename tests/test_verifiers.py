@@ -266,13 +266,13 @@ class TestViolationDumps:
 
 class TestWitnessSearchErrors:
     def test_trial_error_becomes_record_and_fails_the_search(self):
-        # At n = 8, exp of a very negative spectrum falls below the PD floor
-        # in trial 19; the search records it and goes on.
-        report = search_gt_route_gap(CheckConfig(trials=20, seed=7, dims=((2, 8, 8),)))
+        # The route hook raises in trial 19; the search records it and goes on.
+        cfg = CheckConfig(trials=20, seed=7, dims=((2, 8, 8),))
+        report = search_gt_route_gap(cfg, route_fn=ref.route_raising_on(cfg, [19]))
         errors = [v for v in report.violations if v["kind"] == "error"]
         witnesses = [v for v in report.violations if v["kind"] == "witness"]
         assert [e["trial"] for e in errors] == [19]
-        assert "positive definite" in errors[0]["error"]
+        assert errors[0]["error"] == "a chosen trial"
         assert witnesses and all(w["reverified"] for w in witnesses)
         assert not report.passed
         assert report.note == f"found {len(witnesses)} witnesses, 1 error records"
@@ -412,15 +412,18 @@ class TestPointPasses:
     @pytest.mark.parametrize("name", ["sh_convexity", "multi_concavity", "homogeneity"])
     def test_point_passes_stay_within_the_byte_budget(self, name, monkeypatch):
         # 45 trials at n = 32 leave groups of one or two trials, whose
-        # passes hold several points.
+        # passes hold several points.  The mixes of a segment are decomposed
+        # (eigh); the scales of homogeneity keep their spectra, and its
+        # passes show in the eigenvalues of each Tr exp argument (eigvalsh).
         seen = []
-        eigh = np.linalg.eigh
+        lapack = "eigvalsh" if name == "homogeneity" else "eigh"
+        solver = getattr(np.linalg, lapack)
 
         def sized(a):
             seen.append(a.shape)
-            return eigh(a)
+            return solver(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", sized)
+        monkeypatch.setattr(np.linalg, lapack, sized)
         report = run_check(name, CheckConfig(trials=45, dims=((1, 32, 32),)))
         assert report.passed
         itemsize = np.dtype(np.complex128).itemsize
@@ -544,10 +547,13 @@ class TestStackedSampling:
         assert sorted(_groups(spec, cfg).values()) == sorted(by_shape.values())
 
     def test_failing_group_splits_in_halves(self, monkeypatch):
-        # Trials 19, 20 and 30 raise in their group's stack; the group is
-        # split in halves down to stacks of one, and no trial is drawn again.
+        # Trials 19, 20 and 30 raise in their group's stack (a hook on the
+        # route value); the group is split in halves down to stacks of one,
+        # and no trial is drawn again.
+        cfg = CheckConfig(trials=200, seed=7, dims=((2, 8, 8),))
+        route = ref.route_raising_on(cfg, [19, 20, 30])
         drawn = _count_trial_rngs(monkeypatch)
-        report = search_gt_route_gap(CheckConfig(trials=200, seed=7, dims=((2, 8, 8),)))
+        report = search_gt_route_gap(cfg, route_fn=route)
         errors = [v["trial"] for v in report.violations if v["kind"] == "error"]
         witnesses = [v["trial"] for v in report.violations if v["kind"] == "witness"]
         assert errors == [19, 20, 30] and len(witnesses) == 113
