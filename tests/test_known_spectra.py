@@ -179,6 +179,21 @@ class TestTraceExpEigenvalues:
         with pytest.raises(ConvergenceFailure, match="trace and norm"):
             fn.trace_exp_functional(a, L, h)
 
+    def test_a_shift_that_keeps_the_trace_fails_the_norm_check(self, monkeypatch):
+        a, L, h = self._phi_args()
+        original = np.linalg.eigvalsh
+
+        def spread(m):
+            w = original(m).copy()
+            step = 1e-6 * (1.0 + np.abs(w).max())
+            w[..., 0] -= step
+            w[..., -1] += step
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spread)
+        with pytest.raises(ConvergenceFailure, match="trace and norm"):
+            fn.trace_exp_functional(a, L, h)
+
     def test_eigensolver_failure_is_a_convergence_failure(self, monkeypatch):
         a, L, h = self._phi_args()
 
