@@ -552,12 +552,30 @@ class TestStackedSampling:
         # and no trial is drawn again.
         cfg = CheckConfig(trials=200, seed=7, dims=((2, 8, 8),))
         route = ref.route_raising_on(cfg, [19, 20, 30])
+        spec = verifiers._SPECS["gt_route_gap"]
+        built = []
+
+        def build(draws):
+            built.append(len(draws["alpha"]))
+            return spec.build(draws)
+
+        monkeypatch.setitem(verifiers._SPECS, "gt_route_gap", replace(spec, build=build))
         drawn = _count_trial_rngs(monkeypatch)
         report = search_gt_route_gap(cfg, route_fn=route)
         errors = [v["trial"] for v in report.violations if v["kind"] == "error"]
         witnesses = [v["trial"] for v in report.violations if v["kind"] == "witness"]
         assert errors == [19, 20, 30] and len(witnesses) == 113
         assert len(drawn) == 200 and sorted(drawn) == list(range(200))
+        # Groups of 64 trials (the cap at n = 8); only a part that holds a
+        # raising trial is split again, into its halves.
+        cap = verifiers._group_cap(spec, (2, 8, 8))
+        expected, parts = [], [list(range(t, min(t + cap, 200))) for t in range(0, 200, cap)]
+        while parts:
+            part = parts.pop()
+            expected.append(len(part))
+            if len(part) > 1 and {19, 20, 30} & set(part):
+                parts += [part[:len(part) // 2], part[len(part) // 2:]]
+        assert cap == 64 and sorted(built) == sorted(expected)
 
 
 class TestWholeRunGroups:
