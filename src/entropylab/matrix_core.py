@@ -467,11 +467,14 @@ def _entry(value, i: int):
 # existing numpy Generator, so callers can derive deterministic substreams.
 #
 # Each generator is a draw and a build.  The draw makes the generator calls
-# and nothing else; the build turns the drawn numbers into a checked value
-# and owns every check.  Builds are stack-generic: given draws stacked along
-# a leading axis, a build makes the stacked value, each entry with the bits
-# of building its draw alone, so a block of trials can draw one at a time
-# (each from its own substream) and build at once.
+# and nothing else, and keeps their raw output: a complex Gaussian is its
+# (2, rows, cols) array of real and imaginary parts.  The build turns the
+# drawn numbers into a checked value, assembles the complex Gaussians
+# (``_complex``) and owns every check.  Builds are stack-generic: given draws
+# stacked along a leading axis, a build makes the stacked value, each entry
+# with the bits of building its draw alone, so a block of trials can draw one
+# at a time (each from its own substream, which ``_substreams`` seeds in
+# chunks of trials) and build at once.
 # ---------------------------------------------------------------------------
 
 def make_rng(seed: SeedLike) -> np.random.Generator:
@@ -490,31 +493,121 @@ def checked_seed(seed) -> int:
     return int(seed)
 
 
+# Trials whose substreams one pass of ``_substreams`` seeds together.
+SUBSTREAM_CHUNK = 1024
+# NumPy's SeedSequence (NEP 19) and the PCG64 multiplier, for
+# ``_substream_states``.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _substream_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of ``np.random.default_rng([seed, t])`` for the
+    ``count`` trials t from ``first``, seeded together.
+
+    This is NumPy's SeedSequence on the entropy words of (seed, t): each
+    number's 32-bit words, low first, one word for 0; with at most four
+    words they all fit the pool of four, and a short entropy pads with
+    zeros, so a trial below 2^32 reads its missing high word as 0.  The
+    pool is hashed and mixed as uint32 arrays over the trials (every
+    operand is an array, which wraps without a warning), four uint64 words
+    are generated from it, and PCG64 is seeded from them (``pcg64_set_seed``:
+    inc = 2 i + 1, state = (inc + s) * mult + inc, mod 2^128)."""
+    seed = checked_seed(seed)
+    if first < 0 or first + count > 2 ** 64:
+        raise DomainError(f"trials {first} to {first + count - 1} do not fit in 64 unsigned bits")
+    t = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    words = [np.full(count, seed & _MASK32, dtype=np.uint32)]
+    if seed >> 32:
+        words.append(np.full(count, seed >> 32, dtype=np.uint32))
+    words += [(t & _MASK32).astype(np.uint32), (t >> 32).astype(np.uint32)]
+    words += [np.zeros(count, dtype=np.uint32)] * (4 - len(words))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_L - hashmix(pool[src]) * _MIX_R
+                pool[dst] = mixed ^ (mixed >> 16)
+    const, out = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        out.append((value ^ (value >> 16)).astype(np.uint64))
+    s_hi, s_lo, i_hi, i_lo = ((out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4))
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        states.append((((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _substreams(seed: int, trials: int):
+    """Yield (t, rng) for t in range(trials), in order: one reused Generator,
+    set to the state of ``np.random.default_rng([seed, t])``, the substream
+    of ``verifiers.trial_rng``, bit for bit.  The states are seeded in
+    chunks of SUBSTREAM_CHUNK trials.  Trial 0's state is compared with
+    ``default_rng([seed, 0])`` first, so a NumPy whose seeding differs
+    raises instead of drawing other numbers."""
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for start in range(0, trials, SUBSTREAM_CHUNK):
+        states = _substream_states(seed, start, min(SUBSTREAM_CHUNK, trials - start))
+        for t, (state, inc) in enumerate(states, start):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            if t == 0 and bits.state != np.random.default_rng([seed, 0]).bit_generator.state:
+                raise RuntimeError("the substream seeding does not match numpy.random.default_rng "
+                                   f"at seed {seed}, trial 0")
+            yield t, rng
+
+
 def _per_entry(w) -> np.ndarray:
     """A weight, or one weight per stack entry, shaped to scale matrices."""
     return np.reshape(w, np.shape(w) + (1, 1))
 
 
 def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """A rows x cols complex Gaussian: the real parts, then the imaginary
-    parts, from one generator call."""
-    parts = rng.standard_normal((2, rows, cols))
-    g = np.empty((rows, cols), dtype=np.complex128)
-    g.real, g.imag = parts
+    """The numbers of a rows x cols complex Gaussian as drawn, from one
+    generator call: a (2, rows, cols) array of the real parts, then the
+    imaginary parts.  Builds assemble it with :func:`_complex`."""
+    return rng.standard_normal((2, rows, cols))
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """The complex Gaussian of drawn parts of shape (..., 2, rows, cols):
+    one (..., rows, cols) array for a draw or a stack of draws."""
+    g = np.empty(parts.shape[:-3] + parts.shape[-2:], dtype=np.complex128)
+    g.real = parts[..., 0, :, :]
+    g.imag = parts[..., 1, :, :]
     return g
 
 
 def _build_haar(g: np.ndarray) -> np.ndarray:
-    """Q of the QR of a complex Gaussian g with the R-diagonal phase fix,
-    giving a well-defined (Haar) distribution and exact determinism under a
-    seed."""
-    q, r = np.linalg.qr(g)
+    """Q of the QR of the complex Gaussian of drawn parts g with the
+    R-diagonal phase fix, giving a well-defined (Haar) distribution and
+    exact determinism under a seed."""
+    q, r = np.linalg.qr(_complex(g))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
 
 
 def _draw_pd(rng: np.random.Generator, dim: int, lo: float, hi: float) -> tuple:
-    """The numbers of a random PD matrix: its eigenvalues, then a Gaussian."""
+    """The numbers of a random PD matrix: its eigenvalues, then the parts of
+    a complex Gaussian."""
     return rng.uniform(lo, hi, size=dim), _complex_gaussian(rng, dim, dim)
 
 
@@ -548,6 +641,8 @@ def random_pd(dim: int, eig_range: tuple[float, float] = (0.05, 5.0),
 
 
 def _build_hermitian(g: np.ndarray, scale=1.0) -> HermitianMatrix:
+    """The symmetrized complex Gaussian of drawn parts g, times ``scale``."""
+    g = _complex(g)
     return HermitianMatrix(_per_entry(scale) * (g + _adjoint(g)) / 2.0)
 
 

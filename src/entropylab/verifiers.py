@@ -11,7 +11,9 @@ Each check is declared as a :class:`Check` rather than written as a loop:
   order of the one-pass samplers it replaced; reordering two changes every
   later number of the substream, and so the reports;
 - ``build(draw) -> instance`` does everything else and owns every check
-  (Hermitian, PD floor, contraction norm, Gram bound, identity sum): it
+  (Hermitian, PD floor, contraction norm, Gram bound, identity sum), and
+  assembles each drawn complex Gaussian, kept as its raw real and
+  imaginary parts, once per group: it
   makes the instance, a dict of typed values, from one draw, or one
   instance of stacked values from a group of draws stacked along a leading
   axis, each entry with the bits of building its draw alone;
@@ -29,11 +31,14 @@ Each check is declared as a :class:`Check` rather than written as a loop:
   and the fields that choose a family.  Draws of one key stack together.
 
 One run loop (:func:`_run`) serves every check.  Trial i uses the substream
-derived from (seed, i), so results are bit-identical across runs and
-independent of execution order.  A comparison breaches when gap > tol
-(gap >= tol if strict), where tol is tol_abs + tol_rel * scale and scale is
-the largest magnitude in the comparison; a record is built only on a
-breach.  A trial that raises an EntropyLabError becomes an error record
+derived from (seed, i), :func:`trial_rng`, so results are bit-identical
+across runs and independent of execution order.  The loop does not build a
+Generator per trial: it reuses one and sets it to each trial's state, which
+``matrix_core._substreams`` seeds in chunks of trials, bit-equal to
+``trial_rng`` (and checked against NumPy's own seeding at trial 0).  A
+comparison breaches when gap > tol (gap >= tol if strict), where tol is
+tol_abs + tol_rel * scale and scale is the largest magnitude in the
+comparison; a record is built only on a breach.  A trial that raises an EntropyLabError becomes an error record
 ``{"kind": "error", "trial", "error"}`` and the check goes on.
 
 The loop draws the trials in order, each alone and once, and appends each
@@ -98,7 +103,7 @@ from typing import Callable, Hashable, NamedTuple
 import numpy as np
 
 from . import functionals as fn
-from .errors import DomainError, EntropyLabError
+from .errors import DomainError, EntropyLabError, ParseError
 from .matrix_core import (
     Contraction,
     ContractionTuple,
@@ -108,6 +113,7 @@ from .matrix_core import (
     _build_hermitian,
     _build_pd,
     _build_tuple,
+    _complex,
     _complex_gaussian,
     _draw_pd,
     _draw_tuple,
@@ -116,6 +122,7 @@ from .matrix_core import (
     _per_entry,
     _per_matrix,
     _scaled_pd,
+    _substreams,
     _trace,
     checked_seed,
     matrix_exp,
@@ -377,8 +384,7 @@ def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
     funcs.update((name, f) for name, f in hooks.items() if f is not None)
     dims = check.dims(cfg)
     caps, pending, results = {}, {}, {}
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
+    for t, rng in _substreams(cfg.seed, cfg.trials):
         kmn = _pick_dims(rng, dims)
         draw = check.draw(rng, cfg, kmn, t)
         key = check.key(kmn, draw)
@@ -480,10 +486,8 @@ def _stacked(values: list):
                               for f in fields(first)})
     if isinstance(first, (HermitianMatrix, Contraction, ContractionTuple)):
         return stack(values)
-    if isinstance(first, np.ndarray):
-        return np.stack(values)
-    if isinstance(first, float):
-        return np.array(values)
+    if isinstance(first, (np.ndarray, float)):
+        return np.array(values)  # as np.stack does for arrays, in half the time
     return first
 
 
@@ -538,11 +542,19 @@ def _reverify(check: Check, records: list) -> None:
             r["reverified"] = abs(gap - r["gap"]) <= 1e-12
 
 
+class _ReadBack(dict):
+    """An instance read back from a dump: a key that ``compare`` reads and
+    the dump lacks is a ParseError naming it."""
+
+    def __missing__(self, key):
+        raise ParseError(f"instance: missing key {key!r}, which the comparison reads")
+
+
 def _replay(check: Check, kind: str | None, instance: dict) -> Comparison:
     """The first comparison of ``kind`` (the first at all for None) on an
     instance read back from a dump, or on a stack of them, with the genuine
     functionals."""
-    instance["kind"] = kind
+    instance = _ReadBack(instance, kind=kind)
     for c in check.compare(instance, CheckConfig(), check.functionals()):
         if kind is None or c.kind == kind:
             return c
@@ -561,6 +573,7 @@ def _draw_contraction(rng: np.random.Generator, rows: int, cols: int) -> tuple:
 def _build_contraction(g: np.ndarray, target) -> Contraction:
     """The Gaussian rescaled to its drawn norm < 1, checked once here rather
     than by every functional call of the trial."""
+    g = _complex(g)
     return Contraction(g * _per_entry(target / np.linalg.norm(g, 2, axis=(-2, -1))))
 
 
@@ -684,13 +697,13 @@ def _draw_gt_jensen(rng, cfg, kmn, trial) -> dict:
 
 
 def _build_gt_jensen(d: dict) -> dict:
-    shape = d["B"][0].shape
+    shape = d["B"][0].shape  # (..., 2, m, m): drawn parts
     if d["H"] is None:
-        tup = ContractionTuple([np.tile(np.eye(shape[-1]), shape[:-2] + (1, 1))],
+        tup = ContractionTuple([np.tile(np.eye(shape[-1]), shape[:-3] + (1, 1))],
                                sum_is_identity=True)
     else:
         tup = _build_tuple(*d["H"])
-    L = (HermitianMatrix(np.zeros(shape[:-2] + (tup.n, tup.n))) if d["L"] is None
+    L = (HermitianMatrix(np.zeros(shape[:-3] + (tup.n, tup.n))) if d["L"] is None
          else _build_hermitian(d["L"]))
     return {"kind": d["kind"],
             "inst": fn.MultiInstance(L=L, H=tup, b_list=[_build_hermitian(b) for b in d["B"]])}
@@ -775,7 +788,7 @@ def _build_route(d: dict) -> dict:
     tup = _build_tuple(*d["H"])
     bs = [_build_hermitian(b, 3.0) for b in d["B"]]
     l_random = _build_hermitian(d["L"], d["L_scale"])
-    zero = HermitianMatrix(np.zeros(d["L"].shape))
+    zero = HermitianMatrix(np.zeros(l_random.mat.shape))
     conj = fn._conjugated_sum(zero, tup, [b.mat for b in bs])
     diff = (matrix_exp(HermitianMatrix(conj)).mat
             - fn._conjugated_sum(zero, tup, [matrix_exp(b).mat for b in bs]))
@@ -1012,12 +1025,17 @@ def re_evaluate(check_name: str, record: dict) -> dict:
     """Recompute the comparison stored in a violation or witness record from
     its serialized instance, with the genuine functionals; returns
     ``{"lhs", "rhs", "gap"}`` for every check.  Used to confirm dumps
-    reproduce their gaps."""
+    reproduce their gaps.  A record that is not an object, has no
+    ``instance`` or lacks a key that the comparison reads is a ParseError."""
     if check_name not in _SPECS:
         raise DomainError(f"no re-evaluation rule for check {check_name!r}")
     check = _SPECS[check_name]
+    if not isinstance(record, dict):
+        raise ParseError(f"record: expected a JSON object, got {type(record).__name__}")
     kind = record.get("kind")
     if kind is not None and kind not in check.kinds:
         raise DomainError(f"check {check.name!r} has no comparison of kind {kind!r}")
+    if "instance" not in record:
+        raise ParseError("record: missing required key 'instance'")
     c = _replay(check, kind, read_fields(record["instance"], check.fields, required=False))
     return {"lhs": float(c.lhs), "rhs": float(c.rhs), "gap": float(c.gap)}

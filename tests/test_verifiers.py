@@ -7,7 +7,7 @@ import sampling_reference as ref
 
 from entropylab import functionals as fn
 from entropylab import verifiers
-from entropylab.errors import DomainError, NumericalInconsistency
+from entropylab.errors import DomainError, NumericalInconsistency, ParseError
 from entropylab.serialization import matrix_from_json
 from entropylab.verifiers import (
     CHECKS,
@@ -263,6 +263,34 @@ class TestViolationDumps:
         with pytest.raises(DomainError, match="nope"):
             re_evaluate("nope", {"kind": "segment", "instance": {}})
 
+    @pytest.mark.parametrize("record", [[], "segment", None, 3.5])
+    def test_record_that_is_not_an_object_is_a_parse_error(self, record):
+        with pytest.raises(ParseError, match="record: expected a JSON object"):
+            re_evaluate("sh_convexity", record)
+
+    def test_record_without_instance_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="record: missing required key 'instance'"):
+            re_evaluate("sh_convexity", {"kind": "segment", "trial": 0})
+
+    @pytest.mark.parametrize("name,kind,missing", [
+        ("sh_convexity", "segment", "H"),
+        ("phi_concavity", "segment", "L"),
+        ("gibbs_identity", "bound", "B"),
+        ("derivative_limit", "above_scale", "A"),
+    ])
+    def test_instance_without_a_compared_key_is_a_parse_error(self, name, kind, missing):
+        with pytest.raises(ParseError, match=f"missing key '{missing}'"):
+            re_evaluate(name, {"kind": kind, "instance": {}})
+
+    def test_dump_missing_one_compared_key_is_a_parse_error(self):
+        record = check_sh_convexity(CheckConfig(trials=2, seed=1),
+                                    entropy_fn=lambda a, b, h: -fn.reduced_relative_entropy(
+                                        a, b, h)).violations[0]
+        assert set(re_evaluate("sh_convexity", record)) == {"lhs", "rhs", "gap"}
+        instance = {k: v for k, v in record["instance"].items() if k != "B2"}
+        with pytest.raises(ParseError, match="missing key 'B2'"):
+            re_evaluate("sh_convexity", {**record, "instance": instance})
+
 
 class TestWitnessSearchErrors:
     def test_trial_error_becomes_record_and_fails_the_search(self):
@@ -320,9 +348,19 @@ class TestEqualPairEndpoints:
                 assert s_mid <= combo + 1e-9 * (1.0 + max(abs(s_mid), abs(combo)))
 
 
-def _count_trial_rngs(monkeypatch) -> list:
-    """The trial index of every ``trial_rng`` call that the run loop makes."""
+def _count_substreams(monkeypatch) -> list:
+    """The trial index of every substream that a check draws from, in the
+    order drawn: each trial that the run loop's seeding yields, and each
+    ``trial_rng`` call."""
     calls = []
+    substreams = verifiers._substreams
+
+    def counted(seed, trials):
+        for t, rng in substreams(seed, trials):
+            calls.append(t)
+            yield t, rng
+
+    monkeypatch.setattr(verifiers, "_substreams", counted)
     monkeypatch.setattr(verifiers, "trial_rng",
                         lambda seed, t: calls.append(t) or trial_rng(seed, t))
     return calls
@@ -332,15 +370,17 @@ class TestBatchedEngine:
     """Same-signature groups of trials run as stacks, and the report keeps
     the bytes of running every trial alone through the 2-d comparisons."""
 
-    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("size", ["small", "large", "two_word_seed"])
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_report_equals_every_trial_alone(self, name, size, monkeypatch):
         if size == "small":
             cfg = CheckConfig(trials=40, seed=5)
+        elif size == "two_word_seed":  # the seed's entropy takes two 32-bit words
+            cfg = CheckConfig(trials=40, seed=2 ** 64 - 1)
         else:
             cfg = CheckConfig(trials=4, seed=5,
                               dims=((2, 8, 8),) if name == "gt_route_gap" else ((2, 14, 28),))
-        drawn = _count_trial_rngs(monkeypatch)
+        drawn = _count_substreams(monkeypatch)
         batched = run_check(name, cfg)
         # Each trial is drawn once (homogeneity's counterexample search draws
         # its attempts after the trials).
@@ -560,12 +600,12 @@ class TestStackedSampling:
             return spec.build(draws)
 
         monkeypatch.setitem(verifiers._SPECS, "gt_route_gap", replace(spec, build=build))
-        drawn = _count_trial_rngs(monkeypatch)
+        drawn = _count_substreams(monkeypatch)
         report = search_gt_route_gap(cfg, route_fn=route)
         errors = [v["trial"] for v in report.violations if v["kind"] == "error"]
         witnesses = [v["trial"] for v in report.violations if v["kind"] == "witness"]
         assert errors == [19, 20, 30] and len(witnesses) == 113
-        assert len(drawn) == 200 and sorted(drawn) == list(range(200))
+        assert drawn == list(range(200))
         # Groups of 64 trials (the cap at n = 8); only a part that holds a
         # raising trial is split again, into its halves.
         cap = verifiers._group_cap(spec, (2, 8, 8))
@@ -607,7 +647,7 @@ class TestWholeRunGroups:
         spec = verifiers._SPECS["gt_route_gap"]
         groups = _groups(spec, cfg)
         calls = self._count_compares(monkeypatch, "gt_route_gap")
-        drawn = _count_trial_rngs(monkeypatch)
+        drawn = _count_substreams(monkeypatch)
         report = search_gt_route_gap(cfg)
         witnesses = {w["trial"] for w in report.violations}
         assert report.passed and len(witnesses) == 44 and drawn == list(range(cfg.trials))
