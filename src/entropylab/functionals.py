@@ -15,9 +15,19 @@ the trace-exponential functionals
 
 and the Gibbs-type variational objectives whose maxima recover them.
 
-Every functional returns the real part of an exactly computed trace after
-checking that the imaginary part is at round-off level; a larger imaginary
-part raises NumericalInconsistency instead of being silently discarded.
+Each functional is evaluated on the kept spectra (w, U) of its arguments
+(see ``matrix_core``), and none forms a log, power or exp matrix.  In the
+eigenbases of A and B a trace of products of their functions is a sum over
+pairs of eigenvalues weighted by |V_ij|^2 with V = U_A* H U_B: so the
+relative entropies, the Gibbs objective, the Lieb trace and its derivative
+at p = 0 and the commuting-case bound Tr(e^L sum H_i* e^(B_i) H_i) are real
+by construction, and so is Tr exp, the sum of the exps of the checked
+eigenvalues of its symmetrized argument.  The imaginary-part guard runs
+where a trace of a matrix product is still taken, the Tr(X L) and Tr A of
+:func:`phi_objective`: there the real part is returned after checking that
+the imaginary part is at round-off level, and a larger one raises
+NumericalInconsistency instead of being silently discarded.  A sum of exps
+that overflows raises NonFiniteObjective.
 
 Every functional also takes stacks of arguments (see ``matrix_core``): given
 values of shape (T, n, n) it returns the T values, each bit-equal to the
@@ -44,14 +54,14 @@ from .matrix_core import (
     PositiveDefiniteMatrix,
     _adjoint,
     _any,
+    _basis_overlap,
     _block_diagonal,
     _checked_eigvalsh,
+    _on_eigenvalues,
     _per_matrix,
+    _power,
     _trace,
     as_complex_matrix,
-    matrix_exp,
-    matrix_log,
-    matrix_power,
 )
 
 IMAG_TOL = 1e-10
@@ -91,6 +101,53 @@ def _trace_exp(arg: np.ndarray):
     return _per_matrix(total)
 
 
+def _weights(v):
+    """|v_ij|^2 of an overlap, or None (the identity) for None."""
+    return None if v is None else v.real ** 2 + v.imag ** 2
+
+
+def _pair_sum(x: np.ndarray, weights, y: np.ndarray):
+    """sum_ij x_i weights_ij y_j per matrix of a stack, with None weights
+    the identity: sum_i x_i y_i.  The same arguments give the same bits."""
+    col = y[..., :, None]
+    if weights is not None:
+        col = weights @ col
+    return (x[..., None, :] @ col)[..., 0, 0]
+
+
+def _conjugated_log(A: PositiveDefiniteMatrix, h: np.ndarray) -> np.ndarray:
+    """H* log(A) H = W* diag(log a) W with W = U_A* H, from the kept
+    spectrum of A."""
+    log_a, _ = _on_eigenvalues(A, np.log, "log")
+    w = _basis_overlap(A, h)
+    return _adjoint(w) @ (log_a[..., :, None] * w)
+
+
+def _exp_weighted_trace(L: HermitianMatrix, pairs, what: str):
+    """The sum over (h, B) in ``pairs`` of Tr(e^L h e^B h*) = sum_jk e^(l_j)
+    |(U_L* h U_B)_jk|^2 e^(b_k), for Hermitian L and B and h None for the
+    identity; a sum that overflows raises NonFiniteObjective."""
+    exp_l, _ = _on_eigenvalues(L, np.exp, "exp")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(_pair_sum(exp_l, _weights(_basis_overlap(L, h, B)),
+                              _on_eigenvalues(B, np.exp, "exp")[0]) for h, B in pairs)
+    if _any(~np.isfinite(total)):
+        raise NonFiniteObjective(f"{what} is not finite: it overflows")
+    return _per_matrix(total)
+
+
+def _entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix, h):
+    """Tr(A log A - H* A H log B - A + B) from the kept spectra, with h None
+    for H = I: sum_i a_i log a_i - sum_ij a_i |V_ij|^2 log b_j - Tr A + Tr B
+    for V = U_A* H U_B."""
+    log_a, dec_a = _on_eigenvalues(A, np.log, "log")
+    log_b, _ = _on_eigenvalues(B, np.log, "log")
+    a = dec_a.eigenvalues
+    t = (_pair_sum(a, None, log_a) - _pair_sum(a, _weights(_basis_overlap(A, h, B)), log_b)
+         - _trace(A.mat).real + _trace(B.mat).real)
+    return _per_matrix(t)
+
+
 def reduced_relative_entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix,
                              H) -> float:
     """Reduced relative entropy Tr(A log A - H* A H log B - A + B).
@@ -98,44 +155,44 @@ def reduced_relative_entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatri
     ``H`` is a contraction mapping the space of B into the space of A, i.e.
     of shape (dim A, dim B); for H = I this is the relative quantum entropy.
     """
-    h = _contraction_arg(H, A.dim, B.dim).mat
-    log_a = matrix_log(A).mat
-    log_b = matrix_log(B).mat
-    t = (_trace(A.mat @ log_a)
-         - _trace(_adjoint(h) @ A.mat @ h @ log_b)
-         - _trace(A.mat) + _trace(B.mat))
-    return _real_trace(t)
+    return _entropy(A, B, _contraction_arg(H, A.dim, B.dim).mat)
 
 
 def relative_entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix) -> float:
     """Relative quantum entropy S(A|B); nonnegative, zero exactly at A = B."""
     if A.dim != B.dim:
         raise DimensionError(f"A and B must have equal dimension, got {A.dim} and {B.dim}")
-    return reduced_relative_entropy(A, B, np.eye(A.dim))
+    return _entropy(A, B, None)
+
+
+def _lieb_overlap(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix, H) -> np.ndarray:
+    """|U_A* H U_B|^2 for an H of shape (dim A, dim B), which is not
+    checked for its norm."""
+    h = as_complex_matrix(H, name="H")
+    if h.shape[-2:] != (A.dim, B.dim):
+        raise DimensionError(f"H must have shape {(A.dim, B.dim)}, got {h.shape}")
+    return _weights(_basis_overlap(A, h, B))
 
 
 def lieb_trace(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix, H,
                p: float) -> float:
-    """Tr(H B^p H* A^(1-p)) for p in [0, 1]; jointly concave in (A, B)."""
-    h = as_complex_matrix(H, name="H")
-    if h.shape[-2:] != (A.dim, B.dim):
-        raise DimensionError(f"H must have shape {(A.dim, B.dim)}, got {h.shape}")
-    b_p = matrix_power(B, p).mat
-    a_1p = matrix_power(A, 1.0 - p).mat
-    return _real_trace(_trace(h @ b_p @ _adjoint(h) @ a_1p))
+    """Tr(H B^p H* A^(1-p)) for p in [0, 1]; jointly concave in (A, B).
+    From the kept spectra: sum_ij a_i^(1-p) |V_ij|^2 b_j^p, V = U_A* H U_B."""
+    weights = _lieb_overlap(A, B, H)
+    b_p, _ = _on_eigenvalues(B, _power(p), "power")
+    a_1p, _ = _on_eigenvalues(A, _power(1.0 - p), "power")
+    return _per_matrix(_pair_sum(a_1p, weights, b_p))
 
 
 def lieb_trace_derivative_at_zero(A: PositiveDefiniteMatrix,
                                   B: PositiveDefiniteMatrix, H) -> float:
     """d/dp Tr(H B^p H* A^(1-p)) at p = 0, in closed form:
-    Tr(H log(B) H* A - H H* A log A)."""
-    h = as_complex_matrix(H, name="H")
-    if h.shape[-2:] != (A.dim, B.dim):
-        raise DimensionError(f"H must have shape {(A.dim, B.dim)}, got {h.shape}")
-    log_a = matrix_log(A).mat
-    log_b = matrix_log(B).mat
-    t = _trace(h @ log_b @ _adjoint(h) @ A.mat) - _trace(h @ _adjoint(h) @ A.mat @ log_a)
-    return _real_trace(t)
+    Tr(H log(B) H* A - H H* A log A) = sum_ij a_i |V_ij|^2 (log b_j - log a_i)."""
+    weights = _lieb_overlap(A, B, H)
+    log_a, dec_a = _on_eigenvalues(A, np.log, "log")
+    log_b, _ = _on_eigenvalues(B, np.log, "log")
+    gaps = log_b[..., None, :] - log_a[..., :, None]
+    return _per_matrix(_pair_sum(dec_a.eigenvalues, weights * gaps, np.ones(B.dim)))
 
 
 def trace_exp_functional(A: PositiveDefiniteMatrix, L: HermitianMatrix, H) -> float:
@@ -145,8 +202,7 @@ def trace_exp_functional(A: PositiveDefiniteMatrix, L: HermitianMatrix, H) -> fl
     space of A (shape m x n).
     """
     h = _contraction_arg(H, A.dim, L.dim).mat
-    arg = L.mat + _adjoint(h) @ matrix_log(A).mat @ h
-    return _trace_exp(arg)
+    return _trace_exp(L.mat + _conjugated_log(A, h))
 
 
 @dataclass(frozen=True)
@@ -187,23 +243,29 @@ class MultiInstance:
         return self.H.k
 
 
+def _plus(base: np.ndarray, terms) -> np.ndarray:
+    """base plus each of one or more terms, broadcast over their stack
+    shapes (a stack of points against one stack of base)."""
+    terms = iter(terms)
+    total = base + next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
 def _conjugated_sum(L: HermitianMatrix, H: ContractionTuple,
                     middles: list[np.ndarray]) -> np.ndarray:
     """L + sum_i H_i* M_i H_i, broadcast over the stack shapes of L and the
     M_i (a stack of points of the M_i against one stack of L and H)."""
-    terms = (_adjoint(h) @ mid @ h for h, mid in zip(H.blocks, middles))
-    arg = L.mat + next(terms)
-    for term in terms:
-        arg += term
-    return arg
+    return _plus(L.mat, (_adjoint(h) @ mid @ h for h, mid in zip(H.blocks, middles)))
 
 
 def multi_trace_exp(inst: MultiInstance) -> float:
     """phi(A_1..A_k) = Tr exp(L + sum_i H_i* log(A_i) H_i)."""
     if inst.a_list is None:
         raise DimensionError("multi_trace_exp needs an instance with a_list")
-    arg = _conjugated_sum(inst.L, inst.H, [matrix_log(a).mat for a in inst.a_list])
-    return _trace_exp(arg)
+    return _trace_exp(_plus(inst.L.mat, (_conjugated_log(a, h)
+                                         for h, a in zip(inst.H.blocks, inst.a_list))))
 
 
 def gt_jensen_lhs(inst: MultiInstance) -> float:
@@ -216,14 +278,13 @@ def gt_jensen_lhs(inst: MultiInstance) -> float:
 
 
 def gt_jensen_rhs(inst: MultiInstance) -> float:
-    """Tr(exp(L) sum_i H_i* exp(B_i) H_i), the commuting-case bound."""
+    """Tr(exp(L) sum_i H_i* exp(B_i) H_i), the commuting-case bound, as
+    sum_i sum_jk e^(l_j) |(U_L* H_i* U_(B_i))_jk|^2 e^(b_k); a sum that
+    overflows raises NonFiniteObjective."""
     if inst.b_list is None:
         raise DimensionError("gt_jensen_rhs needs an instance with b_list")
-    exp_l = matrix_exp(inst.L).mat
-    total = np.zeros_like(exp_l)
-    for h, b in zip(inst.H.blocks, inst.b_list):
-        total += _adjoint(h) @ matrix_exp(b).mat @ h
-    return _real_trace(_trace(exp_l @ total))
+    pairs = ((_adjoint(h), b) for h, b in zip(inst.H.blocks, inst.b_list))
+    return _exp_weighted_trace(inst.L, pairs, "Tr(e^L sum H_i* e^(B_i) H_i)")
 
 
 @dataclass(frozen=True)
@@ -269,10 +330,12 @@ def gibbs_objective(X: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix) -> flo
     """Tr(X log B - X log X + X); maximized over X > 0 at X = B with value Tr B."""
     if X.dim != B.dim:
         raise DimensionError(f"X and B must have equal dimension, got {X.dim} and {B.dim}")
-    log_b = matrix_log(B).mat
-    log_x = matrix_log(X).mat
-    t = _trace(X.mat @ log_b) - _trace(X.mat @ log_x) + _trace(X.mat)
-    return _real_trace(t)
+    log_b, _ = _on_eigenvalues(B, np.log, "log")
+    log_x, dec_x = _on_eigenvalues(X, np.log, "log")
+    x = dec_x.eigenvalues
+    t = (_pair_sum(x, _weights(_basis_overlap(X, None, B)), log_b) - _pair_sum(x, None, log_x)
+         + _trace(X.mat).real)
+    return _per_matrix(t)
 
 
 def phi_objective(X: PositiveDefiniteMatrix, A: PositiveDefiniteMatrix,

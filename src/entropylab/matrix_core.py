@@ -11,7 +11,10 @@ built is never decomposed: it keeps that spectrum as its checked one.  So
 exp(M) and A^p carry f(w) with the eigenvectors of their argument, a random
 PD matrix its sorted drawn eigenvalues with its Haar eigenvectors, and a
 positive multiple or a block diagonal of PD values the spectra of those
-values.
+values.  The trace functionals read kept spectra directly: f of a value's
+eigenvalues (``_on_eigenvalues``, which exp, log and powers reuse) and the
+overlap U_A* H U_B of two eigenbases (``_basis_overlap``), with no matrix
+function formed.
 
 A value may be a stack: its entries have shape ``(..., n, n)`` (``(..., m,
 n)`` for a contraction), and every check runs on each matrix of the stack,
@@ -336,9 +339,12 @@ def matrix_function(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
     return HermitianMatrix(_on_spectrum(M, f, fname)[0])
 
 
-def _on_spectrum(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
-                 fname: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U diag(f(w)) U* for M = U diag(w) U*, as an array, with f(w) and U."""
+def _on_eigenvalues(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
+                    fname: str | None) -> tuple[np.ndarray, SpectralDecomposition]:
+    """f(w) for the kept spectrum M = U diag(w) U* (decomposed on first
+    use), with that decomposition.  f(w) must be real, of the shape of w
+    and finite, as :func:`matrix_function` requires; otherwise this is a
+    DomainError."""
     dec = spectral_decompose(M)
     label = fname or getattr(f, "__name__", "f")
     with np.errstate(all="ignore"):
@@ -348,8 +354,38 @@ def _on_spectrum(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
             raise DomainError(f"{label} did not return real values: {exc}") from exc
     if fw.shape != dec.eigenvalues.shape or not np.all(np.isfinite(fw)):
         raise DomainError(f"{label} is not finite on the spectrum {dec.eigenvalues}")
+    return fw, dec
+
+
+def _on_spectrum(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
+                 fname: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U diag(f(w)) U* for M = U diag(w) U*, as an array, with f(w) and U."""
+    fw, dec = _on_eigenvalues(M, f, fname)
     u = dec.eigenvectors
     return (u * fw[..., None, :]) @ _adjoint(u), fw, u
+
+
+def _power(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """w -> w^p, for a power p in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"power must lie in [0, 1], got {p}")
+    return lambda w: w ** p
+
+
+def _basis_overlap(A: HermitianMatrix, h: np.ndarray | None,
+                   B: HermitianMatrix | None = None) -> np.ndarray | None:
+    """U_A* h U_B for the kept eigenvectors U_A of A and U_B of B (each
+    decomposed on first use): h in the eigenbasis of A on its left and of B
+    on its right, or U_A* h when B is None.  With B given, ``h`` None stands
+    for the identity; the overlap of a value with itself is then the identity
+    exactly, and is returned as None.  Stack shapes broadcast."""
+    if h is None and B is A:
+        return None
+    left = _adjoint(spectral_decompose(A).eigenvectors)
+    if B is None:
+        return left @ h
+    right = spectral_decompose(B).eigenvectors
+    return left @ (right if h is None else h @ right)
 
 
 def matrix_log(A: PositiveDefiniteMatrix) -> HermitianMatrix:
@@ -369,9 +405,7 @@ def matrix_exp(M: HermitianMatrix) -> PositiveDefiniteMatrix:
 def matrix_power(A: PositiveDefiniteMatrix, p: float) -> PositiveDefiniteMatrix:
     """Fractional power A^p for p in [0, 1], which keeps w^p with the
     eigenvectors of A as its spectrum, as :func:`matrix_exp` does."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"power must lie in [0, 1], got {p}")
-    return PositiveDefiniteMatrix._with_spectrum(*_on_spectrum(A, lambda w: w ** p, "power"),
+    return PositiveDefiniteMatrix._with_spectrum(*_on_spectrum(A, _power(p), "power"),
                                                  pd_floor=0.0)
 
 

@@ -144,6 +144,13 @@ def _floats(obj, name: str) -> tuple:
     return tuple(_float(x, name) for x in items)
 
 
+def _weights(obj, name: str) -> tuple:
+    weights = _floats(obj, name)
+    if not all(0.0 < w < 1.0 for w in weights):
+        raise ParseError(f"{name}: weights must lie in (0, 1), got {list(weights)}")
+    return weights
+
+
 def _pd_list(obj, name: str) -> list:
     if not isinstance(obj, list):
         raise ParseError(f"{name}: expected a list of matrices")
@@ -157,6 +164,7 @@ _FIELD_READERS = {
     "matrix": matrix_from_json,
     "float": _float,
     "floats": _floats,           # a number or a list of numbers, as a tuple
+    "weights": _weights,         # the same, each in (0, 1)
     "pd_list": _pd_list,
 }
 

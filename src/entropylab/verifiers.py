@@ -103,7 +103,7 @@ from typing import Callable, Hashable, NamedTuple
 import numpy as np
 
 from . import functionals as fn
-from .errors import DomainError, EntropyLabError, ParseError
+from .errors import DimensionError, DomainError, EntropyLabError, ParseError
 from .matrix_core import (
     Contraction,
     ContractionTuple,
@@ -123,7 +123,6 @@ from .matrix_core import (
     _per_matrix,
     _scaled_pd,
     _substreams,
-    _trace,
     checked_seed,
     matrix_exp,
     stack,
@@ -338,6 +337,18 @@ def _by_point(evaluate: Callable, n_ends: int, weights: tuple, point_bytes: int)
         result = evaluate(partial(_points, kept, w))
         for j, at in enumerate(range(start, stop)):
             yield (weights[at - n_ends] if at >= n_ends else None), j, result
+
+
+def _same_shape(**ends) -> None:
+    """Check that the ends of a segment, values or lists of values, have one
+    shape.  Ends read back from a dump may not, which is a DimensionError
+    naming them, raised before they are stacked."""
+    shapes = {name: [v.mat.shape for v in end] if isinstance(end, (list, tuple)) else end.mat.shape
+              for name, end in ends.items()}
+    first, *rest = shapes.values()
+    if any(shape != first for shape in rest):
+        raise DimensionError("segment ends differ in shape: "
+                             + ", ".join(f"{name} {shape}" for name, shape in shapes.items()))
 
 
 def _points(kept: slice, w: np.ndarray, ends: list, make: Callable):
@@ -598,6 +609,8 @@ def _batch(value) -> int:
 def _compare_sh(inst, cfg, f):
     entropy, h = f["entropy"], inst["H"]
     a1, b1, a2, b2 = inst["A1"], inst["B1"], inst["A2"], inst["B2"]
+    _same_shape(A1=a1, A2=a2)
+    _same_shape(B1=b1, B2=b2)
     ends = []
     walk = _by_point(lambda points: entropy(points([a1, a2], _mix), points([b1, b2], _mix), h),
                      2, inst["lam"], _stack_bytes(a1.dim, _batch(a1)))
@@ -625,6 +638,7 @@ def _build_phi(d: dict) -> dict:
 
 def _compare_phi(inst, cfg, f):
     phi, L, h, a1, a2 = f["phi"], inst["L"], inst["H"], inst["A1"], inst["A2"]
+    _same_shape(A1=a1, A2=a2)
     ends = []
     walk = _by_point(lambda points: phi(points([a1, a2], _mix), L, h),
                      2, inst["lam"], _stack_bytes(max(a1.dim, L.dim), _batch(L)))
@@ -659,6 +673,7 @@ def _compare_multi(inst, cfg, f):
     phi, first = f["phi"], inst["inst"]
     # A block_lift record dumps its instance alone, which is then the one point.
     ends = [first.a_list] + ([inst["A2"]] if "A2" in inst else [])
+    _same_shape(**dict(zip(("A", "A2"), ends)))
 
     def evaluate(points):
         m = replace(first, a_list=[points([a[i] for a in ends], _mix) for i in range(first.k)])
@@ -857,15 +872,15 @@ def _strict_contraction_break(cfg: CheckConfig, phi: Callable, dims: tuple,
 _SPECS = {c.name: c for c in (
     Check("sh_convexity", _draw_sh, _build_sh, _compare_sh,
           lambda: {"entropy": fn.reduced_relative_entropy},
-          {"H": "matrix", "A1": "pd", "B1": "pd", "A2": "pd", "B2": "pd", "lam": "floats"},
+          {"H": "matrix", "A1": "pd", "B1": "pd", "A2": "pd", "B2": "pd", "lam": "weights"},
           ("segment",), order=lambda k, m, n: m, key=lambda kmn, d: kmn[1]),
     Check("phi_concavity", _draw_phi, _build_phi, _compare_phi,
           lambda: {"phi": fn.trace_exp_functional},
-          {"L": "hermitian", "H": "matrix", "A1": "pd", "A2": "pd", "lam": "floats"},
+          {"L": "hermitian", "H": "matrix", "A1": "pd", "A2": "pd", "lam": "weights"},
           ("segment",), key=lambda kmn, d: kmn[1:]),
     Check("multi_concavity", _draw_multi, _build_multi, _compare_multi,
           lambda: {"phi": fn.multi_trace_exp},
-          {"inst": "multi", "A2": "pd_list", "lam": "floats"},
+          {"inst": "multi", "A2": "pd_list", "lam": "weights"},
           ("block_lift", "segment"), order=lambda k, m, n: k * max(m, n),
           key=lambda kmn, d: (kmn, d["H"][-1] is None)),  # an isometric tuple draws no scale
     Check("gt_jensen", _draw_gt_jensen, _build_gt_jensen, _compare_gt_jensen,
@@ -955,13 +970,14 @@ def check_derivative_limit(cfg: CheckConfig,
 
 def gt_route_value(inst: fn.MultiInstance) -> float:
     """Tr(e^L e^(sum H_i* B_i H_i)): the bound produced by applying the
-    Golden-Thompson inequality before splitting the exponential."""
+    Golden-Thompson inequality before splitting the exponential.  It is
+    summed over the pairs of eigenvalues of L and of the exponent, and a sum
+    that overflows raises NonFiniteObjective."""
     if inst.b_list is None:
         raise DomainError("gt_route_value needs an instance with b_list")
     arg = HermitianMatrix(fn._conjugated_sum(
         HermitianMatrix(np.zeros_like(inst.L.mat)), inst.H, [b.mat for b in inst.b_list]))
-    product = matrix_exp(inst.L).mat @ matrix_exp(arg).mat
-    return fn._real_trace(_trace(product))
+    return fn._exp_weighted_trace(inst.L, [(None, arg)], "Tr(e^L e^(sum H_i* B_i H_i))")
 
 
 def search_gt_route_gap(cfg: CheckConfig,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,17 @@ class TestEval:
             "A": a, "B": a, "H": matrix_to_json(np.array([[3.0]]))})
         code, _, err = run(capsys, "eval", "reduced_relative_entropy", path)
         assert code == 2 and "norm" in err
+
+    def test_overflowing_commuting_bound_exits_3(self, tmp_path, capsys):
+        # e^700 is finite and e^700 e^700 is not: a numerical error, not inf.
+        wide = matrix_to_json(np.diag([700.0, 0.0]))
+        path = write_instance(tmp_path, "inst.json", {
+            "L": wide, "H": [matrix_to_json(np.eye(2))], "sum_is_identity": True, "B": [wide]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "gt_jensen_rhs", path)
+        assert code == 3 and out == ""
+        assert "Tr(e^L sum H_i* e^(B_i) H_i) is not finite" in err
 
     @pytest.mark.parametrize("entry", ["x", None, pytest.param(10 ** 400, id="400-digit")])
     def test_non_number_matrix_entry_exits_2(self, tmp_path, capsys, entry):

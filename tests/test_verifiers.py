@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,9 @@ import sampling_reference as ref
 
 from entropylab import functionals as fn
 from entropylab import verifiers
-from entropylab.errors import DomainError, NumericalInconsistency, ParseError
-from entropylab.serialization import matrix_from_json
+from entropylab.errors import DimensionError, DomainError, NumericalInconsistency, ParseError
+from entropylab.matrix_core import random_pd
+from entropylab.serialization import matrix_from_json, matrix_to_json
 from entropylab.verifiers import (
     CHECKS,
     CheckConfig,
@@ -290,6 +292,41 @@ class TestViolationDumps:
         instance = {k: v for k, v in record["instance"].items() if k != "B2"}
         with pytest.raises(ParseError, match="missing key 'B2'"):
             re_evaluate("sh_convexity", {**record, "instance": instance})
+
+
+    @staticmethod
+    def _segment_record(name):
+        negated = {
+            "sh_convexity": {"entropy_fn": lambda a, b, h: -fn.reduced_relative_entropy(a, b, h)},
+            "phi_concavity": {"phi_fn": lambda a, l, h: -fn.trace_exp_functional(a, l, h)},
+            "multi_concavity": {"phi_fn": lambda inst: -fn.multi_trace_exp(inst)},
+        }[name]
+        report = CHECKS[name](CheckConfig(trials=2, seed=1), **negated)
+        return next(r for r in report.violations if r["kind"] == "segment")
+
+    @pytest.mark.parametrize("name,key,value,shapes", [
+        ("sh_convexity", "B1", lambda inst: matrix_to_json(random_pd(3, seed=0)),
+         "B1 (3, 3), B2 (2, 2)"),
+        ("phi_concavity", "A2", lambda inst: matrix_to_json(random_pd(5, seed=0)),
+         "A1 (2, 2), A2 (5, 5)"),
+        ("multi_concavity", "A2", lambda inst: inst["A2"][:1],
+         "A [(2, 2), (2, 2)], A2 [(2, 2)]"),
+    ])
+    def test_segment_ends_of_different_shapes_are_a_dimension_error(self, name, key, value,
+                                                                    shapes):
+        record = self._segment_record(name)
+        assert set(re_evaluate(name, record)) == {"lhs", "rhs", "gap"}
+        instance = {**record["instance"], key: value(record["instance"])}
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"segment ends differ in shape: {shapes}")):
+            re_evaluate(name, {**record, "instance": instance})
+
+    @pytest.mark.parametrize("name", ["sh_convexity", "phi_concavity", "multi_concavity"])
+    @pytest.mark.parametrize("lam", [2.0, 0.0, 1.0, -0.5, [0.5, 1.5], "nan"])
+    def test_segment_weight_outside_the_unit_interval_is_a_parse_error(self, name, lam):
+        record = self._segment_record(name)
+        with pytest.raises(ParseError, match="key 'lam': weights must lie in"):
+            re_evaluate(name, {**record, "instance": {**record["instance"], "lam": lam}})
 
 
 class TestWitnessSearchErrors:
