@@ -62,6 +62,7 @@ from .matrix_core import (
     _power,
     _trace,
     as_complex_matrix,
+    spectral_decompose,
 )
 
 IMAG_TOL = 1e-10
@@ -126,11 +127,12 @@ def _conjugated_log(A: PositiveDefiniteMatrix, h: np.ndarray) -> np.ndarray:
 def _exp_weighted_trace(L: HermitianMatrix, pairs, what: str):
     """The sum over (h, B) in ``pairs`` of Tr(e^L h e^B h*) = sum_jk e^(l_j)
     |(U_L* h U_B)_jk|^2 e^(b_k), for Hermitian L and B and h None for the
-    identity; a sum that overflows raises NonFiniteObjective."""
-    exp_l, _ = _on_eigenvalues(L, np.exp, "exp")
+    identity; a sum that overflows, an exp of an eigenvalue included, raises
+    NonFiniteObjective."""
     with np.errstate(over="ignore", invalid="ignore"):
+        exp_l = np.exp(spectral_decompose(L).eigenvalues)
         total = sum(_pair_sum(exp_l, _weights(_basis_overlap(L, h, B)),
-                              _on_eigenvalues(B, np.exp, "exp")[0]) for h, B in pairs)
+                              np.exp(spectral_decompose(B).eigenvalues)) for h, B in pairs)
     if _any(~np.isfinite(total)):
         raise NonFiniteObjective(f"{what} is not finite: it overflows")
     return _per_matrix(total)

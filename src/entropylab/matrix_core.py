@@ -589,23 +589,24 @@ def _substream_states(seed: int, first: int, count: int) -> list[tuple[int, int]
     return states
 
 
-def _substreams(seed: int, trials: int):
-    """Yield (t, rng) for t in range(trials), in order: one reused Generator,
-    set to the state of ``np.random.default_rng([seed, t])``, the substream
-    of ``verifiers.trial_rng``, bit for bit.  The states are seeded in
-    chunks of SUBSTREAM_CHUNK trials.  Trial 0's state is compared with
-    ``default_rng([seed, 0])`` first, so a NumPy whose seeding differs
-    raises instead of drawing other numbers."""
+def _substreams(seed: int, first: int, count: int):
+    """Yield (t, rng) for the ``count`` trials t from ``first``, in order: one
+    reused Generator, set to the state of ``np.random.default_rng([seed, t])``,
+    the substream of ``verifiers.trial_rng``, bit for bit.  The states are
+    seeded in chunks of SUBSTREAM_CHUNK trials.  The first trial's state is
+    compared with ``default_rng([seed, first])`` before it is yielded, so a
+    NumPy whose seeding differs raises instead of drawing other numbers."""
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for start in range(0, trials, SUBSTREAM_CHUNK):
-        states = _substream_states(seed, start, min(SUBSTREAM_CHUNK, trials - start))
+    stop = first + count
+    for start in range(first, stop, SUBSTREAM_CHUNK):
+        states = _substream_states(seed, start, min(SUBSTREAM_CHUNK, stop - start))
         for t, (state, inc) in enumerate(states, start):
             bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                           "has_uint32": 0, "uinteger": 0}
-            if t == 0 and bits.state != np.random.default_rng([seed, 0]).bit_generator.state:
+            if t == first and bits.state != np.random.default_rng([seed, t]).bit_generator.state:
                 raise RuntimeError("the substream seeding does not match numpy.random.default_rng "
-                                   f"at seed {seed}, trial 0")
+                                   f"at seed {seed}, trial {t}")
             yield t, rng
 
 

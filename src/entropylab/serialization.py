@@ -29,7 +29,7 @@ def matrix_to_json(M) -> dict:
     a = as_complex_matrix(M)
     if a.ndim != 2:
         raise DimensionError(f"a JSON matrix holds one matrix, got a stack of shape {a.shape}")
-    data = [[float(z.real), float(z.imag)] for z in a.ravel(order="C")]
+    data = np.stack((a.real, a.imag), axis=-1).reshape(-1, 2).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 

@@ -17,8 +17,6 @@ Each check is declared as a :class:`Check` rather than written as a loop:
   makes the instance, a dict of typed values, from one draw, or one
   instance of stacked values from a group of draws stacked along a leading
   axis, each entry with the bits of building its draw alone;
-  ``sample(rng, cfg, dims, trial)`` is the pick, the draw and the build for
-  one trial;
 - ``compare(instance, cfg, functionals)`` is a lazy generator of
   :class:`Comparison` s (kind, lhs, rhs, gap, tol, strict), each holding
   the values that its record's instance dump is made of;
@@ -35,8 +33,8 @@ derived from (seed, i), :func:`trial_rng`, so results are bit-identical
 across runs and independent of execution order.  The loop does not build a
 Generator per trial: it reuses one and sets it to each trial's state, which
 ``matrix_core._substreams`` seeds in chunks of trials, bit-equal to
-``trial_rng`` (and checked against NumPy's own seeding at trial 0).  A
-comparison breaches when gap > tol (gap >= tol if strict), where tol is
+``trial_rng`` (and checked against NumPy's own seeding at the first trial).
+A comparison breaches when gap > tol (gap >= tol if strict), where tol is
 tol_abs + tol_rel * scale and scale is the largest magnitude in the
 comparison; a record is built only on a breach.  A trial that raises an EntropyLabError becomes an error record
 ``{"kind": "error", "trial", "error"}`` and the check goes on.
@@ -138,6 +136,8 @@ P_GRID = (1e-2, 1e-3, 1e-4)
 T_FACTORS = (0.5, 2.0, 10.0)
 # A strict-contraction tuple must break homogeneity by at least this much.
 HOMOGENEITY_BREAK_MIN = 1e-3
+# Attempts of the strict-contraction search, one trial each after the check's.
+BREAK_ATTEMPTS = 20
 # Instance families of the gt_jensen check, cycled by trial index.
 GT_FAMILIES = ("general", "golden_thompson", "general", "jensen")
 # Bytes of the largest matrix stack that a group of trials, or one pass of
@@ -275,11 +275,6 @@ class Check:
     # it uses and any field that chooses a family.  Draws of one key stack.
     key: Callable[[tuple, dict], Hashable] = lambda kmn, draw: kmn
 
-    def sample(self, rng: np.random.Generator, cfg: CheckConfig, dims: tuple,
-               trial: int) -> dict:
-        """One trial's instance: its draw, built alone."""
-        return self.build(self.draw(rng, cfg, _pick_dims(rng, dims), trial))
-
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Substream for one trial, a pure function of (seed, trial)."""
@@ -388,14 +383,14 @@ def _dump(**values) -> dict:
 # The run loop and replay, shared by every check.
 # ---------------------------------------------------------------------------
 
-def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
-    """Run ``check``; ``hooks`` replace functionals by name (None keeps the
-    genuine one)."""
+def _run(check: Check, cfg: CheckConfig, first: int = 0, **hooks) -> CheckReport:
+    """Run ``check`` on the ``cfg.trials`` trials from ``first``; ``hooks``
+    replace functionals by name (None keeps the genuine one)."""
     funcs = check.functionals()
     funcs.update((name, f) for name, f in hooks.items() if f is not None)
     dims = check.dims(cfg)
     caps, pending, results = {}, {}, {}
-    for t, rng in _substreams(cfg.seed, cfg.trials):
+    for t, rng in _substreams(cfg.seed, first, cfg.trials):
         kmn = _pick_dims(rng, dims)
         draw = check.draw(rng, cfg, kmn, t)
         key = check.key(kmn, draw)
@@ -409,7 +404,7 @@ def _run(check: Check, cfg: CheckConfig, **hooks) -> CheckReport:
         results.update(_run_group(check, cfg, funcs, group))
     records: list = []
     worst: float | None = None
-    for t in range(cfg.trials):
+    for t in range(first, first + cfg.trials):
         trial_records, gaps = results[t]
         records += trial_records
         for gap in gaps:
@@ -503,7 +498,7 @@ def _stacked(values: list):
 
 
 def _slice(value, i: int):
-    """Entry i of a built instance, as ``Check.sample`` builds it alone:
+    """Entry i of a built instance, as the build of its draw alone makes it:
     2-d values (with the stack's checks and cached spectra) and floats."""
     if isinstance(value, dict):
         return {key: _slice(v, i) for key, v in value.items()}
@@ -848,25 +843,21 @@ def _compare_homogeneity(inst, cfg, f):
                          cfg.tol_abs + cfg.tol_rel * t * abs(base), dict(inst=m, t=t))
 
 
-def _strict_contraction_break(cfg: CheckConfig, phi: Callable, dims: tuple,
-                              attempts: int = 20) -> dict | None:
-    """Find a tuple with sum(H_i* H_i) strictly below I that breaks
-    positive homogeneity; shows the isometry condition is needed."""
-    for attempt in range(attempts):
-        rng = trial_rng(cfg.seed, cfg.trials + attempt)
-        try:
-            inst = _SPECS["homogeneity"].sample(rng, cfg, dims, attempt)
-            m = inst["inst"]
-            strict = ContractionTuple([0.9 * b for b in m.H.blocks], sum_is_identity=False)
-            inst["inst"] = replace(m, H=strict)
-            for c in _compare_homogeneity(inst, cfg, {"phi": phi}):
-                if c.gap > HOMOGENEITY_BREAK_MIN:
-                    dump = _dump(**c.dump)
-                    return {"attempt": attempt, "t": dump["t"], "lhs": float(c.lhs),
-                            "rhs": float(c.rhs), "gap": float(c.gap), "instance": dump}
-        except EntropyLabError:
-            continue
-    return None
+def _build_strict_contraction(d: dict) -> dict:
+    """The homogeneity instance with its tuple scaled by 0.9, so that
+    sum(H_i* H_i) = 0.81 I is strictly below I."""
+    inst = _build_homogeneity(d)
+    strict = ContractionTuple([0.9 * b for b in inst["inst"].H.blocks], sum_is_identity=False)
+    return {**inst, "inst": replace(inst["inst"], H=strict)}
+
+
+def _compare_break(inst, cfg, f):
+    """Homogeneity's comparisons, breached by a gap above HOMOGENEITY_BREAK_MIN;
+    they end once every trial has broken the identity, so each has one record."""
+    for c in _compare_homogeneity(inst, cfg, f):
+        yield (c := c._replace(tol=HOMOGENEITY_BREAK_MIN))
+        if np.all(c.breached):
+            return
 
 
 _SPECS = {c.name: c for c in (
@@ -902,6 +893,9 @@ _SPECS = {c.name: c for c in (
           lambda: {"phi": fn.multi_trace_exp},
           {"inst": "multi", "t": "floats"}, ("identity",), dims=_isometric_dims),
 )}
+# Homogeneity's counterexample search, run one attempt at a time (see below).
+_STRICT_BREAK = replace(_SPECS["homogeneity"], build=_build_strict_contraction,
+                        compare=_compare_break)
 
 
 # ---------------------------------------------------------------------------
@@ -912,8 +906,7 @@ _SPECS = {c.name: c for c in (
 # the segment checks (sh_convexity, phi_concavity, multi_concavity and
 # homogeneity) the arguments that vary along the segment are (P, T, n, n)
 # stacks of P points against (T, n, n) values of the others, and the hook
-# returns (P, T) values.  Homogeneity's counterexample search passes it
-# (P, n, n) stacks of one instance's points, for which it returns P values.
+# returns (P, T) values.
 # ---------------------------------------------------------------------------
 
 def check_sh_convexity(cfg: CheckConfig,
@@ -998,19 +991,26 @@ def check_homogeneity(cfg: CheckConfig,
     and provably not otherwise: the check also exhibits a strict-contraction
     instance that breaks the identity by a visible margin.  ``phi_fn``
     receives a MultiInstance whose A_i are (P, T, m, m) stacks of the base
-    and its scales, and returns (P, T) values; in the counterexample search
-    they are (P, m, m) stacks of one instance's points, and it returns P
-    values."""
-    spec = _SPECS["homogeneity"]
-    report = _run(spec, cfg, phi=phi_fn)
-    counterexample = _strict_contraction_break(cfg, phi_fn or fn.multi_trace_exp, spec.dims(cfg))
-    if counterexample is None:
+    and its scales, and returns (P, T) values.  Attempt a of the search runs
+    trial ``cfg.trials + a`` alone; an attempt that raises adds its error
+    record, and the first that breaks the identity ends the search."""
+    report = _run(_SPECS["homogeneity"], cfg, phi=phi_fn)
+    counterexample, one = None, replace(cfg, trials=1)
+    for attempt in range(BREAK_ATTEMPTS):
+        records = _run(_STRICT_BREAK, one, first=cfg.trials + attempt, phi=phi_fn).violations
+        report.violations += [r for r in records if r["kind"] == "error"]
+        found = next((r for r in records if r["kind"] != "error"), None)
+        if found:
+            counterexample = {"attempt": attempt, "t": found["instance"]["t"],
+                              **{key: found[key] for key in ("lhs", "rhs", "gap", "instance")}}
+            break
+    else:
         report.violations.append({
             "kind": "counterexample_missing", "trial": -1,
             "error": "no strict-contraction instance broke homogeneity by "
                      f"more than {HOMOGENEITY_BREAK_MIN}",
         })
-        report.passed = False
+    report.passed = not report.violations
     report.extra = {"strict_contraction_counterexample": counterexample}
     return report
 

@@ -4,12 +4,16 @@ builds: each generator draws its numbers and builds its value in one pass,
 one trial at a time.  The tests pin the split code to these copies bit for
 bit, so a draw that reorders two generator calls fails them.
 
-``every_trial_alone`` is the reference for the run loop: it samples each
-trial alone and builds its records from the 2-d comparisons.  ``signature``
-is the reference for the run loop's group keys: the draws that stack
-together are those of one shape walk.  ``route_raising_on`` is a
-``gt_route_gap`` hook that raises on chosen trials, which sends them down
-the run loop's split-and-error path."""
+``sample`` is one trial's pick, draw and build, alone.  ``every_trial_alone``
+is the reference for the run loop: it samples each trial alone and builds
+its records from the 2-d comparisons.  ``strict_contraction_break`` is the
+reference for homogeneity's counterexample search: it samples each attempt
+alone and skips one that raises.  ``signature`` is the reference for the
+run loop's group keys: the draws that stack together are those of one shape
+walk.  ``route_raising_on`` is a ``gt_route_gap`` hook that raises on chosen
+trials, which sends them down the run loop's split-and-error path."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +29,15 @@ from entropylab.matrix_core import (
     make_rng,
     matrix_exp,
 )
-from entropylab.verifiers import GT_FAMILIES, T_FACTORS, _dump, re_evaluate, trial_rng
+from entropylab.verifiers import (
+    GT_FAMILIES,
+    HOMOGENEITY_BREAK_MIN,
+    T_FACTORS,
+    _compare_homogeneity,
+    _dump,
+    re_evaluate,
+    trial_rng,
+)
 
 
 def complex_gaussian(rng, rows, cols):
@@ -184,6 +196,32 @@ SAMPLERS = {
 }
 
 
+def sample(check, rng, cfg, dims, trial):
+    """One trial's instance: the pick of its dims and its draw, built alone."""
+    return check.build(check.draw(rng, cfg, _pick_dims(rng, dims), trial))
+
+
+def strict_contraction_break(cfg, phi, dims, attempts=20):
+    """Find a tuple with sum(H_i* H_i) strictly below I that breaks
+    positive homogeneity, one attempt at a time from the substream of trial
+    ``cfg.trials + attempt``; an attempt that raises is skipped."""
+    for attempt in range(attempts):
+        rng = trial_rng(cfg.seed, cfg.trials + attempt)
+        try:
+            inst = sample(verifiers._SPECS["homogeneity"], rng, cfg, dims, attempt)
+            m = inst["inst"]
+            strict = ContractionTuple([0.9 * b for b in m.H.blocks], sum_is_identity=False)
+            inst["inst"] = replace(m, H=strict)
+            for c in _compare_homogeneity(inst, cfg, {"phi": phi}):
+                if c.gap > HOMOGENEITY_BREAK_MIN:
+                    dump = _dump(**c.dump)
+                    return {"attempt": attempt, "t": dump["t"], "lhs": float(c.lhs),
+                            "rhs": float(c.rhs), "gap": float(c.gap), "instance": dump}
+        except EntropyLabError:
+            continue
+    return None
+
+
 def trial_alone(check, cfg, funcs, t):
     """(records, gaps) of trial t, sampled alone from its substream and run
     through the 2-d comparisons: a record on each breach, a witness search
@@ -192,7 +230,7 @@ def trial_alone(check, cfg, funcs, t):
     search = check.semantics == "witness_search"
     records, gaps = [], []
     try:
-        instance = check.sample(trial_rng(cfg.seed, t), cfg, check.dims(cfg), t)
+        instance = sample(check, trial_rng(cfg.seed, t), cfg, check.dims(cfg), t)
         for c in check.compare(instance, cfg, funcs):
             gaps.append(float(c.gap))
             if not c.breached:
@@ -273,7 +311,7 @@ def route_raising_on(cfg, trials):
     that holds the random candidate of one of ``trials`` of a
     ``gt_route_gap`` run at ``cfg``."""
     spec = verifiers._SPECS["gt_route_gap"]
-    chosen = [spec.sample(trial_rng(cfg.seed, t), cfg, spec.dims(cfg), t)["inst"].L.mat
+    chosen = [sample(spec, trial_rng(cfg.seed, t), cfg, spec.dims(cfg), t)["inst"].L.mat
               for t in trials]
     genuine = verifiers.gt_route_value
 

@@ -100,6 +100,17 @@ class TestEval:
         assert code == 3 and out == ""
         assert "Tr(e^L sum H_i* e^(B_i) H_i) is not finite" in err
 
+    def test_overflowing_exp_of_an_eigenvalue_exits_3(self, tmp_path, capsys):
+        # e^800 is not finite: a numerical error (exit 3), not an input error.
+        path = write_instance(tmp_path, "inst.json", {
+            "L": matrix_to_json(np.diag([800.0, 0.0])), "H": [matrix_to_json(np.eye(2))],
+            "sum_is_identity": True, "B": [matrix_to_json(np.zeros((2, 2)))]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "gt_jensen_rhs", path)
+        assert code == 3 and out == ""
+        assert "Tr(e^L sum H_i* e^(B_i) H_i) is not finite" in err
+
     @pytest.mark.parametrize("entry", ["x", None, pytest.param(10 ** 400, id="400-digit")])
     def test_non_number_matrix_entry_exits_2(self, tmp_path, capsys, entry):
         a = matrix_to_json(np.diag([2.0]))

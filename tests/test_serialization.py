@@ -79,6 +79,29 @@ class TestMatrixFormat:
         want = np.array([float(pair[0]), float(pair[1])])
         got = np.array([a[0, 0].real, a[0, 0].imag])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # Writing it back gives the same bits, as Python floats.
+        written = matrix_to_json(a)["data"]
+        assert [type(x) for x in written[0]] == [float, float]
+        assert np.array_equal(np.array(written).view(np.uint64), want.view(np.uint64)[None])
+
+    @pytest.mark.parametrize("view", ["adjoint", "stack_entry", "strided"])
+    def test_views_write_the_bits_of_their_entries(self, view):
+        # Signed zeros, subnormals and the extremes, read from a view that is
+        # not C-contiguous, in row-major order of the view.
+        parts = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                          1.7976931348623157e308, -0.1, 1 / 3, -0.0, 7.0, -2.5e-3])
+        base = (parts[:6] + 1j * parts[6:]).reshape(2, 3)
+        a = {"adjoint": base.conj().T,
+             "stack_entry": np.stack([base, -base], axis=-1)[..., 0],
+             "strided": np.repeat(base, 2, axis=1)[:, ::2]}[view]
+        assert not a.flags.c_contiguous
+        obj = matrix_to_json(a)
+        want = [[float(z.real), float(z.imag)] for z in np.ascontiguousarray(a).ravel()]
+        assert (obj["rows"], obj["cols"]) == a.shape
+        assert np.array_equal(np.array(obj["data"]).view(np.uint64),
+                              np.array(want).view(np.uint64))
+        read = matrix_from_json(obj).view(np.uint64)
+        assert np.array_equal(read, np.ascontiguousarray(a).view(np.uint64))
 
     def test_entries_are_in_row_major_order(self):
         obj = {"rows": 2, "cols": 3, "data": [[float(i), -float(i)] for i in range(6)]}

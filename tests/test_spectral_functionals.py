@@ -218,6 +218,20 @@ class TestNonFiniteSums:
                 f(_wide_instance(700.0))
             assert f(_wide_instance(300.0)) > 1e260
 
+    @pytest.mark.parametrize("f", [fn.gt_jensen_lhs, fn.gt_jensen_rhs, gt_route_value])
+    @pytest.mark.parametrize("where", ["L", "B"])
+    def test_an_overflowing_exp_of_an_eigenvalue_raises(self, f, where):
+        # e^800 itself overflows: a numerical error, as for Tr exp, not a
+        # domain error of the exp.
+        wide, zero = HermitianMatrix(np.diag([800.0, 0.0])), HermitianMatrix(np.zeros((2, 2)))
+        L, B = (wide, zero) if where == "L" else (zero, wide)
+        inst = fn.MultiInstance(L=L, H=ContractionTuple([np.eye(2)], sum_is_identity=True),
+                                b_list=[B])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteObjective):
+                f(inst)
+
     @pytest.mark.parametrize("f", [fn.gt_jensen_rhs, gt_route_value])
     def test_one_overflowing_entry_of_a_stack_raises(self, f):
         m = _wide_instance(700.0)

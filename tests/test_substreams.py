@@ -66,7 +66,7 @@ class TestSubstreams:
     @pytest.mark.parametrize("seed", PINNED_SEEDS)
     def test_each_trial_draws_what_trial_rng_draws(self, seed):
         trials = []
-        for t, rng in matrix_core._substreams(seed, 12):
+        for t, rng in matrix_core._substreams(seed, 0, 12):
             trials.append(t)
             # A float32 draw leaves half a 32-bit word buffered; the next
             # trial must not start from it.
@@ -74,9 +74,23 @@ class TestSubstreams:
             rng.random(dtype=np.float32)
         assert trials == list(range(12))
 
+    @pytest.mark.parametrize("first", [200, matrix_core.SUBSTREAM_CHUNK - 2])
+    def test_runs_from_a_later_trial_draw_what_trial_rng_draws(self, first):
+        # Across the boundary of a chunk of the run and, from
+        # SUBSTREAM_CHUNK - 2, of the chunk that trial 0 starts.
+        count = matrix_core.SUBSTREAM_CHUNK + 3
+        trials = []
+        for t, rng in matrix_core._substreams(0xC0FFEE, first, count):
+            trials.append(t)
+            assert rng.bit_generator.state == trial_rng(0xC0FFEE, t).bit_generator.state
+        assert trials == list(range(first, first + count))
+        for t, rng in matrix_core._substreams(2 ** 64 - 1, first, count):
+            if t - first in (0, 1, matrix_core.SUBSTREAM_CHUNK - 1, matrix_core.SUBSTREAM_CHUNK):
+                assert _draws(rng) == _draws(trial_rng(2 ** 64 - 1, t))
+
     def test_chunk_boundaries_change_nothing(self, monkeypatch):
         def states(seed, trials):
-            return [rng.bit_generator.state for _, rng in matrix_core._substreams(seed, trials)]
+            return [rng.bit_generator.state for _, rng in matrix_core._substreams(seed, 0, trials)]
 
         whole = states(2 ** 64 - 1, 10)
         monkeypatch.setattr(matrix_core, "SUBSTREAM_CHUNK", 3)
@@ -96,6 +110,8 @@ class TestSubstreams:
 
         monkeypatch.setattr(matrix_core, "_substream_states", shifted)
         with pytest.raises(RuntimeError, match="does not match"):
-            next(matrix_core._substreams(7, 5))
+            next(matrix_core._substreams(7, 0, 5))
+        with pytest.raises(RuntimeError, match="at seed 7, trial 200"):
+            next(matrix_core._substreams(7, 200, 5))
         with pytest.raises(RuntimeError, match="does not match"):
             CHECKS["gibbs_identity"](CheckConfig(trials=5, seed=7))

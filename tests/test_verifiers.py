@@ -30,6 +30,8 @@ from entropylab.verifiers import (
 )
 
 FAST = CheckConfig(trials=25, seed=7)
+# The dims of the large check benchmark, one per run.
+LARGE_DIMS = ((1, 16, 16), (2, 10, 20), (1, 24, 24), (2, 14, 28), (1, 32, 32))
 
 
 class TestConfig:
@@ -353,6 +355,77 @@ class TestHomogeneityCounterexample:
         redo = re_evaluate("homogeneity", ce)
         assert redo["gap"] == pytest.approx(ce["gap"], abs=1e-12)
 
+    @pytest.mark.parametrize("dims", [None, *LARGE_DIMS])
+    @pytest.mark.parametrize("seed", [7, 1, 5])
+    def test_counterexample_equals_the_reference_search(self, seed, dims):
+        # The search runs through the run loop, one attempt at a time, and
+        # finds what sampling each attempt alone finds, to the bit.
+        cfg = (CheckConfig(trials=200, seed=seed) if dims is None
+               else CheckConfig(trials=8, seed=seed, dims=(dims,)))
+        extra = check_homogeneity(cfg).extra
+        expected = ref.strict_contraction_break(cfg, fn.multi_trace_exp,
+                                                verifiers._isometric_dims(cfg))
+        assert extra["strict_contraction_counterexample"] is not None
+        assert json.dumps(extra, sort_keys=True) == json.dumps(
+            {"strict_contraction_counterexample": expected}, sort_keys=True)
+
+    def test_an_attempt_that_raises_leaves_an_error_record(self):
+        # The hook raises on attempt 0's instance; the search records it,
+        # takes its counterexample from attempt 1, and the check fails.
+        cfg = CheckConfig(trials=10, seed=5)
+        spec = verifiers._SPECS["homogeneity"]
+        chosen = ref.sample(spec, trial_rng(cfg.seed, cfg.trials), cfg, spec.dims(cfg),
+                            cfg.trials)["inst"].L.mat
+
+        def phi(inst):
+            mats = inst.L.mat.reshape((-1,) + inst.L.mat.shape[-2:])
+            if any(np.array_equal(m, chosen) for m in mats):
+                raise NumericalInconsistency("attempt 0")
+            return fn.multi_trace_exp(inst)
+
+        report = check_homogeneity(cfg, phi_fn=phi)
+        assert report.violations == [{"kind": "error", "trial": cfg.trials, "error": "attempt 0"}]
+        ce = report.extra["strict_contraction_counterexample"]
+        assert ce["attempt"] == 1 and ce["gap"] > verifiers.HOMOGENEITY_BREAK_MIN
+        assert ce == ref.strict_contraction_break(cfg, phi, spec.dims(cfg))
+        assert report.passed is False
+
+    def test_a_break_below_the_minimum_is_no_counterexample(self):
+        # For the strict tuples the hook returns Tr A + 1e-5, which breaks
+        # homogeneity by 1e-5 |1 - t|: beyond the check's tolerance, but not
+        # by HOMOGENEITY_BREAK_MIN, so every attempt runs and none counts.
+        def phi(inst):
+            if inst.H.sum_is_identity:
+                return fn.multi_trace_exp(inst)
+            return np.trace(inst.a_list[0].mat, axis1=-2, axis2=-1).real + 1e-5
+
+        report = check_homogeneity(CheckConfig(trials=10, seed=5), phi_fn=phi)
+        assert [v["kind"] for v in report.violations] == ["counterexample_missing"]
+        assert report.extra == {"strict_contraction_counterexample": None}
+        assert not report.passed
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 32, 32)])
+    def test_a_breaking_attempt_dumps_one_record(self, dims):
+        # Its comparisons end at its first break, so the search dumps the
+        # instance once, not once per breaking scale.
+        cfg = CheckConfig(trials=1, seed=7, dims=(dims,))
+        records = verifiers._run(verifiers._STRICT_BREAK, cfg, first=8).violations
+        assert [r["kind"] for r in records] == ["identity"]
+        assert records[0]["gap"] > verifiers.HOMOGENEITY_BREAK_MIN
+
+    def test_the_hook_gets_point_by_trial_stacks_only(self):
+        # In the check's trials and in the search alike, phi_fn receives A_i
+        # as (P, T, m, m) stacks of the points of each trial.
+        seen = []
+
+        def phi(inst):
+            seen.append((inst.H.sum_is_identity, {a.mat.ndim for a in inst.a_list}))
+            return fn.multi_trace_exp(inst)
+
+        assert check_homogeneity(CheckConfig(trials=10, seed=5), phi_fn=phi).passed
+        assert {identity for identity, _ in seen} == {True, False}
+        assert all(ndims == {4} for _, ndims in seen)
+
 
 class TestGtJensenFamilies:
     def test_families_cycle(self):
@@ -392,8 +465,8 @@ def _count_substreams(monkeypatch) -> list:
     calls = []
     substreams = verifiers._substreams
 
-    def counted(seed, trials):
-        for t, rng in substreams(seed, trials):
+    def counted(seed, first, count):
+        for t, rng in substreams(seed, first, count):
             calls.append(t)
             yield t, rng
 
@@ -429,7 +502,7 @@ class TestBatchedEngine:
         cfg = CheckConfig(trials=30, seed=5)
         spec = verifiers._SPECS["phi_concavity"]
         dims = spec.dims(cfg)
-        chosen = spec.sample(trial_rng(cfg.seed, 7), cfg, dims, 7)["L"].mat
+        chosen = ref.sample(spec, trial_rng(cfg.seed, 7), cfg, dims, 7)["L"].mat
 
         def phi(a, L, h):
             if L.mat.shape[-2:] == chosen.shape and np.all(L.mat == chosen, axis=(-2, -1)).any():
@@ -449,7 +522,7 @@ class TestBatchedEngine:
         # bound record and gap, then gets its error record, as it does alone.
         cfg = CheckConfig(trials=30, seed=5)
         spec = verifiers._SPECS["gibbs_identity"]
-        chosen = spec.sample(trial_rng(cfg.seed, 7), cfg, spec.dims(cfg), 7)["B"].mat
+        chosen = ref.sample(spec, trial_rng(cfg.seed, 7), cfg, spec.dims(cfg), 7)["B"].mat
 
         def objective(x, b):
             mine = (np.all(b.mat == chosen, axis=(-2, -1))
@@ -542,7 +615,7 @@ class TestPointPasses:
         # keeps no gap and gets only its error record, as it does alone.
         cfg = CheckConfig(trials=30, seed=5)
         spec = verifiers._SPECS["phi_concavity"]
-        chosen = spec.sample(trial_rng(cfg.seed, 7), cfg, spec.dims(cfg), 7)
+        chosen = ref.sample(spec, trial_rng(cfg.seed, 7), cfg, spec.dims(cfg), 7)
         mix = verifiers._mix(chosen["lam"][2], chosen["A1"], chosen["A2"]).mat
 
         def phi(a, L, h):
@@ -605,7 +678,7 @@ class TestStackedSampling:
         for group in groups.values():
             built = spec.build(verifiers._stacked([draws[t] for t in group]))
             for i, t in enumerate(group):
-                alone = spec.sample(trial_rng(cfg.seed, t), cfg, dims, t)
+                alone = ref.sample(spec, trial_rng(cfg.seed, t), cfg, dims, t)
                 ref.assert_same(alone, ref.SAMPLERS[name](trial_rng(cfg.seed, t), cfg, dims, t))
                 ref.assert_same(verifiers._slice(built, i), alone)
 
