@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -44,6 +43,7 @@ from .matrix_core import (
 from .serialization import (
     contraction_tuple_to_json,
     dump_json,
+    dumps,
     load_json,
     matrix_to_json,
     multi_instance_to_json,
@@ -168,7 +168,7 @@ def cmd_optimize(args) -> int:
         "argmax": matrix_to_json(result.argmax),
         "objective_history": result.objective_history,
     }
-    print(json.dumps(record, indent=2, sort_keys=True))
+    print(dumps(record))
     if args.out:
         dump_json(record, args.out)
     return 0

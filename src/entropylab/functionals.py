@@ -180,7 +180,13 @@ def lieb_trace(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix, H,
                p: float) -> float:
     """Tr(H B^p H* A^(1-p)) for p in [0, 1]; jointly concave in (A, B).
     From the kept spectra: sum_ij a_i^(1-p) |V_ij|^2 b_j^p, V = U_A* H U_B."""
-    weights = _lieb_overlap(A, B, H)
+    return _lieb_sum(_lieb_overlap(A, B, H), A, B, p)
+
+
+def _lieb_sum(weights: np.ndarray, A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix,
+              p: float):
+    """sum_ij a_i^(1-p) weights_ij b_j^p: :func:`lieb_trace` for the weights
+    |U_A* H U_B|^2 of :func:`_lieb_overlap`, which several p can share."""
     b_p, _ = _on_eigenvalues(B, _power(p), "power")
     a_1p, _ = _on_eigenvalues(A, _power(1.0 - p), "power")
     return _per_matrix(_pair_sum(a_1p, weights, b_p))

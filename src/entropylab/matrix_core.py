@@ -246,9 +246,7 @@ class Contraction:
 
     def __init__(self, entries, name: str = "H"):
         a = as_complex_matrix(entries, name=name)
-        norm = operator_norm(a)
-        if _any(norm > 1.0 + CONTRACTION_TOL):
-            raise NotAContraction(f"{name} has operator norm {np.max(norm):.12f} > 1")
+        _check_norm(operator_norm(a), name)
         self.mat = _frozen(np.array(a))
 
     @classmethod
@@ -264,6 +262,13 @@ class Contraction:
 
     def __repr__(self) -> str:
         return f"Contraction(shape={self.mat.shape})"
+
+
+def _check_norm(norm, name: str) -> None:
+    """Raise NotAContraction unless each operator norm (one per matrix of a
+    stack) is at most 1, up to ``CONTRACTION_TOL``; a NaN norm is not."""
+    if _any(~(np.asarray(norm) <= 1.0 + CONTRACTION_TOL)):
+        raise NotAContraction(f"{name} has operator norm {np.max(norm):.12f} > 1")
 
 
 def spectral_decompose(M: HermitianMatrix) -> SpectralDecomposition:
@@ -507,8 +512,8 @@ def _entry(value, i: int):
 # (``_complex``) and owns every check.  Builds are stack-generic: given draws
 # stacked along a leading axis, a build makes the stacked value, each entry
 # with the bits of building its draw alone, so a block of trials can draw one
-# at a time (each from its own substream, which ``_substreams`` seeds in
-# chunks of trials) and build at once.
+# at a time (each from its own substream, which ``_substreams`` seeds) and
+# build at once.
 # ---------------------------------------------------------------------------
 
 def make_rng(seed: SeedLike) -> np.random.Generator:
@@ -529,6 +534,11 @@ def checked_seed(seed) -> int:
 
 # Trials whose substreams one pass of ``_substreams`` seeds together.
 SUBSTREAM_CHUNK = 1024
+# Runs of at most this many trials seed each trial with ``default_rng`` itself.
+# The chunked seeding costs a fixed 0.27-0.38 ms for a run of 1 to 4 trials,
+# direct seeding about 20 us per trial: on a 2-core x86-64 host with numpy
+# 2.4.6 and one BLAS thread, the two broke even between 16 and 24 trials.
+SUBSTREAM_DIRECT = 16
 # NumPy's SeedSequence (NEP 19) and the PCG64 multiplier, for
 # ``_substream_states``.
 _MASK32 = 0xFFFFFFFF
@@ -537,6 +547,15 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+
+
+def _checked_run(seed, first: int, count: int) -> int:
+    """The seed as an int, if it and the ``count`` trials from ``first`` fit
+    in 64 unsigned bits."""
+    seed = checked_seed(seed)
+    if first < 0 or first + count > 2 ** 64:
+        raise DomainError(f"trials {first} to {first + count - 1} do not fit in 64 unsigned bits")
+    return seed
 
 
 def _substream_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
@@ -551,9 +570,7 @@ def _substream_states(seed: int, first: int, count: int) -> list[tuple[int, int]
     operand is an array, which wraps without a warning), four uint64 words
     are generated from it, and PCG64 is seeded from them (``pcg64_set_seed``:
     inc = 2 i + 1, state = (inc + s) * mult + inc, mod 2^128)."""
-    seed = checked_seed(seed)
-    if first < 0 or first + count > 2 ** 64:
-        raise DomainError(f"trials {first} to {first + count - 1} do not fit in 64 unsigned bits")
+    seed = _checked_run(seed, first, count)
     t = np.arange(count, dtype=np.uint64) + np.uint64(first)
     words = [np.full(count, seed & _MASK32, dtype=np.uint32)]
     if seed >> 32:
@@ -590,12 +607,19 @@ def _substream_states(seed: int, first: int, count: int) -> list[tuple[int, int]
 
 
 def _substreams(seed: int, first: int, count: int):
-    """Yield (t, rng) for the ``count`` trials t from ``first``, in order: one
-    reused Generator, set to the state of ``np.random.default_rng([seed, t])``,
-    the substream of ``verifiers.trial_rng``, bit for bit.  The states are
-    seeded in chunks of SUBSTREAM_CHUNK trials.  The first trial's state is
-    compared with ``default_rng([seed, first])`` before it is yielded, so a
-    NumPy whose seeding differs raises instead of drawing other numbers."""
+    """Yield (t, rng) for the ``count`` trials t from ``first``, in order, with
+    rng at the state of ``np.random.default_rng([seed, t])``, the substream of
+    ``verifiers.trial_rng``, bit for bit.  A run of at most SUBSTREAM_DIRECT
+    trials yields ``default_rng([seed, t])`` itself for each trial.  A longer
+    run reuses one Generator and sets it to each trial's state, seeded in
+    chunks of SUBSTREAM_CHUNK trials; the first trial's state is compared
+    with ``default_rng([seed, first])`` before it is yielded, so a NumPy whose
+    seeding differs raises instead of drawing other numbers."""
+    if count <= SUBSTREAM_DIRECT:
+        seed = _checked_run(seed, first, count)
+        for t in range(first, first + count):
+            yield t, np.random.default_rng([seed, t])
+        return
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
     stop = first + count
@@ -686,6 +710,23 @@ def random_hermitian(dim: int, scale: float = 1.0, seed: SeedLike = 0) -> Hermit
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
     return _build_hermitian(_complex_gaussian(make_rng(seed), dim, dim), scale)
+
+
+def _draw_contraction(rng: np.random.Generator, rows: int, cols: int) -> tuple:
+    """The numbers of a generic contraction: a complex Gaussian, then its norm."""
+    return _complex_gaussian(rng, rows, cols), float(rng.uniform(0.2, 1.0))
+
+
+def _build_contraction(g: np.ndarray, target) -> Contraction:
+    """The Gaussian rescaled to its drawn norm < 1, checked once here rather
+    than by every functional call of the trial.  The norm of c g is c times
+    that of g, so the one SVD that finds the scale c also gives the norm
+    that is checked."""
+    g = _complex(g)
+    norm = operator_norm(g)
+    scale = target / norm
+    _check_norm(scale * norm, "H")
+    return Contraction._bounded(g * _per_entry(scale))
 
 
 def _draw_tuple(rng: np.random.Generator, k: int, m: int, n: int,

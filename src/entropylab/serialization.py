@@ -7,11 +7,25 @@ bit-identical results.
 
 An instance object is read field by field with :func:`read_fields`, which
 the CLI (``eval``, ``optimize``) and check replay share.
+
+Every JSON text the package writes (check reports, the summary, ``gen`` and
+``eval --out`` files, ``optimize`` output) comes from :func:`dumps`, which
+returns exactly ``json.dumps(obj, indent=2, sort_keys=True)``.  The stdlib
+encodes an indented text in pure Python, one call per value; ``dumps``
+writes a list of ``[re, im]`` pairs of finite floats (the ``data`` of a
+matrix object) with one ``float.__repr__`` per number and one join, and
+every other value as the stdlib would, with its string encoder.  A value it
+does not write itself, a non-finite float, a key that is not a string or
+a type other than dict, list, tuple, str, int, float, bool and None, sends
+the whole object to the stdlib encoder, which gives its text or its error.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -191,8 +205,85 @@ def read_fields(obj, fields: dict, name: str = "instance", required: bool = True
     return out
 
 
+class _Unwritten(Exception):
+    """A value that :func:`dumps` leaves to the stdlib encoder."""
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, fast on the pair lists
+    of matrix objects (see the module docstring)."""
+    out: list = []
+    try:
+        _write(obj, out, "\n")
+    except (_Unwritten, RecursionError):  # a cycle, too, is the stdlib's to report
+        return json.dumps(obj, indent=2, sort_keys=True)
+    return "".join(out)
+
+
+def _write(value, out: list, nl: str) -> None:
+    """Append the text of ``value`` to ``out``; ``nl`` is the newline and
+    indent of the line the value starts on.  The type tests run in the
+    order of the stdlib encoder's."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not isfinite(value):
+            raise _Unwritten
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner = nl + "  "
+        if not value:
+            out.append("[]")
+        elif (pairs := _pairs(value, inner)) is not None:
+            out += ("[", inner, pairs, nl, "]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, out, inner)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif isinstance(value, dict):
+        inner = nl + "  "
+        if not value:
+            out.append("{}")
+        elif not all(isinstance(key, str) for key in value):
+            raise _Unwritten
+        else:
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                out += (sep, _json_str(key), ": ")
+                _write(item, out, inner)
+                sep = "," + inner
+            out.append(nl + "}")
+    else:
+        raise _Unwritten
+
+
+def _pairs(value, nl: str) -> str | None:
+    """The items of a list of ``[re, im]`` lists of finite floats, each item
+    on a line that starts with ``nl``; None for any other list."""
+    if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
+        return None
+    flat = list(chain.from_iterable(value))
+    if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
+        return None
+    inner = nl + "  "
+    parts = map(float.__repr__, flat)
+    pairs = [re + "," + inner + im for re, im in zip(parts, parts)]
+    return "[" + inner + (nl + "]," + nl + "[" + inner).join(pairs) + nl + "]"
+
+
 def dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps(obj) + "\n")
 
 
 def load_json(path):

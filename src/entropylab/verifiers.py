@@ -30,10 +30,11 @@ Each check is declared as a :class:`Check` rather than written as a loop:
 
 One run loop (:func:`_run`) serves every check.  Trial i uses the substream
 derived from (seed, i), :func:`trial_rng`, so results are bit-identical
-across runs and independent of execution order.  The loop does not build a
-Generator per trial: it reuses one and sets it to each trial's state, which
-``matrix_core._substreams`` seeds in chunks of trials, bit-equal to
-``trial_rng`` (and checked against NumPy's own seeding at the first trial).
+across runs and independent of execution order.  ``matrix_core._substreams``
+gives the loop each trial's generator: ``trial_rng`` itself in a run of at
+most ``SUBSTREAM_DIRECT`` trials, and otherwise one reused Generator set to
+each trial's state, seeded in chunks of trials, bit-equal to ``trial_rng``
+(and checked against NumPy's own seeding at the first trial).
 A comparison breaches when gap > tol (gap >= tol if strict), where tol is
 tol_abs + tol_rel * scale and scale is the largest magnitude in the
 comparison; a record is built only on a breach.  A trial that raises an EntropyLabError becomes an error record
@@ -108,11 +109,12 @@ from .matrix_core import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     _adjoint,
+    _build_contraction,
     _build_hermitian,
     _build_pd,
     _build_tuple,
-    _complex,
     _complex_gaussian,
+    _draw_contraction,
     _draw_pd,
     _draw_tuple,
     _entry,
@@ -125,7 +127,7 @@ from .matrix_core import (
     matrix_exp,
     stack,
 )
-from .serialization import matrix_to_json, multi_instance_to_json, read_fields
+from .serialization import dumps, matrix_to_json, multi_instance_to_json, read_fields
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_DIMS = ((1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 2, 2), (2, 3, 3), (3, 2, 2), (4, 2, 2))
@@ -230,7 +232,7 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return dumps(self.to_dict())
 
 
 class Comparison(NamedTuple):
@@ -571,18 +573,6 @@ def _replay(check: Check, kind: str | None, instance: dict) -> Comparison:
 # Draws, builds and comparisons, one triple per check.
 # ---------------------------------------------------------------------------
 
-def _draw_contraction(rng: np.random.Generator, rows: int, cols: int) -> tuple:
-    """The numbers of a generic contraction: a complex Gaussian, then its norm."""
-    return _complex_gaussian(rng, rows, cols), float(rng.uniform(0.2, 1.0))
-
-
-def _build_contraction(g: np.ndarray, target) -> Contraction:
-    """The Gaussian rescaled to its drawn norm < 1, checked once here rather
-    than by every functional call of the trial."""
-    g = _complex(g)
-    return Contraction(g * _per_entry(target / np.linalg.norm(g, 2, axis=(-2, -1))))
-
-
 def _draw_sh(rng, cfg, kmn, trial) -> dict:
     _, m, _ = kmn
     return {"H": _draw_contraction(rng, m, m),
@@ -760,12 +750,13 @@ def _build_derivative(d: dict) -> dict:
 
 def _compare_derivative(inst, cfg, f):
     A, B, h = inst["A"], inst["B"], inst["H"]
-    g0 = fn.lieb_trace(A, B, h, 0.0)
+    weights = fn._lieb_overlap(A, B, h)  # one overlap for every p
+    g0 = fn._lieb_sum(weights, A, B, 0.0)
     d0 = f["derivative"](A, B, h)
     errors = {}
     scale = _max(abs(g0), abs(d0))
     for p in P_GRID:
-        gp = fn.lieb_trace(A, B, h, p)
+        gp = fn._lieb_sum(weights, A, B, p)
         errors[repr(p)] = abs((gp - g0) / p - d0)
         scale = _max(scale, abs(gp))
     e_big, e_mid, e_small = errors.values()

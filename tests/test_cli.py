@@ -384,6 +384,25 @@ class TestGen:
         assert code == 2
 
 
+class TestWrittenFiles:
+    def test_files_equal_the_stdlib_encoding(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(capsys, "check", "all", "--trials", "50", "--seed", "7",
+                   "--out-dir", str(out))[0] == 0
+        for i, (kind, extra) in enumerate((
+                ("pd", []), ("hermitian", []),
+                ("contraction_tuple", ["--k", "2", "--m", "3", "--n", "4"]),
+                ("multi_instance", ["--k", "2", "--sum-identity"]),
+                ("multi_instance", ["--k", "2", "--b-list"]))):
+            path = out / f"gen-{i}-{kind}.json"
+            assert run(capsys, "gen", kind, "--seed", "3", "--out", str(path), *extra)[0] == 0
+        files = sorted(out.glob("*.json"))
+        assert len(files) == 9 + 5
+        for path in files:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
 class TestParserReuse:
     """``main`` builds one parser per process; no call may see an earlier one."""
 

@@ -260,6 +260,38 @@ class TestDrawThenBuild:
                  matrix_core._build_tuple)
 
 
+class TestContractionBuild:
+    """The build scales a Gaussian to its drawn norm and checks the bound on
+    the norm it scaled by, with no second SVD."""
+
+    @pytest.mark.parametrize("count", [1, 4, 8])
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (16, 16), (28, 14), (32, 32)])
+    def test_stacked_build_equals_the_checked_constructor(self, monkeypatch, rows, cols, count):
+        draws = [matrix_core._draw_contraction(np.random.default_rng([rows, cols, i]), rows, cols)
+                 for i in range(count)]
+
+        norms = []
+        operator_norm = matrix_core.operator_norm
+        monkeypatch.setattr(matrix_core, "operator_norm",
+                            lambda M: norms.append(M) or operator_norm(M))
+        built = matrix_core._build_contraction(np.stack([g for g, _ in draws]),
+                                               np.array([target for _, target in draws]))
+        monkeypatch.undo()
+        assert len(norms) == 1  # of the Gaussian, not again of the scaled matrix
+        assert built.mat.shape == (count, rows, cols) and not built.mat.flags.writeable
+        for i, (parts, target) in enumerate(draws):
+            g = matrix_core._complex(parts)
+            expected = Contraction(g * (target / np.linalg.norm(g, 2)))
+            assert built.mat[i].tobytes() == expected.mat.tobytes()
+
+    def test_a_norm_above_one_raises(self):
+        g, _ = matrix_core._draw_contraction(make_rng(5), 3, 3)
+        with pytest.raises(NotAContraction, match="1.500000000000 > 1"):
+            matrix_core._build_contraction(g[None], np.array([1.5]))
+        with pytest.raises(NotAContraction):
+            matrix_core._build_contraction(np.stack([g, g]), np.array([0.5, 1.5]))
+
+
 def _count_calls(monkeypatch, name: str) -> list:
     """Count calls of ``np.linalg.<name>``; returns the live counter."""
     calls = []

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entropylab.errors import DomainError, ParseError
 from entropylab.functionals import MultiInstance
@@ -10,6 +13,7 @@ from entropylab.serialization import (
     contraction_tuple_from_json,
     contraction_tuple_to_json,
     dump_json,
+    dumps,
     hermitian_from_json,
     load_json,
     matrix_from_json,
@@ -195,6 +199,57 @@ class TestFiles:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_json(path)
+
+
+def _stdlib(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# Pair lists as matrix objects hold them, with the floats whose repr is
+# least regular; and ones holding NaN or an infinity, which the stdlib writes.
+_edge_floats = st.sampled_from([-0.0, 5e-324, 1e16, 1e-5])
+_pair_lists = st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False) | _edge_floats,
+                                min_size=2, max_size=2), max_size=5)
+_non_finite_pair_lists = st.lists(st.lists(st.floats(), min_size=2, max_size=2),
+                                  min_size=1, max_size=3)
+_scalars = (st.none() | st.booleans() | st.integers(-2 ** 100, 2 ** 100) | st.floats()
+            | st.floats().map(np.float64) | st.text())
+_json_values = st.recursive(
+    _scalars | _pair_lists | _non_finite_pair_lists,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=2)),
+    max_leaves=16)
+
+
+class TestDumps:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_json_values)
+    @example({"data": [[-0.0, 5e-324], [1e16, 1e-5]], "rows": 1, "cols": 2})
+    @example([[float("nan"), 1.0], [float("inf"), -float("inf")]])
+    @example({"é\x00\u2028\U0001f600": ["\x1f\t\"\\", 2 ** 70, True, False, None]})
+    @example({1: [[1.0, 2.0]], 2: {}})
+    @example({"a": [], "b": {}, "c": (), "d": [[]], "e": [[1.0]], "f": [[1.0, 2]]})
+    @example([np.float64(0.1), [np.float64(1.5), 2.0]])
+    def test_equals_the_stdlib(self, value):
+        assert dumps(value) == _stdlib(value)
+
+    def test_matrix_objects_are_written_without_the_stdlib(self, monkeypatch):
+        obj = {"instance": {"A": [matrix_to_json(random_pd(4, (0.5, 2.0), 3))]}, "gap": 1e-3}
+        expected = _stdlib(obj)
+
+        def stdlib_called(*args, **kwargs):
+            raise AssertionError("dumps fell back to json.dumps")
+
+        monkeypatch.setattr(json, "dumps", stdlib_called)
+        assert dumps(obj) == expected
+
+    @pytest.mark.parametrize("value", [{"a": {1, 2}}, {1: 1, "b": 2}, [np.int64(3)]])
+    def test_what_the_stdlib_rejects_raises_as_there(self, value):
+        with pytest.raises(TypeError) as stdlib_error:
+            _stdlib(value)
+        with pytest.raises(TypeError, match=re.escape(str(stdlib_error.value))):
+            dumps(value)
 
 
 class TestReadFields:

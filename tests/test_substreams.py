@@ -1,5 +1,6 @@
-"""The run loop's trial substreams, seeded in chunks, against NumPy's own
-seeding: trial t of seed s must draw what ``default_rng([s, t])`` draws."""
+"""The run loop's trial substreams, seeded directly for short runs and in
+chunks for longer ones, against NumPy's own seeding: trial t of seed s must
+draw what ``default_rng([s, t])`` draws."""
 
 import warnings
 
@@ -62,17 +63,33 @@ class TestSubstreamStates:
             matrix_core._substream_states(seed, first, count)
 
 
+# Run lengths on both sides of the threshold between direct and chunked seeding.
+DIRECT, CHUNKED = matrix_core.SUBSTREAM_DIRECT, matrix_core.SUBSTREAM_DIRECT + 1
+
+
 class TestSubstreams:
+    @pytest.mark.parametrize("count", [DIRECT, CHUNKED + 11])
     @pytest.mark.parametrize("seed", PINNED_SEEDS)
-    def test_each_trial_draws_what_trial_rng_draws(self, seed):
+    def test_each_trial_draws_what_trial_rng_draws(self, seed, count):
         trials = []
-        for t, rng in matrix_core._substreams(seed, 0, 12):
+        for t, rng in matrix_core._substreams(seed, 0, count):
             trials.append(t)
             # A float32 draw leaves half a 32-bit word buffered; the next
             # trial must not start from it.
             assert _draws(rng) == _draws(trial_rng(seed, t))
             rng.random(dtype=np.float32)
-        assert trials == list(range(12))
+        assert trials == list(range(count))
+
+    @pytest.mark.parametrize("first", [0, 2 ** 32 - 2])
+    def test_short_runs_seed_without_the_chunked_states(self, monkeypatch, first):
+        def unused(seed, first, count):
+            raise AssertionError("a short run computed chunked states")
+
+        monkeypatch.setattr(matrix_core, "_substream_states", unused)
+        for seed, count in ((1, 1), (7, DIRECT)):
+            for t, rng in matrix_core._substreams(seed, first, count):
+                assert rng.bit_generator.state == trial_rng(seed, t).bit_generator.state
+        CHECKS["gibbs_identity"](CheckConfig(trials=DIRECT, seed=7))
 
     @pytest.mark.parametrize("first", [200, matrix_core.SUBSTREAM_CHUNK - 2])
     def test_runs_from_a_later_trial_draw_what_trial_rng_draws(self, first):
@@ -88,13 +105,14 @@ class TestSubstreams:
             if t - first in (0, 1, matrix_core.SUBSTREAM_CHUNK - 1, matrix_core.SUBSTREAM_CHUNK):
                 assert _draws(rng) == _draws(trial_rng(2 ** 64 - 1, t))
 
-    def test_chunk_boundaries_change_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("trials", [DIRECT, CHUNKED + 9])
+    def test_chunk_boundaries_change_nothing(self, monkeypatch, trials):
         def states(seed, trials):
             return [rng.bit_generator.state for _, rng in matrix_core._substreams(seed, 0, trials)]
 
-        whole = states(2 ** 64 - 1, 10)
+        whole = states(2 ** 64 - 1, trials)
         monkeypatch.setattr(matrix_core, "SUBSTREAM_CHUNK", 3)
-        assert states(2 ** 64 - 1, 10) == whole
+        assert states(2 ** 64 - 1, trials) == whole
 
     def test_chunked_run_reports_equal_one_chunk(self, monkeypatch):
         cfg = CheckConfig(trials=20, seed=5)
@@ -102,16 +120,25 @@ class TestSubstreams:
         monkeypatch.setattr(matrix_core, "SUBSTREAM_CHUNK", 3)
         assert CHECKS["gt_route_gap"](cfg).to_json() == whole
 
-    def test_seeding_that_differs_from_numpy_raises(self, monkeypatch):
+    @pytest.mark.parametrize("trials", [DIRECT, CHUNKED + 4])
+    def test_seeding_that_differs_from_numpy_raises(self, monkeypatch, trials):
+        # A run of at most SUBSTREAM_DIRECT trials is seeded by NumPy itself,
+        # so a wrong chunked seeding cannot reach it.
         genuine = matrix_core._substream_states
+        report = CHECKS["gibbs_identity"](CheckConfig(trials=trials, seed=7)).to_json()
 
         def shifted(seed, first, count):
             return [(state ^ 1, inc) for state, inc in genuine(seed, first, count)]
 
         monkeypatch.setattr(matrix_core, "_substream_states", shifted)
+        if trials <= matrix_core.SUBSTREAM_DIRECT:
+            _, rng = next(matrix_core._substreams(7, 200, trials))
+            assert rng.bit_generator.state == trial_rng(7, 200).bit_generator.state
+            assert CHECKS["gibbs_identity"](CheckConfig(trials=trials, seed=7)).to_json() == report
+            return
         with pytest.raises(RuntimeError, match="does not match"):
-            next(matrix_core._substreams(7, 0, 5))
+            next(matrix_core._substreams(7, 0, trials))
         with pytest.raises(RuntimeError, match="at seed 7, trial 200"):
-            next(matrix_core._substreams(7, 200, 5))
+            next(matrix_core._substreams(7, 200, trials))
         with pytest.raises(RuntimeError, match="does not match"):
-            CHECKS["gibbs_identity"](CheckConfig(trials=5, seed=7))
+            CHECKS["gibbs_identity"](CheckConfig(trials=trials, seed=7))

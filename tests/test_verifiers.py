@@ -750,6 +750,18 @@ class TestWholeRunGroups:
         assert report.passed
         assert len(calls) == len(_groups(verifiers._SPECS["multi_concavity"], cfg)) == 14
 
+    def test_one_overlap_per_derivative_group(self, monkeypatch):
+        # U_A* H U_B is computed once for the Lieb traces at p = 0 and at
+        # each step of P_GRID, and once by the derivative under test.
+        cfg = CheckConfig(trials=200, seed=7)
+        groups = _groups(verifiers._SPECS["derivative_limit"], cfg)
+        calls = []
+        overlap = fn._basis_overlap
+        monkeypatch.setattr(fn, "_basis_overlap",
+                            lambda *args: calls.append(args) or overlap(*args))
+        assert check_derivative_limit(cfg).passed
+        assert len(calls) == 2 * len(groups) == 6
+
     def test_route_search_runs_no_trial_alone(self, monkeypatch):
         # One pass per signature, plus one stacked re-verification per
         # group that holds witnesses; each trial is drawn once.
