@@ -3,8 +3,12 @@
 Subcommands:
   eval      evaluate a named functional on a JSON instance file
   check     run verifier suites and write JSON reports
-  optimize  run the variational solver on an instance file
+  optimize  run the variational solver on an instance file; its flags are
+            --max-iters, --grad-tol and --out (the step rule is fixed)
   gen       generate random instance files
+
+Flag defaults are read from ``CheckConfig``, ``SolverConfig`` and
+``matrix_core.EIG_RANGE``, not repeated here.
 
 All commands are reproducible: the seed defaults to 0xC0FFEE, can be set
 with --seed or the ENTROPYLAB_SEED environment variable, and identical
@@ -36,6 +40,7 @@ from .errors import (
     ParseError,
 )
 from .matrix_core import (
+    EIG_RANGE,
     random_contraction_tuple,
     random_hermitian,
     random_pd,
@@ -150,13 +155,7 @@ def cmd_check(args) -> int:
 
 def cmd_optimize(args) -> int:
     obj = load_json(args.instance)
-    cfg = SolverConfig(
-        max_iters=args.max_iters,
-        grad_tol=args.grad_tol,
-        initial_step=args.initial_step,
-        backtrack_factor=args.backtrack_factor,
-        armijo_c=args.armijo_c,
-    )
+    cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
     data = read_fields(obj, OBJECTIVE_FIELDS[args.objective], str(args.instance))
     result = maximize(args.objective, data, cfg)
     record = {
@@ -218,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run verifier suites")
     p_check.add_argument("suite", choices=("all",) + tuple(CHECKS))
-    p_check.add_argument("--trials", type=int, default=200)
+    p_check.add_argument("--trials", type=int, default=CheckConfig.trials)
     p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--tol-abs", type=float, default=1e-9)
-    p_check.add_argument("--tol-rel", type=float, default=1e-9)
+    p_check.add_argument("--tol-abs", type=float, default=CheckConfig.tol_abs)
+    p_check.add_argument("--tol-rel", type=float, default=CheckConfig.tol_rel)
     p_check.add_argument("--dims", action="append", metavar="k,m,n",
                          help="instance dimension triple; repeatable")
     p_check.add_argument("--out-dir", type=Path, default=Path("reports"))
@@ -229,11 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="maximize a variational objective")
     p_opt.add_argument("objective", choices=tuple(OBJECTIVE_FIELDS))
     p_opt.add_argument("instance", type=Path)
-    p_opt.add_argument("--max-iters", type=int, default=500)
-    p_opt.add_argument("--grad-tol", type=float, default=1e-8)
-    p_opt.add_argument("--initial-step", type=float, default=1.0)
-    p_opt.add_argument("--backtrack-factor", type=float, default=0.5)
-    p_opt.add_argument("--armijo-c", type=float, default=1e-4)
+    p_opt.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    p_opt.add_argument("--grad-tol", type=float, default=SolverConfig.grad_tol)
     p_opt.add_argument("--out", type=Path, default=None)
 
     p_gen = sub.add_parser("gen", help="generate random instance files")
@@ -244,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, default=1)
     p_gen.add_argument("--m", type=int, default=2)
     p_gen.add_argument("--n", type=int, default=2)
-    p_gen.add_argument("--eig-lo", type=float, default=0.05)
-    p_gen.add_argument("--eig-hi", type=float, default=5.0)
+    p_gen.add_argument("--eig-lo", type=float, default=EIG_RANGE[0])
+    p_gen.add_argument("--eig-hi", type=float, default=EIG_RANGE[1])
     p_gen.add_argument("--scale", type=float, default=1.0)
     p_gen.add_argument("--sum-identity", action="store_true")
     p_gen.add_argument("--b-list", action="store_true",

@@ -38,6 +38,11 @@ HERMITIAN_TOL = 1e-12           # relative asymmetry allowed at construction
 PD_FLOOR = 1e-10                # smallest admissible eigenvalue of a PD matrix
 CONTRACTION_TOL = 1e-10         # slack on operator norm <= 1
 IDENTITY_SUM_TOL = 1e-10        # slack on sum(H_i* H_i) == I for isometric tuples
+# Eigenvalue window of random PD instances, kept away from zero so that
+# logarithms stay well conditioned.
+EIG_RANGE = (0.05, 5.0)
+# Entries above this can overflow the symmetrization (M + M*)/2.
+_HALF_MAX = np.finfo(np.float64).max / 2.0
 
 SeedLike = Union[int, np.random.Generator]
 _MATRIX_AXES = (-2, -1)
@@ -84,9 +89,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class HermitianMatrix:
     """Square complex matrix kept exactly equal to its conjugate transpose.
 
-    Construction rejects input whose asymmetry exceeds round-off scale and
-    stores the symmetrized form (M + M*)/2, so drift cannot accumulate
-    across repeated functional compositions.  The spectral decomposition is
+    Construction rejects input whose asymmetry exceeds round-off scale, or
+    with an entry above half the largest double (where M + M* could
+    overflow), and stores the symmetrized form (M + M*)/2, so drift cannot
+    accumulate across repeated functional compositions.  The spectral decomposition is
     computed and checked on first use by :func:`spectral_decompose` and
     kept with the value.
     """
@@ -97,9 +103,13 @@ class HermitianMatrix:
         a = as_complex_matrix(entries, name=type(self).__name__)
         if a.shape[-2] != a.shape[-1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+        top = np.abs(a).max(axis=_MATRIX_AXES)
+        if _any(top > _HALF_MAX):
+            raise DomainError(f"matrix entry of modulus {np.max(top):.3e} overflows "
+                              "the symmetrization (M + M*)/2")
         ah = _adjoint(a)
         asym = np.abs(a - ah).max(axis=_MATRIX_AXES)
-        if _any(asym > HERMITIAN_TOL * (1.0 + np.abs(a).max(axis=_MATRIX_AXES))):
+        if _any(asym > HERMITIAN_TOL * (1.0 + top)):
             raise DomainError(f"matrix is not Hermitian: max |M - M*| = {np.max(asym):.3e}")
         self.mat = _frozen((a + ah) / 2.0)
         self._spectrum = None
@@ -447,7 +457,10 @@ def _block_diagonal(values: Sequence[PositiveDefiniteMatrix],
 def operator_norm(M):
     """Largest singular value of a (possibly rectangular) complex matrix."""
     a = as_complex_matrix(M, name="operator_norm argument")
-    return _per_matrix(np.linalg.norm(a, 2, axis=_MATRIX_AXES))
+    try:
+        return _per_matrix(np.linalg.norm(a, 2, axis=_MATRIX_AXES))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
 
 
 def stack(values: Sequence):
@@ -687,15 +700,15 @@ def _sorted_spectrum(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
             np.take_along_axis(u, order[..., None, :], axis=-1))
 
 
-def random_pd(dim: int, eig_range: tuple[float, float] = (0.05, 5.0),
+def random_pd(dim: int, eig_range: tuple[float, float] = EIG_RANGE,
               seed: SeedLike = 0) -> PositiveDefiniteMatrix:
     """Random positive definite matrix with eigenvalues uniform in ``eig_range``,
     conjugated by a Haar-random unitary."""
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
     lo, hi = float(eig_range[0]), float(eig_range[1])
-    if not 0.0 < lo <= hi:
-        raise DomainError(f"eigenvalue range must satisfy 0 < lo <= hi, got {eig_range}")
+    if not 0.0 < lo <= hi < np.inf:
+        raise DomainError(f"eigenvalue range must satisfy 0 < lo <= hi < inf, got {eig_range}")
     return _build_pd(*_draw_pd(make_rng(seed), dim, lo, hi))
 
 

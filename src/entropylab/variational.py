@@ -9,7 +9,8 @@ are maximized by gradient ascent in the unconstrained parameterization
 X = exp(Y) with Y Hermitian, which keeps every iterate positive definite.
 The update direction is the Euclidean gradient at X applied directly to Y;
 it is always an ascent direction, and Armijo backtracking on the true
-objective guarantees monotone increase.
+objective guarantees monotone increase.  The step rule is fixed by the
+module constants below; ``SolverConfig`` sets only when the ascent stops.
 """
 
 from __future__ import annotations
@@ -28,22 +29,24 @@ from .matrix_core import (
     matrix_log,
 )
 
+# Armijo rule: first step, backtracking factor, sufficient-increase constant.
+_INITIAL_STEP = 1.0
+_BACKTRACK_FACTOR = 0.5
+_ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """When the ascent stops: after ``max_iters`` accepted steps, or once
+    the Frobenius norm of the gradient is at most ``grad_tol``."""
+
     max_iters: int = 500
     grad_tol: float = 1e-8
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.initial_step <= 0:
-            raise DomainError("max_iters, grad_tol, initial_step must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0 or not 0.0 < self.armijo_c < 1.0:
-            raise DomainError("backtrack_factor and armijo_c must lie in (0, 1)")
+        if self.max_iters < 1 or self.grad_tol <= 0:
+            raise DomainError("max_iters and grad_tol must be positive")
 
 
 @dataclass
@@ -102,16 +105,16 @@ def _ascend(objective: Callable[[PositiveDefiniteMatrix], float],
             converged = True
             break
 
-        step = cfg.initial_step
+        step = _INITIAL_STEP
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             y_trial = y + step * g
             x_trial = _exp_point(y_trial)
             f_trial = _finite(objective(x_trial), "objective")
-            if f_trial >= f + cfg.armijo_c * step * grad_norm ** 2:
+            if f_trial >= f + _ARMIJO_C * step * grad_norm ** 2:
                 accepted = True
                 break
-            step *= cfg.backtrack_factor
+            step *= _BACKTRACK_FACTOR
         if not accepted:
             break  # step length underflowed: round-off limit reached
 
@@ -145,7 +148,7 @@ def maximize(objective: str, data: Mapping, cfg: SolverConfig | None = None) -> 
     data:
         Mapping holding the fixed problem data.
     cfg:
-        Solver parameters; defaults are tuned for desk-scale instances.
+        The stopping rule; the defaults suit desk-scale instances.
     """
     cfg = cfg or SolverConfig()
     if objective == "gibbs":

@@ -3,7 +3,7 @@ inequality claims about the trace functionals.
 
 Each check is declared as a :class:`Check` rather than written as a loop:
 
-- ``draw(rng, cfg, kmn, trial) -> draw`` makes one trial's generator
+- ``draw(rng, kmn, trial) -> draw`` makes one trial's generator
   calls, from the trial's substream, after the run loop has picked the
   trial's (k, m, n) triple from that substream, and nothing else: it
   returns the drawn numbers and the fields that choose a shape or a family
@@ -102,8 +102,9 @@ from typing import Callable, Hashable, NamedTuple
 import numpy as np
 
 from . import functionals as fn
-from .errors import DimensionError, DomainError, EntropyLabError, ParseError
+from .errors import ConvergenceFailure, DimensionError, DomainError, EntropyLabError, ParseError
 from .matrix_core import (
+    EIG_RANGE,
     Contraction,
     ContractionTuple,
     HermitianMatrix,
@@ -132,6 +133,8 @@ from .serialization import dumps, matrix_to_json, multi_instance_to_json, read_f
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_DIMS = ((1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 2, 2), (2, 3, 3), (3, 2, 2), (4, 2, 2))
 
+# Mixing weights of every segment, before the one drawn per trial.
+LAMBDA_SAMPLES = (0.25, 0.5, 0.75)
 # Finite difference grid for the derivative-limit check.
 P_GRID = (1e-2, 1e-3, 1e-4)
 # Scale factors probed by the homogeneity check.
@@ -154,9 +157,10 @@ class CheckConfig:
     """Knobs shared by all checks.
 
     ``dims`` holds (k, m, n) triples; each check uses the parts it needs
-    (single-contraction checks take the matrix dimension from m).
-    ``eig_range`` is the eigenvalue sampling window for random PD instances,
-    kept away from zero so logarithms stay well conditioned.
+    (single-contraction checks take the matrix dimension from m).  The
+    instance distribution is fixed: PD eigenvalues are drawn from
+    ``matrix_core.EIG_RANGE`` and segments mix at ``LAMBDA_SAMPLES`` plus
+    one drawn weight; :meth:`to_dict` records both with the settings.
     """
 
     trials: int = 200
@@ -164,13 +168,9 @@ class CheckConfig:
     dims: tuple = DEFAULT_DIMS
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
-    lambda_samples: tuple = (0.25, 0.5, 0.75)
-    eig_range: tuple = (0.05, 5.0)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(tuple(int(x) for x in d) for d in self.dims))
-        object.__setattr__(self, "lambda_samples", tuple(float(x) for x in self.lambda_samples))
-        object.__setattr__(self, "eig_range", tuple(float(x) for x in self.eig_range))
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         checked_seed(self.seed)
@@ -179,11 +179,6 @@ class CheckConfig:
                               f"got tol_abs={self.tol_abs}, tol_rel={self.tol_rel}")
         if not self.dims or any(len(d) != 3 or min(d) < 1 for d in self.dims):
             raise DomainError(f"dims must be non-empty (k, m, n) triples >= 1, got {self.dims}")
-        if any(not 0.0 < lam < 1.0 for lam in self.lambda_samples):
-            raise DomainError(f"lambda samples must lie in (0, 1), got {self.lambda_samples}")
-        lo, hi = self.eig_range
-        if not 0.0 < lo <= hi < np.inf:
-            raise DomainError(f"eig_range must satisfy 0 < lo <= hi < inf, got {self.eig_range}")
 
     def to_dict(self) -> dict:
         return {
@@ -192,8 +187,8 @@ class CheckConfig:
             "dims": [list(d) for d in self.dims],
             "tol_abs": self.tol_abs,
             "tol_rel": self.tol_rel,
-            "lambda_samples": list(self.lambda_samples),
-            "eig_range": list(self.eig_range),
+            "lambda_samples": list(LAMBDA_SAMPLES),
+            "eig_range": list(EIG_RANGE),
         }
 
 
@@ -294,9 +289,9 @@ def _isometric_dims(cfg: CheckConfig) -> tuple:
     return dims
 
 
-def _lambda_values(cfg: CheckConfig, rng: np.random.Generator) -> tuple:
+def _lambda_values(rng: np.random.Generator) -> tuple:
     # Fixed grid plus one fresh mixing weight per trial.
-    return cfg.lambda_samples + (float(rng.uniform(0.01, 0.99)),)
+    return LAMBDA_SAMPLES + (float(rng.uniform(0.01, 0.99)),)
 
 
 def _scaled(w, M) -> np.ndarray:
@@ -394,7 +389,7 @@ def _run(check: Check, cfg: CheckConfig, first: int = 0, **hooks) -> CheckReport
     caps, pending, results = {}, {}, {}
     for t, rng in _substreams(cfg.seed, first, cfg.trials):
         kmn = _pick_dims(rng, dims)
-        draw = check.draw(rng, cfg, kmn, t)
+        draw = check.draw(rng, kmn, t)
         key = check.key(kmn, draw)
         if key not in caps:
             caps[key] = _group_cap(check, kmn)
@@ -573,12 +568,12 @@ def _replay(check: Check, kind: str | None, instance: dict) -> Comparison:
 # Draws, builds and comparisons, one triple per check.
 # ---------------------------------------------------------------------------
 
-def _draw_sh(rng, cfg, kmn, trial) -> dict:
+def _draw_sh(rng, kmn, trial) -> dict:
     _, m, _ = kmn
     return {"H": _draw_contraction(rng, m, m),
-            "A1": _draw_pd(rng, m, *cfg.eig_range), "B1": _draw_pd(rng, m, *cfg.eig_range),
-            "A2": _draw_pd(rng, m, *cfg.eig_range), "B2": _draw_pd(rng, m, *cfg.eig_range),
-            "lam": _lambda_values(cfg, rng)}
+            "A1": _draw_pd(rng, m, *EIG_RANGE), "B1": _draw_pd(rng, m, *EIG_RANGE),
+            "A2": _draw_pd(rng, m, *EIG_RANGE), "B2": _draw_pd(rng, m, *EIG_RANGE),
+            "lam": _lambda_values(rng)}
 
 
 def _build_sh(d: dict) -> dict:
@@ -609,11 +604,11 @@ def _compare_sh(inst, cfg, f):
                          dict(H=h, A1=a1, B1=b1, A2=a2, B2=b2, lam=lam))
 
 
-def _draw_phi(rng, cfg, kmn, trial) -> dict:
+def _draw_phi(rng, kmn, trial) -> dict:
     _, m, n = kmn
     return {"H": _draw_contraction(rng, m, n), "L": _complex_gaussian(rng, n, n),
-            "A1": _draw_pd(rng, m, *cfg.eig_range), "A2": _draw_pd(rng, m, *cfg.eig_range),
-            "lam": _lambda_values(cfg, rng)}
+            "A1": _draw_pd(rng, m, *EIG_RANGE), "A2": _draw_pd(rng, m, *EIG_RANGE),
+            "lam": _lambda_values(rng)}
 
 
 def _build_phi(d: dict) -> dict:
@@ -637,13 +632,13 @@ def _compare_phi(inst, cfg, f):
                          dict(L=L, H=h, A1=a1, A2=a2, lam=lam))
 
 
-def _draw_multi(rng, cfg, kmn, trial) -> dict:
+def _draw_multi(rng, kmn, trial) -> dict:
     k, m, n = kmn
     sum_id = bool(rng.integers(2)) and k * m >= n
     return {"H": _draw_tuple(rng, k, m, n, sum_id), "L": _complex_gaussian(rng, n, n),
-            "A1": [_draw_pd(rng, m, *cfg.eig_range) for _ in range(k)],
-            "A2": [_draw_pd(rng, m, *cfg.eig_range) for _ in range(k)],
-            "lam": _lambda_values(cfg, rng)}
+            "A1": [_draw_pd(rng, m, *EIG_RANGE) for _ in range(k)],
+            "A2": [_draw_pd(rng, m, *EIG_RANGE) for _ in range(k)],
+            "lam": _lambda_values(rng)}
 
 
 def _build_multi(d: dict) -> dict:
@@ -683,7 +678,7 @@ def _compare_multi(inst, cfg, f):
                          dict(inst=first, A2=inst["A2"], lam=lam))
 
 
-def _draw_gt_jensen(rng, cfg, kmn, trial) -> dict:
+def _draw_gt_jensen(rng, kmn, trial) -> dict:
     # The Golden-Thompson family takes H = I and draws no tuple; the Jensen
     # family takes L = 0 and draws no L.
     family = GT_FAMILIES[trial % len(GT_FAMILIES)]
@@ -716,9 +711,9 @@ def _compare_gt_jensen(inst, cfg, f):
                      dict(inst=m))
 
 
-def _draw_gibbs(rng, cfg, kmn, trial) -> dict:
+def _draw_gibbs(rng, kmn, trial) -> dict:
     _, m, _ = kmn
-    return {"B": _draw_pd(rng, m, *cfg.eig_range), "X": _draw_pd(rng, m, *cfg.eig_range)}
+    return {"B": _draw_pd(rng, m, *EIG_RANGE), "X": _draw_pd(rng, m, *EIG_RANGE)}
 
 
 def _build_gibbs(d: dict) -> dict:
@@ -738,9 +733,9 @@ def _compare_gibbs(inst, cfg, f):
                      dict(B=B))
 
 
-def _draw_derivative(rng, cfg, kmn, trial) -> dict:
+def _draw_derivative(rng, kmn, trial) -> dict:
     _, m, n = kmn
-    return {"A": _draw_pd(rng, m, *cfg.eig_range), "B": _draw_pd(rng, n, *cfg.eig_range),
+    return {"A": _draw_pd(rng, m, *EIG_RANGE), "B": _draw_pd(rng, n, *EIG_RANGE),
             "H": _draw_contraction(rng, m, n)}
 
 
@@ -774,7 +769,7 @@ def _route_dims(cfg: CheckConfig) -> tuple:
     return dims
 
 
-def _draw_route(rng, cfg, kmn, trial) -> dict:
+def _draw_route(rng, kmn, trial) -> dict:
     k, m, n = kmn
     return {"H": _draw_tuple(rng, k, m, n, True),
             "B": [_complex_gaussian(rng, m, m) for _ in range(k)],
@@ -793,7 +788,10 @@ def _build_route(d: dict) -> dict:
     conj = fn._conjugated_sum(zero, tup, [b.mat for b in bs])
     diff = (matrix_exp(HermitianMatrix(conj)).mat
             - fn._conjugated_sum(zero, tup, [matrix_exp(b).mat for b in bs]))
-    spike = np.linalg.eigh((diff + _adjoint(diff)) / 2.0)[1][..., -1:]
+    try:
+        spike = np.linalg.eigh((diff + _adjoint(diff)) / 2.0)[1][..., -1:]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver failed on the probe direction: {exc}") from exc
     l_probe = HermitianMatrix(_per_entry(d["alpha"]) * (spike @ _adjoint(spike)))
     return {"inst": fn.MultiInstance(L=l_random, H=tup, b_list=bs),
             "probe": fn.MultiInstance(L=l_probe, H=tup, b_list=bs)}
@@ -807,10 +805,10 @@ def _compare_route(inst, cfg, f):
                          dict(inst=m), extra={"candidate": candidate})
 
 
-def _draw_homogeneity(rng, cfg, kmn, trial) -> dict:
+def _draw_homogeneity(rng, kmn, trial) -> dict:
     k, m, n = kmn
     return {"H": _draw_tuple(rng, k, m, n, True), "L": _complex_gaussian(rng, n, n),
-            "A": [_draw_pd(rng, m, *cfg.eig_range) for _ in range(k)], "t": T_FACTORS}
+            "A": [_draw_pd(rng, m, *EIG_RANGE) for _ in range(k)], "t": T_FACTORS}
 
 
 def _build_homogeneity(d: dict) -> dict:

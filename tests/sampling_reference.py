@@ -21,6 +21,7 @@ from entropylab import functionals as fn
 from entropylab import verifiers
 from entropylab.errors import DomainError, EntropyLabError
 from entropylab.matrix_core import (
+    EIG_RANGE,
     Contraction,
     ContractionTuple,
     HermitianMatrix,
@@ -32,6 +33,7 @@ from entropylab.matrix_core import (
 from entropylab.verifiers import (
     GT_FAMILIES,
     HOMOGENEITY_BREAK_MIN,
+    LAMBDA_SAMPLES,
     T_FACTORS,
     _compare_homogeneity,
     _dump,
@@ -50,7 +52,7 @@ def haar_unitary(rng, dim):
     return q * (d / np.abs(d))
 
 
-def random_pd(dim, eig_range=(0.05, 5.0), seed=0):
+def random_pd(dim, eig_range=EIG_RANGE, seed=0):
     """U diag(w) U*, keeping the drawn w, sorted ascending, and the columns
     of U in that order as its spectrum: a random PD matrix is not
     decomposed."""
@@ -98,8 +100,8 @@ def _pick_dims(rng, dims):
     return dims[int(rng.integers(len(dims)))]
 
 
-def _lambda_values(cfg, rng):
-    return cfg.lambda_samples + (float(rng.uniform(0.01, 0.99)),)
+def _lambda_values(rng):
+    return LAMBDA_SAMPLES + (float(rng.uniform(0.01, 0.99)),)
 
 
 def _random_contraction(rng, rows, cols):
@@ -108,33 +110,33 @@ def _random_contraction(rng, rows, cols):
     return Contraction(g * (target / np.linalg.norm(g, 2)))
 
 
-def _sample_sh(rng, cfg, dims, trial):
+def _sample_sh(rng, dims, trial):
     _, m, _ = _pick_dims(rng, dims)
     return {"H": _random_contraction(rng, m, m),
-            "A1": random_pd(m, cfg.eig_range, rng), "B1": random_pd(m, cfg.eig_range, rng),
-            "A2": random_pd(m, cfg.eig_range, rng), "B2": random_pd(m, cfg.eig_range, rng),
-            "lam": _lambda_values(cfg, rng)}
+            "A1": random_pd(m, EIG_RANGE, rng), "B1": random_pd(m, EIG_RANGE, rng),
+            "A2": random_pd(m, EIG_RANGE, rng), "B2": random_pd(m, EIG_RANGE, rng),
+            "lam": _lambda_values(rng)}
 
 
-def _sample_phi(rng, cfg, dims, trial):
+def _sample_phi(rng, dims, trial):
     _, m, n = _pick_dims(rng, dims)
     return {"H": _random_contraction(rng, m, n), "L": random_hermitian(n, 1.0, rng),
-            "A1": random_pd(m, cfg.eig_range, rng), "A2": random_pd(m, cfg.eig_range, rng),
-            "lam": _lambda_values(cfg, rng)}
+            "A1": random_pd(m, EIG_RANGE, rng), "A2": random_pd(m, EIG_RANGE, rng),
+            "lam": _lambda_values(rng)}
 
 
-def _sample_multi(rng, cfg, dims, trial):
+def _sample_multi(rng, dims, trial):
     k, m, n = _pick_dims(rng, dims)
     sum_id = bool(rng.integers(2)) and k * m >= n
     tup = random_contraction_tuple(k, m, n, sum_id, rng)
     L = random_hermitian(n, 1.0, rng)
-    a1s = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
+    a1s = [random_pd(m, EIG_RANGE, rng) for _ in range(k)]
     return {"inst": fn.MultiInstance(L=L, H=tup, a_list=a1s),
-            "A2": [random_pd(m, cfg.eig_range, rng) for _ in range(k)],
-            "lam": _lambda_values(cfg, rng)}
+            "A2": [random_pd(m, EIG_RANGE, rng) for _ in range(k)],
+            "lam": _lambda_values(rng)}
 
 
-def _sample_gt_jensen(rng, cfg, dims, trial):
+def _sample_gt_jensen(rng, dims, trial):
     family = GT_FAMILIES[trial % len(GT_FAMILIES)]
     k, m, n = _pick_dims(rng, dims)
     if family == "golden_thompson":
@@ -149,18 +151,18 @@ def _sample_gt_jensen(rng, cfg, dims, trial):
     return {"kind": family, "inst": fn.MultiInstance(L=L, H=tup, b_list=bs)}
 
 
-def _sample_gibbs(rng, cfg, dims, trial):
+def _sample_gibbs(rng, dims, trial):
     _, m, _ = _pick_dims(rng, dims)
-    return {"B": random_pd(m, cfg.eig_range, rng), "X": random_pd(m, cfg.eig_range, rng)}
+    return {"B": random_pd(m, EIG_RANGE, rng), "X": random_pd(m, EIG_RANGE, rng)}
 
 
-def _sample_derivative(rng, cfg, dims, trial):
+def _sample_derivative(rng, dims, trial):
     _, m, n = _pick_dims(rng, dims)
-    return {"A": random_pd(m, cfg.eig_range, rng), "B": random_pd(n, cfg.eig_range, rng),
+    return {"A": random_pd(m, EIG_RANGE, rng), "B": random_pd(n, EIG_RANGE, rng),
             "H": _random_contraction(rng, m, n)}
 
 
-def _sample_route(rng, cfg, dims, trial):
+def _sample_route(rng, dims, trial):
     k, m, n = _pick_dims(rng, dims)
     tup = random_contraction_tuple(k, m, n, True, rng)
     bs = [random_hermitian(m, 3.0, rng) for _ in range(k)]
@@ -176,11 +178,11 @@ def _sample_route(rng, cfg, dims, trial):
             "probe": fn.MultiInstance(L=l_probe, H=tup, b_list=bs)}
 
 
-def _sample_homogeneity(rng, cfg, dims, trial):
+def _sample_homogeneity(rng, dims, trial):
     k, m, n = _pick_dims(rng, dims)
     tup = random_contraction_tuple(k, m, n, True, rng)
     L = random_hermitian(n, 1.0, rng)
-    a_list = [random_pd(m, cfg.eig_range, rng) for _ in range(k)]
+    a_list = [random_pd(m, EIG_RANGE, rng) for _ in range(k)]
     return {"inst": fn.MultiInstance(L=L, H=tup, a_list=a_list), "t": T_FACTORS}
 
 
@@ -196,9 +198,9 @@ SAMPLERS = {
 }
 
 
-def sample(check, rng, cfg, dims, trial):
+def sample(check, rng, dims, trial):
     """One trial's instance: the pick of its dims and its draw, built alone."""
-    return check.build(check.draw(rng, cfg, _pick_dims(rng, dims), trial))
+    return check.build(check.draw(rng, _pick_dims(rng, dims), trial))
 
 
 def strict_contraction_break(cfg, phi, dims, attempts=20):
@@ -208,7 +210,7 @@ def strict_contraction_break(cfg, phi, dims, attempts=20):
     for attempt in range(attempts):
         rng = trial_rng(cfg.seed, cfg.trials + attempt)
         try:
-            inst = sample(verifiers._SPECS["homogeneity"], rng, cfg, dims, attempt)
+            inst = sample(verifiers._SPECS["homogeneity"], rng, dims, attempt)
             m = inst["inst"]
             strict = ContractionTuple([0.9 * b for b in m.H.blocks], sum_is_identity=False)
             inst["inst"] = replace(m, H=strict)
@@ -230,7 +232,7 @@ def trial_alone(check, cfg, funcs, t):
     search = check.semantics == "witness_search"
     records, gaps = [], []
     try:
-        instance = sample(check, trial_rng(cfg.seed, t), cfg, check.dims(cfg), t)
+        instance = sample(check, trial_rng(cfg.seed, t), check.dims(cfg), t)
         for c in check.compare(instance, cfg, funcs):
             gaps.append(float(c.gap))
             if not c.breached:
@@ -311,7 +313,7 @@ def route_raising_on(cfg, trials):
     that holds the random candidate of one of ``trials`` of a
     ``gt_route_gap`` run at ``cfg``."""
     spec = verifiers._SPECS["gt_route_gap"]
-    chosen = [sample(spec, trial_rng(cfg.seed, t), cfg, spec.dims(cfg), t)["inst"].L.mat
+    chosen = [sample(spec, trial_rng(cfg.seed, t), spec.dims(cfg), t)["inst"].L.mat
               for t in trials]
     genuine = verifiers.gt_route_value
 

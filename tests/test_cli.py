@@ -9,7 +9,8 @@ import sampling_reference as ref
 from entropylab import cli, verifiers
 from entropylab.cli import main
 from entropylab.errors import NonFiniteObjective
-from entropylab.matrix_core import random_pd
+from entropylab.matrix_core import EIG_RANGE, random_pd
+from entropylab.variational import SolverConfig
 from entropylab.verifiers import DEFAULT_DIMS, CheckConfig
 from entropylab.serialization import (
     dump_json,
@@ -88,6 +89,19 @@ class TestEval:
             "A": a, "B": a, "H": matrix_to_json(np.array([[3.0]]))})
         code, _, err = run(capsys, "eval", "reduced_relative_entropy", path)
         assert code == 2 and "norm" in err
+
+    def test_failed_norm_svd_of_a_raw_contraction_exits_3(self, tmp_path, capsys, monkeypatch):
+        a = matrix_to_json(np.diag([2.0]))
+        path = write_instance(tmp_path, "inst.json", {
+            "A": a, "B": a, "H": matrix_to_json(np.array([[0.5]]))})
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "norm", fail)
+        code, out, err = run(capsys, "eval", "reduced_relative_entropy", path)
+        assert code == 3 and not out
+        assert err == "numerical error: singular value decomposition failed: SVD did not converge\n"
 
     def test_overflowing_commuting_bound_exits_3(self, tmp_path, capsys):
         # e^700 is finite and e^700 e^700 is not: a numerical error, not inf.
@@ -377,6 +391,24 @@ class TestGen:
                          "--out", str(tmp_path / "x.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["pd", "multi_instance"])
+    def test_infinite_eigenvalue_bound_exits_2(self, tmp_path, capsys, kind):
+        # numpy's uniform draw used to raise OverflowError here (exit 1).
+        out_path = tmp_path / "x.json"
+        code, out, err = run(capsys, "gen", kind, "--eig-hi", "inf", "--out", str(out_path))
+        assert code == 2 and not out and not out_path.exists()
+        assert "0 < lo <= hi < inf" in err
+
+    def test_overflowing_pd_exits_2_without_warnings(self, tmp_path, capsys):
+        # Its (M + M*)/2 used to hold Infinity and NaN entries, written with exit 0.
+        out_path = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "gen", "pd", "--eig-lo", "1e308", "--eig-hi", "1.7e308",
+                                 "--out", str(out_path))
+        assert code == 2 and not out and not out_path.exists()
+        assert "overflows" in err
+
     def test_gen_isometry_needs_rows_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "contraction_tuple", "--k", "1",
                          "--m", "1", "--n", "3", "--sum-identity",
@@ -401,6 +433,40 @@ class TestWrittenFiles:
         for path in files:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
+class TestDefaults:
+    """Each default lives in one place: a parser default is read from the
+    config field or the constant it stands for."""
+
+    @staticmethod
+    def _defaults(*argv) -> dict:
+        return vars(cli.build_parser().parse_args(list(argv)))
+
+    def test_check_defaults_are_the_config_defaults(self):
+        args = self._defaults("check", "all")
+        cfg = CheckConfig()
+        assert (args["trials"], args["tol_abs"], args["tol_rel"]) == (
+            cfg.trials, cfg.tol_abs, cfg.tol_rel)
+        assert args["seed"] is None and args["dims"] is None  # DEFAULT_SEED, DEFAULT_DIMS
+
+    def test_optimize_defaults_are_the_solver_defaults(self):
+        args = self._defaults("optimize", "gibbs", "b.json")
+        cfg = SolverConfig()
+        assert (args["max_iters"], args["grad_tol"]) == (cfg.max_iters, cfg.grad_tol)
+        assert set(args) == {"command", "objective", "instance", "max_iters", "grad_tol", "out"}
+
+    def test_gen_eigenvalue_range_is_the_check_range(self):
+        args = self._defaults("gen", "pd", "--out", "a.json")
+        assert (args["eig_lo"], args["eig_hi"]) == EIG_RANGE
+
+    @pytest.mark.parametrize("flag", ["--initial-step", "--backtrack-factor", "--armijo-c"])
+    def test_removed_step_rule_flags_exit_2(self, tmp_path, capsys, flag):
+        path = write_instance(tmp_path, "b.json", {"B": matrix_to_json(np.diag([1.0, 2.0]))})
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "gibbs", path, flag, "0.5"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,32 @@ class TestConstruction:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             HermitianMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", [1.0e308, -1.7e308, 1.2e308j])
+    def test_rejects_entries_whose_symmetrization_overflows(self, entry):
+        # (M + M*)/2 of such an entry was inf or NaN, with RuntimeWarnings.
+        a = np.array([[1.0, entry], [np.conj(entry), 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                HermitianMatrix(a)
+            with pytest.raises(DomainError, match="overflows"):
+                HermitianMatrix(np.stack([np.eye(2), a]))
+
+    def test_entries_up_to_half_the_largest_double_keep_their_bits(self):
+        half = np.finfo(np.float64).max / 2.0
+        a = np.array([[half, -half], [-half, half]], dtype=np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = HermitianMatrix(a)
+        assert m.mat.tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+        assert np.isfinite(m.mat).all()
+
+    def test_random_pd_with_huge_eigenvalues_is_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                random_pd(3, (1e308, 1.7e308), 0)
 
     def test_pd_floor_rejects(self):
         with pytest.raises(DomainError):
@@ -159,6 +186,16 @@ class TestOperatorNorm:
     def test_column_vector(self):
         assert operator_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0, rel=1e-10)
 
+    def test_svd_failure_is_a_convergence_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "norm", fail)
+        with pytest.raises(ConvergenceFailure, match="SVD did not converge"):
+            operator_norm(np.eye(2))
+        with pytest.raises(ConvergenceFailure, match="SVD did not converge"):
+            Contraction(0.5 * np.eye(2))
+
 
 class TestGenerators:
     def test_random_pd_eigenvalue_range(self):
@@ -210,6 +247,18 @@ class TestGenerators:
             make_rng(2 ** 64)
         with pytest.raises(DomainError):
             random_pd(2, (0.0, 1.0), 3)
+
+    @pytest.mark.parametrize("eig_range", [(0.05, float("inf")), (float("inf"), float("inf")),
+                                           (0.05, float("nan")), (2.0, 1.0)])
+    def test_random_pd_rejects_eig_range_outside_finite_positive_window(self, eig_range):
+        # An infinite upper end used to reach the uniform draw and crash there
+        # with numpy's OverflowError.
+        with pytest.raises(DomainError, match="0 < lo <= hi < inf"):
+            random_pd(3, eig_range, 1)
+
+    def test_random_pd_defaults_to_the_check_eigenvalue_range(self):
+        assert matrix_core.EIG_RANGE == (0.05, 5.0)
+        assert random_pd(3, seed=4).mat.tobytes() == random_pd(3, (0.05, 5.0), 4).mat.tobytes()
 
 
 class TestDrawThenBuild:

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from entropylab import variational
 from entropylab.errors import DomainError, NonFiniteObjective
 from entropylab.functionals import gibbs_objective, phi_objective, trace_exp_functional
 from entropylab.matrix_core import (
@@ -177,6 +179,10 @@ class TestSolverGuards:
         with pytest.raises(DomainError):
             SolverConfig(max_iters=0)
         with pytest.raises(DomainError):
-            SolverConfig(backtrack_factor=1.0)
-        with pytest.raises(DomainError):
-            SolverConfig(armijo_c=0.0)
+            SolverConfig(grad_tol=0.0)
+
+    def test_config_holds_the_stopping_rule_only(self):
+        # The step rule is a set of module constants, not settings.
+        assert [f.name for f in fields(SolverConfig)] == ["max_iters", "grad_tol"]
+        assert (variational._INITIAL_STEP, variational._BACKTRACK_FACTOR,
+                variational._ARMIJO_C) == (1.0, 0.5, 1e-4)

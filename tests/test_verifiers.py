@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import sampling_reference as ref
 from entropylab import functionals as fn
 from entropylab import verifiers
 from entropylab.errors import DimensionError, DomainError, NumericalInconsistency, ParseError
-from entropylab.matrix_core import random_pd
+from entropylab.matrix_core import EIG_RANGE, _complex, random_pd
 from entropylab.serialization import matrix_from_json, matrix_to_json
 from entropylab.verifiers import (
     CHECKS,
@@ -43,18 +43,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             CheckConfig(trials=0)
         with pytest.raises(DomainError):
-            CheckConfig(lambda_samples=(0.0, 0.5))
-        with pytest.raises(DomainError):
             CheckConfig(dims=())
-        with pytest.raises(DomainError):
-            CheckConfig(eig_range=(0.0, 1.0))
 
-    @pytest.mark.parametrize("eig_range", [(0.05, float("inf")), (float("inf"), float("inf")),
-                                           (0.05, float("nan")), (2.0, 1.0)])
-    def test_rejects_eig_range_outside_finite_positive_window(self, eig_range):
-        # An infinite upper end used to reach the PD draw and crash there.
-        with pytest.raises(DomainError, match="0 < lo <= hi < inf"):
-            CheckConfig(trials=3, seed=1, eig_range=eig_range)
+    def test_fixed_distribution_is_recorded_from_the_constants(self):
+        # Five settings; the eigenvalue range and the mixing weights are
+        # constants, and every report still records both.
+        assert [f.name for f in fields(CheckConfig)] == ["trials", "seed", "dims",
+                                                         "tol_abs", "tol_rel"]
+        config = CheckConfig().to_dict()
+        assert config["eig_range"] == [0.05, 5.0] == list(EIG_RANGE)
+        assert config["lambda_samples"] == [0.25, 0.5, 0.75] == list(verifiers.LAMBDA_SAMPLES)
 
     def test_trial_rng_is_pure_function_of_seed_and_index(self):
         a = trial_rng(7, 3).standard_normal(4)
@@ -161,11 +159,11 @@ class TestHarnessSelfTest:
 
 
 class TestErrorPropagation:
-    def test_functional_errors_become_trial_failures(self):
+    def test_functional_errors_become_trial_failures(self, monkeypatch):
         # Eigenvalues at 5e-11 sit below the PD construction floor, so every
         # trial fails inside the functional and is recorded with context.
-        cfg = CheckConfig(trials=3, seed=0, eig_range=(5e-11, 6e-11))
-        report = check_gibbs_identity(cfg)
+        monkeypatch.setattr(verifiers, "EIG_RANGE", (5e-11, 6e-11))
+        report = check_gibbs_identity(CheckConfig(trials=3, seed=0))
         assert not report.passed
         assert all(v["kind"] == "error" for v in report.violations)
         assert "positive definite" in report.violations[0]["error"]
@@ -345,6 +343,62 @@ class TestWitnessSearchErrors:
         assert report.note == f"found {len(witnesses)} witnesses, 1 error records"
 
 
+def _lapack_failing_on(monkeypatch, name, chosen):
+    """Patch ``np.linalg.<name>`` to raise LAPACK's LinAlgError on any
+    stack that holds the matrix ``chosen``."""
+    genuine = getattr(np.linalg, name)
+
+    def patched(a, *args, **kwargs):
+        mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
+        if any(np.array_equal(m, chosen) for m in mats):
+            raise np.linalg.LinAlgError("did not converge")
+        return genuine(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, patched)
+
+
+class TestLapackFailures:
+    """A LinAlgError from an unguarded LAPACK call of a build is a
+    ConvergenceFailure: it becomes the error record of the trials whose
+    stack raised, and the other trials' results do not change."""
+
+    def test_route_probe_eigh(self, monkeypatch):
+        cfg = CheckConfig(trials=20, seed=7, dims=((2, 4, 4),))
+        spec = verifiers._SPECS["gt_route_gap"]
+        base = search_gt_route_gap(cfg)
+        # The matrix whose top eigenvector is trial 5's probe direction: the
+        # input of the one eigh that _build_route calls itself.
+        seen = []
+        genuine = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or genuine(a))
+        ref.sample(spec, trial_rng(cfg.seed, 5), spec.dims(cfg), 5)
+        monkeypatch.setattr(np.linalg, "eigh", genuine)
+        _lapack_failing_on(monkeypatch, "eigh", seen[-1])
+        report = search_gt_route_gap(cfg)
+        assert [r for r in report.violations if r["trial"] == 5] == [{
+            "kind": "error", "trial": 5,
+            "error": "eigensolver failed on the probe direction: did not converge"}]
+        assert [r for r in report.violations if r["trial"] != 5] == [
+            r for r in base.violations if r["trial"] != 5]
+        assert base.passed and not report.passed
+
+    def test_contraction_norm_svd(self, monkeypatch):
+        cfg = CheckConfig(trials=30, seed=5)
+        spec = verifiers._SPECS["sh_convexity"]
+        gaussian = _complex(_draws(spec, cfg)[7]["H"][0])
+        # np.linalg.norm(a, 2) runs the SVD of a; only operator_norm asks it
+        # for the norm of this Gaussian.
+        _lapack_failing_on(monkeypatch, "norm", gaussian)
+        report = check_sh_convexity(cfg)
+        assert report.violations == [{
+            "kind": "error", "trial": 7,
+            "error": "singular value decomposition failed: did not converge"}]
+        funcs = spec.functionals()
+        others = [ref.trial_alone(spec, cfg, funcs, t) for t in range(cfg.trials) if t != 7]
+        assert all(records == [] for records, _ in others)
+        assert report.worst_gap == max(g for _, gaps in others for g in gaps)
+
+
 class TestHomogeneityCounterexample:
     def test_strict_contraction_break_is_recorded(self):
         report = check_homogeneity(CheckConfig(trials=10, seed=5))
@@ -374,7 +428,7 @@ class TestHomogeneityCounterexample:
         # takes its counterexample from attempt 1, and the check fails.
         cfg = CheckConfig(trials=10, seed=5)
         spec = verifiers._SPECS["homogeneity"]
-        chosen = ref.sample(spec, trial_rng(cfg.seed, cfg.trials), cfg, spec.dims(cfg),
+        chosen = ref.sample(spec, trial_rng(cfg.seed, cfg.trials), spec.dims(cfg),
                             cfg.trials)["inst"].L.mat
 
         def phi(inst):
@@ -502,7 +556,7 @@ class TestBatchedEngine:
         cfg = CheckConfig(trials=30, seed=5)
         spec = verifiers._SPECS["phi_concavity"]
         dims = spec.dims(cfg)
-        chosen = ref.sample(spec, trial_rng(cfg.seed, 7), cfg, dims, 7)["L"].mat
+        chosen = ref.sample(spec, trial_rng(cfg.seed, 7), dims, 7)["L"].mat
 
         def phi(a, L, h):
             if L.mat.shape[-2:] == chosen.shape and np.all(L.mat == chosen, axis=(-2, -1)).any():
@@ -522,7 +576,7 @@ class TestBatchedEngine:
         # bound record and gap, then gets its error record, as it does alone.
         cfg = CheckConfig(trials=30, seed=5)
         spec = verifiers._SPECS["gibbs_identity"]
-        chosen = ref.sample(spec, trial_rng(cfg.seed, 7), cfg, spec.dims(cfg), 7)["B"].mat
+        chosen = ref.sample(spec, trial_rng(cfg.seed, 7), spec.dims(cfg), 7)["B"].mat
 
         def objective(x, b):
             mine = (np.all(b.mat == chosen, axis=(-2, -1))
@@ -615,7 +669,7 @@ class TestPointPasses:
         # keeps no gap and gets only its error record, as it does alone.
         cfg = CheckConfig(trials=30, seed=5)
         spec = verifiers._SPECS["phi_concavity"]
-        chosen = ref.sample(spec, trial_rng(cfg.seed, 7), cfg, spec.dims(cfg), 7)
+        chosen = ref.sample(spec, trial_rng(cfg.seed, 7), spec.dims(cfg), 7)
         mix = verifiers._mix(chosen["lam"][2], chosen["A1"], chosen["A2"]).mat
 
         def phi(a, L, h):
@@ -646,7 +700,7 @@ def _draws(spec, cfg: CheckConfig) -> dict:
     draws = {}
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
-        draws[t] = spec.draw(rng, cfg, verifiers._pick_dims(rng, dims), t)
+        draws[t] = spec.draw(rng, verifiers._pick_dims(rng, dims), t)
     return draws
 
 
@@ -657,7 +711,7 @@ def _groups(spec, cfg: CheckConfig) -> dict:
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         kmn = verifiers._pick_dims(rng, dims)
-        groups.setdefault(spec.key(kmn, spec.draw(rng, cfg, kmn, t)), []).append(t)
+        groups.setdefault(spec.key(kmn, spec.draw(rng, kmn, t)), []).append(t)
     return groups
 
 
@@ -678,8 +732,8 @@ class TestStackedSampling:
         for group in groups.values():
             built = spec.build(verifiers._stacked([draws[t] for t in group]))
             for i, t in enumerate(group):
-                alone = ref.sample(spec, trial_rng(cfg.seed, t), cfg, dims, t)
-                ref.assert_same(alone, ref.SAMPLERS[name](trial_rng(cfg.seed, t), cfg, dims, t))
+                alone = ref.sample(spec, trial_rng(cfg.seed, t), dims, t)
+                ref.assert_same(alone, ref.SAMPLERS[name](trial_rng(cfg.seed, t), dims, t))
                 ref.assert_same(verifiers._slice(built, i), alone)
 
     @pytest.mark.parametrize("size", ["small", "large", "mixed"])
