@@ -54,28 +54,8 @@ from .serialization import (
     multi_instance_to_json,
     read_fields,
 )
-from .variational import SolverConfig, maximize
+from .variational import OBJECTIVES, SolverConfig, maximize
 from .verifiers import CHECKS, CheckConfig, DEFAULT_DIMS, DEFAULT_SEED, run_check
-
-# eval name -> (attribute of ``functionals``, instance fields in argument
-# order; see serialization.read_fields).  The attribute is looked up at
-# call time.
-FUNCTIONALS = {
-    "relative_entropy": ("relative_entropy", {"A": "pd", "B": "pd"}),
-    "reduced_relative_entropy": ("reduced_relative_entropy",
-                                 {"A": "pd", "B": "pd", "H": "matrix"}),
-    "lieb_trace": ("lieb_trace", {"A": "pd", "B": "pd", "H": "matrix", "p": "float"}),
-    "lieb_derivative": ("lieb_trace_derivative_at_zero", {"A": "pd", "B": "pd", "H": "matrix"}),
-    "phi": ("trace_exp_functional", {"A": "pd", "L": "hermitian", "H": "matrix"}),
-    "multi_phi": ("multi_trace_exp", {"inst": "multi"}),
-    "gt_jensen_rhs": ("gt_jensen_rhs", {"inst": "multi"}),
-    "gibbs_objective": ("gibbs_objective", {"X": "pd", "B": "pd"}),
-}
-# optimize objective -> the data fields ``maximize`` takes.
-OBJECTIVE_FIELDS = {
-    "gibbs": {"B": "pd"},
-    "phi": {"A": "pd", "L": "hermitian", "H": "matrix"},
-}
 
 
 def _resolve_seed(flag_value) -> int:
@@ -91,7 +71,7 @@ def _resolve_seed(flag_value) -> int:
 
 
 def cmd_eval(args) -> int:
-    attr, fields = FUNCTIONALS[args.functional]
+    attr, fields = fn.FUNCTIONALS[args.functional]
     inputs = read_fields(load_json(args.instance), fields, str(args.instance))
     value = getattr(fn, attr)(*inputs.values())
     print(f"{value:.15g}")
@@ -156,7 +136,7 @@ def cmd_check(args) -> int:
 def cmd_optimize(args) -> int:
     obj = load_json(args.instance)
     cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
-    data = read_fields(obj, OBJECTIVE_FIELDS[args.objective], str(args.instance))
+    data = read_fields(obj, OBJECTIVES[args.objective][1], str(args.instance))
     result = maximize(args.objective, data, cfg)
     record = {
         "objective": args.objective,
@@ -211,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a functional on an instance file")
-    p_eval.add_argument("functional", choices=tuple(FUNCTIONALS))
+    p_eval.add_argument("functional", choices=tuple(fn.FUNCTIONALS))
     p_eval.add_argument("instance", type=Path, help="JSON instance file")
     p_eval.add_argument("--out", type=Path, default=None, help="write a JSON record here")
 
@@ -226,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out-dir", type=Path, default=Path("reports"))
 
     p_opt = sub.add_parser("optimize", help="maximize a variational objective")
-    p_opt.add_argument("objective", choices=tuple(OBJECTIVE_FIELDS))
+    p_opt.add_argument("objective", choices=tuple(OBJECTIVES))
     p_opt.add_argument("instance", type=Path)
     p_opt.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p_opt.add_argument("--grad-tol", type=float, default=SolverConfig.grad_tol)

@@ -362,3 +362,19 @@ def phi_objective(X: PositiveDefiniteMatrix, A: PositiveDefiniteMatrix,
     value += _real_trace(_trace(X.mat @ L.mat))
     value += _real_trace(_trace(A.mat))
     return value
+
+
+# eval name -> (the name of its function here, looked up at call time so that
+# a rebinding takes effect; its instance fields in argument order, see
+# serialization.read_fields).
+FUNCTIONALS = {
+    "relative_entropy": ("relative_entropy", {"A": "pd", "B": "pd"}),
+    "reduced_relative_entropy": ("reduced_relative_entropy",
+                                 {"A": "pd", "B": "pd", "H": "matrix"}),
+    "lieb_trace": ("lieb_trace", {"A": "pd", "B": "pd", "H": "matrix", "p": "float"}),
+    "lieb_derivative": ("lieb_trace_derivative_at_zero", {"A": "pd", "B": "pd", "H": "matrix"}),
+    "phi": ("trace_exp_functional", {"A": "pd", "L": "hermitian", "H": "matrix"}),
+    "multi_phi": ("multi_trace_exp", {"inst": "multi"}),
+    "gt_jensen_rhs": ("gt_jensen_rhs", {"inst": "multi"}),
+    "gibbs_objective": ("gibbs_objective", {"X": "pd", "B": "pd"}),
+}

@@ -137,27 +137,38 @@ def _ascend(objective: Callable[[PositiveDefiniteMatrix], float],
     )
 
 
+def _gibbs_problem(B):
+    return (lambda x: gibbs_objective(x, B)), (lambda x: gibbs_gradient(x, B)), B.dim
+
+
+def _phi_problem(A, L, H):
+    h = _contraction_arg(H, A.dim, L.dim)
+    return (lambda x: phi_objective(x, A, L, h)), (lambda x: phi_gradient(x, A, L, h)), L.dim
+
+
+# optimize name -> (its problem builder here, which gives the objective, its
+# gradient and the order of X; the data fields in argument order).
+OBJECTIVES = {
+    "gibbs": ("_gibbs_problem", {"B": "pd"}),
+    "phi": ("_phi_problem", {"A": "pd", "L": "hermitian", "H": "matrix"}),
+}
+
+
 def maximize(objective: str, data: Mapping, cfg: SolverConfig | None = None) -> SolverResult:
     """Maximize one of the named objectives over X > 0.
 
     Parameters
     ----------
     objective:
-        "gibbs" (data: ``{"B": PositiveDefiniteMatrix}``) or
-        "phi" (data: ``{"A": PD, "L": HermitianMatrix, "H": contraction}``).
+        A key of ``OBJECTIVES``, whose fields are the keys of ``data``.
     data:
         Mapping holding the fixed problem data.
     cfg:
         The stopping rule; the defaults suit desk-scale instances.
     """
     cfg = cfg or SolverConfig()
-    if objective == "gibbs":
-        B = data["B"]
-        return _ascend(lambda x: gibbs_objective(x, B),
-                       lambda x: gibbs_gradient(x, B), B.dim, cfg)
-    if objective == "phi":
-        A, L, H = data["A"], data["L"], data["H"]
-        h = _contraction_arg(H, A.dim, L.dim)
-        return _ascend(lambda x: phi_objective(x, A, L, h),
-                       lambda x: phi_gradient(x, A, L, h), L.dim, cfg)
-    raise DomainError(f"unknown objective {objective!r}; expected 'gibbs' or 'phi'")
+    if objective not in OBJECTIVES:
+        raise DomainError(f"unknown objective {objective!r}; "
+                          f"expected {' or '.join(map(repr, OBJECTIVES))}")
+    builder, fields = OBJECTIVES[objective]
+    return _ascend(*globals()[builder](*(data[key] for key in fields)), cfg)

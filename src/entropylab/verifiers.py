@@ -97,6 +97,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial, reduce
+from itertools import islice
 from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
@@ -360,6 +361,14 @@ def _tol(cfg: CheckConfig, *values):
     return cfg.tol_abs + cfg.tol_rel * _max(*map(abs, values))
 
 
+def _chord(cfg: CheckConfig, lam, ends, mid, concave: bool = False, **held) -> Comparison:
+    """The "segment" comparison at weight ``lam`` of the value ``mid`` with the chord
+    of the end values ``ends`` (mid <= chord if convex, chord <= mid if concave)."""
+    combo = lam * ends[0] + (1.0 - lam) * ends[1]
+    lhs, rhs = (combo, mid) if concave else (mid, combo)
+    return Comparison("segment", lhs, rhs, lhs - rhs, _tol(cfg, mid, *ends), dict(held, lam=lam))
+
+
 def _dump(**values) -> dict:
     """JSON instance of a record: a MultiInstance merged in at the top level,
     matrices as matrix objects, lists as lists of them, anything else as is."""
@@ -591,17 +600,11 @@ def _compare_sh(inst, cfg, f):
     a1, b1, a2, b2 = inst["A1"], inst["B1"], inst["A2"], inst["B2"]
     _same_shape(A1=a1, A2=a2)
     _same_shape(B1=b1, B2=b2)
-    ends = []
     walk = _by_point(lambda points: entropy(points([a1, a2], _mix), points([b1, b2], _mix), h),
                      2, inst["lam"], _stack_bytes(a1.dim, _batch(a1)))
+    ends = [values[j] for _, j, values in islice(walk, 2)]
     for lam, j, values in walk:
-        if lam is None:
-            ends.append(values[j])
-            continue
-        (s1, s2), s_mid = ends, values[j]
-        combo = lam * s1 + (1.0 - lam) * s2
-        yield Comparison("segment", s_mid, combo, s_mid - combo, _tol(cfg, s_mid, s1, s2),
-                         dict(H=h, A1=a1, B1=b1, A2=a2, B2=b2, lam=lam))
+        yield _chord(cfg, lam, ends, values[j], H=h, A1=a1, B1=b1, A2=a2, B2=b2)
 
 
 def _draw_phi(rng, kmn, trial) -> dict:
@@ -619,17 +622,11 @@ def _build_phi(d: dict) -> dict:
 def _compare_phi(inst, cfg, f):
     phi, L, h, a1, a2 = f["phi"], inst["L"], inst["H"], inst["A1"], inst["A2"]
     _same_shape(A1=a1, A2=a2)
-    ends = []
     walk = _by_point(lambda points: phi(points([a1, a2], _mix), L, h),
                      2, inst["lam"], _stack_bytes(max(a1.dim, L.dim), _batch(L)))
+    ends = [values[j] for _, j, values in islice(walk, 2)]
     for lam, j, values in walk:
-        if lam is None:
-            ends.append(values[j])
-            continue
-        (p1, p2), p_mid = ends, values[j]
-        combo = lam * p1 + (1.0 - lam) * p2
-        yield Comparison("segment", combo, p_mid, combo - p_mid, _tol(cfg, p_mid, p1, p2),
-                         dict(L=L, H=h, A1=a1, A2=a2, lam=lam))
+        yield _chord(cfg, lam, ends, values[j], concave=True, L=L, H=h, A1=a1, A2=a2)
 
 
 def _draw_multi(rng, kmn, trial) -> dict:
@@ -672,10 +669,7 @@ def _compare_multi(inst, cfg, f):
         if lam is None:
             p_ends.append(direct)
             continue
-        (p1, p2), p_mid = p_ends, direct
-        combo = lam * p1 + (1.0 - lam) * p2
-        yield Comparison("segment", combo, p_mid, combo - p_mid, _tol(cfg, p_mid, p1, p2),
-                         dict(inst=first, A2=inst["A2"], lam=lam))
+        yield _chord(cfg, lam, p_ends, direct, concave=True, inst=first, A2=inst["A2"])
 
 
 def _draw_gt_jensen(rng, kmn, trial) -> dict:
@@ -823,10 +817,8 @@ def _compare_homogeneity(inst, cfg, f):
     walk = _by_point(
         lambda points: phi(replace(m, a_list=[points([a], _scaled_pd) for a in m.a_list])),
         1, inst["t"], _stack_bytes(max(m.H.m, m.H.n), _batch(m.L)))
+    base = next(values[j] for _, j, values in walk)
     for t, j, values in walk:
-        if t is None:
-            base = values[j]
-            continue
         val = values[j]
         yield Comparison("identity", val, t * base, abs(val - t * base),
                          cfg.tol_abs + cfg.tol_rel * t * abs(base), dict(inst=m, t=t))
@@ -865,19 +857,20 @@ _SPECS = {c.name: c for c in (
           key=lambda kmn, d: (kmn, d["H"][-1] is None)),  # an isometric tuple draws no scale
     Check("gt_jensen", _draw_gt_jensen, _build_gt_jensen, _compare_gt_jensen,
           lambda: {"lhs": fn.gt_jensen_lhs, "rhs": fn.gt_jensen_rhs},
-          {"inst": "multi"}, GT_FAMILIES, dims=_isometric_dims,
+          fn.FUNCTIONALS["gt_jensen_rhs"][1], GT_FAMILIES, dims=_isometric_dims,
           key=lambda kmn, d: (d["kind"], kmn[1] if d["H"] is None else kmn)),
     Check("gibbs_identity", _draw_gibbs, _build_gibbs, _compare_gibbs,
           lambda: {"objective": fn.gibbs_objective},
-          {"B": "pd", "X": "pd"}, ("bound", "equality"), order=lambda k, m, n: m,
+          fn.FUNCTIONALS["gibbs_objective"][1], ("bound", "equality"), order=lambda k, m, n: m,
           key=lambda kmn, d: kmn[1]),
     Check("derivative_limit", _draw_derivative, _build_derivative, _compare_derivative,
           lambda: {"derivative": fn.lieb_trace_derivative_at_zero},
-          {"A": "pd", "B": "pd", "H": "matrix"},
+          fn.FUNCTIONALS["lieb_derivative"][1],
           ("not_decreasing", "floor_exceeded", "above_scale"), key=lambda kmn, d: kmn[1:]),
     Check("gt_route_gap", _draw_route, _build_route, _compare_route,
           lambda: {"route": gt_route_value, "rhs": fn.gt_jensen_rhs},
-          {"inst": "multi"}, ("witness",), dims=_route_dims, semantics="witness_search"),
+          fn.FUNCTIONALS["gt_jensen_rhs"][1], ("witness",), dims=_route_dims,
+          semantics="witness_search"),
     Check("homogeneity", _draw_homogeneity, _build_homogeneity, _compare_homogeneity,
           lambda: {"phi": fn.multi_trace_exp},
           {"inst": "multi", "t": "floats"}, ("identity",), dims=_isometric_dims),
