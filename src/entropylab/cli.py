@@ -8,7 +8,9 @@ Subcommands:
   gen       generate random instance files
 
 Flag defaults are read from ``CheckConfig``, ``SolverConfig`` and
-``matrix_core.EIG_RANGE``, not repeated here.
+``matrix_core.EIG_RANGE``, not repeated here, and the names and instance
+fields of ``eval`` and ``optimize`` from ``functionals.FUNCTIONALS`` and
+``variational.OBJECTIVES``.
 
 All commands are reproducible: the seed defaults to 0xC0FFEE, can be set
 with --seed or the ENTROPYLAB_SEED environment variable, and identical

@@ -719,10 +719,20 @@ def _build_hermitian(g: np.ndarray, scale=1.0) -> HermitianMatrix:
 
 
 def random_hermitian(dim: int, scale: float = 1.0, seed: SeedLike = 0) -> HermitianMatrix:
-    """Random Hermitian matrix: symmetrized complex Gaussian times ``scale``."""
+    """Random Hermitian matrix: symmetrized complex Gaussian times ``scale``.
+
+    A non-finite ``scale``, or one whose product with the drawn entries
+    overflows, is a DomainError naming it, with no RuntimeWarning."""
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
-    return _build_hermitian(_complex_gaussian(make_rng(seed), dim, dim), scale)
+    if not np.isfinite(scale):
+        raise DomainError(f"scale must be finite, got {scale}")
+    g = _complex_gaussian(make_rng(seed), dim, dim)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _build_hermitian(g, scale)
+    except DomainError as exc:
+        raise DomainError(f"scale {scale} overflows a {dim} x {dim} Hermitian draw: {exc}") from exc
 
 
 def _draw_contraction(rng: np.random.Generator, rows: int, cols: int) -> tuple:

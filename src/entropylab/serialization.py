@@ -51,11 +51,13 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     """The ``rows x cols`` complex matrix of a JSON matrix object.
 
     ``rows`` and ``cols`` must be JSON integers (not booleans), and each
-    entry of ``data`` a pair ``[re, im]`` of numbers (or of strings that
-    ``float`` reads); anything else, a number too large for a double, null,
-    or a non-finite value is a ParseError naming ``name``.  The pairs are
-    read as one float array and viewed as complex, so every part keeps its
-    exact bits, the sign of a zero included.
+    entry of ``data`` a list ``[re, im]`` of two numbers (or of strings that
+    ``float`` reads); anything else, a boolean, a number too large for a
+    double, null, or a non-finite value is a ParseError naming ``name``.
+    The pairs are flattened and read as one float array, viewed as complex,
+    so every part keeps its exact bits, the sign of a zero included.  Reading
+    the flat list rather than the nested one saves about what the type test
+    of the parts costs.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{name}: expected a JSON object, got {type(obj).__name__}")
@@ -69,14 +71,16 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     if rows < 1 or cols < 1:
         raise ParseError(f"{name}: rows and cols must be >= 1, got {rows} x {cols}")
     expected = f"{name}: data must hold rows*cols = {rows * cols} [re, im] pairs of numbers"
-    if not isinstance(data, list):
+    if (not isinstance(data, list) or len(data) != rows * cols
+            or set(map(type, data)) != {list} or set(map(len, data)) != {2}):
         raise ParseError(expected)
+    parts = list(chain.from_iterable(data))
+    if bool in set(map(type, parts)):
+        raise ParseError(f"{expected}, not true or false")
     try:
-        pairs = np.array(data, dtype=np.float64)
+        pairs = np.array(parts, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{expected}: {exc}") from exc
-    if pairs.shape != (rows * cols, 2):
-        raise ParseError(expected)
     if not np.isfinite(pairs).all():
         raise ParseError(f"{name}: non-finite or null entries")
     return pairs.view(np.complex128).reshape(rows, cols)
@@ -147,6 +151,8 @@ def multi_instance_from_json(obj, name: str = "instance"):
 
 
 def _float(obj, name: str) -> float:
+    if isinstance(obj, bool):  # float() would read true as 1.0
+        raise ParseError(f"{name}: expected a number, got {obj!r}")
     try:
         return float(obj)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -11,6 +11,8 @@ The update direction is the Euclidean gradient at X applied directly to Y;
 it is always an ascent direction, and Armijo backtracking on the true
 objective guarantees monotone increase.  The step rule is fixed by the
 module constants below; ``SolverConfig`` sets only when the ascent stops.
+``OBJECTIVES`` holds each objective's instance fields, which ``optimize``
+reads, and the name of its problem builder, which ``maximize`` calls.
 """
 
 from __future__ import annotations
@@ -39,14 +41,17 @@ _MAX_BACKTRACKS = 60
 @dataclass(frozen=True)
 class SolverConfig:
     """When the ascent stops: after ``max_iters`` accepted steps, or once
-    the Frobenius norm of the gradient is at most ``grad_tol``."""
+    the Frobenius norm of the gradient is at most ``grad_tol``, which must be
+    finite and positive (a NaN would never stop the ascent, and infinity
+    would stop it before the first step)."""
 
     max_iters: int = 500
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.grad_tol <= 0:
-            raise DomainError("max_iters and grad_tol must be positive")
+        if self.max_iters < 1 or not 0.0 < self.grad_tol < np.inf:
+            raise DomainError("max_iters must be positive and grad_tol finite and positive, "
+                              f"got max_iters={self.max_iters}, grad_tol={self.grad_tol}")
 
 
 @dataclass

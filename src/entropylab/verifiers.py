@@ -24,7 +24,10 @@ Each check is declared as a :class:`Check` rather than written as a loop:
   check's keyword hooks replace them, so the harness self-test can corrupt
   a functional and prove the check is not vacuous;
 - ``fields`` gives the kind of each key of a dumped instance (see
-  ``serialization.read_fields``), and ``kinds`` the comparison kinds;
+  ``serialization.read_fields``), and ``kinds`` the comparison kinds.
+  Where a record's instance is that of an ``eval`` functional (gt_jensen,
+  gibbs_identity, derivative_limit and gt_route_gap), ``fields`` is read
+  from ``functionals.FUNCTIONALS``, so the record is an ``eval`` instance;
 - ``key(kmn, draw)`` is what fixes the shapes of a draw: the dims it uses
   and the fields that choose a family.  Draws of one key stack together.
 
@@ -70,8 +73,10 @@ pass, point axis included, within ``BLOCK_BYTES``: at n <= 4 a pass
 usually holds every point, and when a group alone fills the budget (n = 32)
 each pass holds one.  The comparisons come out in the order of the points,
 each from its point's entry, with the bits of evaluating that point alone.
-A raise inside a pass comes before any comparison of that pass, so a lone
-trial that raises there keeps the gaps and records of earlier passes only.
+Every "segment" comparison, the value at a mix against the chord of the
+end values, is built by :func:`_chord`.  A raise inside a pass comes before
+any comparison of that pass, so a lone trial that raises there keeps the
+gaps and records of earlier passes only.
 
 Replay (:func:`re_evaluate`) reads a record's instance with ``fields``,
 passes the record's kind in as ``instance["kind"]``, runs the same

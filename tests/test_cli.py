@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -6,10 +7,17 @@ import numpy as np
 import pytest
 import sampling_reference as ref
 
-from entropylab import cli, verifiers
+from entropylab import cli, functionals, variational, verifiers
 from entropylab.cli import main
-from entropylab.errors import NonFiniteObjective
-from entropylab.matrix_core import EIG_RANGE, random_pd
+from entropylab.errors import DomainError, NonFiniteObjective
+from entropylab.functionals import MultiInstance
+from entropylab.matrix_core import (
+    EIG_RANGE,
+    make_rng,
+    random_contraction_tuple,
+    random_hermitian,
+    random_pd,
+)
 from entropylab.variational import SolverConfig
 from entropylab.verifiers import DEFAULT_DIMS, CheckConfig
 from entropylab.serialization import (
@@ -17,7 +25,9 @@ from entropylab.serialization import (
     load_json,
     matrix_from_json,
     matrix_to_json,
+    multi_instance_to_json,
     pd_from_json,
+    read_fields,
 )
 
 
@@ -125,7 +135,7 @@ class TestEval:
         assert code == 3 and out == ""
         assert "Tr(e^L sum H_i* e^(B_i) H_i) is not finite" in err
 
-    @pytest.mark.parametrize("entry", ["x", None, pytest.param(10 ** 400, id="400-digit")])
+    @pytest.mark.parametrize("entry", ["x", None, pytest.param(10 ** 400, id="400-digit"), True])
     def test_non_number_matrix_entry_exits_2(self, tmp_path, capsys, entry):
         a = matrix_to_json(np.diag([2.0]))
         path = write_instance(tmp_path, "inst.json", {
@@ -150,7 +160,7 @@ class TestEval:
         assert code == 2 and not out
         assert f"'{key}'" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("p", ["half", None, pytest.param(10 ** 400, id="400-digit")])
+    @pytest.mark.parametrize("p", ["half", None, pytest.param(10 ** 400, id="400-digit"), True])
     def test_malformed_scalar_exits_2(self, tmp_path, capsys, p):
         a = matrix_to_json(np.diag([2.0]))
         path = write_instance(tmp_path, "inst.json", {
@@ -321,6 +331,13 @@ class TestOptimize:
         assert code == 2 and not out
         assert "key 'B'" in err
 
+    @pytest.mark.parametrize("grad_tol", ["nan", "inf"])
+    def test_non_finite_grad_tol_exits_2(self, tmp_path, capsys, grad_tol):
+        path = write_instance(tmp_path, "b.json", {"B": matrix_to_json(np.diag([1.0, 2.0]))})
+        code, out, err = run(capsys, "optimize", "gibbs", path, "--grad-tol", grad_tol)
+        assert code == 2 and not out
+        assert f"grad_tol={grad_tol}" in err
+
     def test_numerical_error_exits_3(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path, "b.json",
                               {"B": matrix_to_json(np.diag([1.0]))})
@@ -408,6 +425,18 @@ class TestGen:
                                  "--out", str(out_path))
         assert code == 2 and not out and not out_path.exists()
         assert "overflows" in err
+
+    @pytest.mark.parametrize("kind", ["hermitian", "multi_instance"])
+    @pytest.mark.parametrize("scale", ["1e308", "nan", "inf"])
+    def test_non_finite_or_overflowing_scale_exits_2_without_warnings(self, tmp_path, capsys,
+                                                                      kind, scale):
+        # --scale 1e308 used to print two RuntimeWarnings before its error.
+        out_path = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "gen", kind, "--scale", scale, "--out", str(out_path))
+        assert code == 2 and not out and not out_path.exists()
+        assert "scale" in err and str(float(scale)) in err
 
     def test_gen_isometry_needs_rows_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gen", "contraction_tuple", "--k", "1",
@@ -532,3 +561,96 @@ class TestParserReuse:
         code, out, err = run(capsys, "eval", "phi", path)
         assert code == 0 and not err
         assert float(out.strip()) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+class TestRegistry:
+    """``functionals.FUNCTIONALS`` and ``variational.OBJECTIVES`` are the one
+    home of each instance schema: eval, optimize and check replay read them,
+    and they name their functions, which are looked up at call time."""
+
+    @staticmethod
+    def _instance(name: str) -> dict:
+        rng = make_rng(21)
+        if name in ("multi_phi", "gt_jensen_rhs"):
+            extra = ({"a_list": [random_pd(3, (0.5, 2.0), rng) for _ in range(2)]}
+                     if name == "multi_phi" else
+                     {"b_list": [random_hermitian(3, 1.0, rng) for _ in range(2)]})
+            return multi_instance_to_json(MultiInstance(
+                L=random_hermitian(3, 1.0, rng), H=random_contraction_tuple(2, 3, 3, True, rng),
+                **extra))
+        values = {"pd": lambda: matrix_to_json(random_pd(3, (0.5, 2.0), rng)),
+                  "hermitian": lambda: matrix_to_json(random_hermitian(3, 1.0, rng)),
+                  "matrix": lambda: matrix_to_json(
+                      random_contraction_tuple(1, 3, 3, False, rng).blocks[0]),
+                  "float": lambda: 0.3}
+        return {key: values[kind]() for key, kind in functionals.FUNCTIONALS[name][1].items()}
+
+    @pytest.mark.parametrize("name", sorted(functionals.FUNCTIONALS))
+    def test_eval_of_every_name_equals_the_direct_call(self, tmp_path, capsys, name):
+        obj = self._instance(name)
+        path = write_instance(tmp_path, "inst.json", obj)
+        attr, fields = functionals.FUNCTIONALS[name]
+        direct = getattr(functionals, attr)(*read_fields(obj, fields).values())
+        code, out, err = run(capsys, "eval", name, path, "--out", str(tmp_path / "rec.json"))
+        assert code == 0 and not err
+        assert out == f"{direct:.15g}\n"
+        assert load_json(tmp_path / "rec.json")["value"] == direct
+
+    def test_parser_choices_are_the_table_keys(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = {cmd: next(a.choices for a in sub.choices[cmd]._actions if a.dest == dest)
+                   for cmd, dest in (("eval", "functional"), ("optimize", "objective"))}
+        assert list(choices["eval"]) == list(functionals.FUNCTIONALS)
+        assert list(choices["optimize"]) == list(variational.OBJECTIVES)
+
+    def test_unknown_objective_message(self):
+        with pytest.raises(DomainError) as exc:
+            variational.maximize("nonsense", {})
+        assert str(exc.value) == "unknown objective 'nonsense'; expected 'gibbs' or 'phi'"
+
+    @staticmethod
+    def _eval_record(tmp_path, capsys, name: str, record: dict) -> float:
+        path = write_instance(tmp_path, "record.json", record["instance"])
+        code, out, err = run(capsys, "eval", name, path, "--out", str(tmp_path / "rec.json"))
+        value = load_json(tmp_path / "rec.json")["value"]
+        assert code == 0 and not err and out == f"{value:.15g}\n"
+        return value
+
+    def test_gibbs_bound_record_is_an_eval_instance(self, tmp_path, capsys, monkeypatch):
+        # A tolerance of -inf breaches every comparison, so the genuine
+        # objective's bound comparisons become records.
+        monkeypatch.setattr(verifiers, "_tol", lambda cfg, *values: -np.inf)
+        report = verifiers.check_gibbs_identity(CheckConfig(trials=6, seed=3))
+        records = [r for r in report.violations if r["kind"] == "bound"]
+        assert len(records) == 6
+        for record in records:
+            value = self._eval_record(tmp_path, capsys, "gibbs_objective", record)
+            # The check evaluates on the drawn spectra, eval on those of the
+            # matrices read back: equal up to round-off, and equal to replay.
+            assert value == pytest.approx(record["lhs"], rel=1e-12)
+            assert value == verifiers.re_evaluate("gibbs_identity", record)["lhs"]
+
+    def test_route_witness_is_an_eval_instance(self, tmp_path, capsys):
+        witnesses = verifiers.search_gt_route_gap(CheckConfig(trials=60, seed=11)).violations
+        assert witnesses
+        for record in witnesses[:5]:
+            value = self._eval_record(tmp_path, capsys, "gt_jensen_rhs", record)
+            assert value == pytest.approx(record["rhs"], rel=1e-12)
+            assert value == verifiers.re_evaluate("gt_route_gap", record)["rhs"]
+
+    def test_rebound_functions_are_seen_by_eval_and_optimize(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # The benchmark self-test corrupts functionals by rebinding them.
+        path = write_instance(tmp_path, "inst.json", self._instance("phi"))
+        genuine = {cmd: run(capsys, *cmd, path)[1] for cmd in (("eval", "phi"),
+                                                                ("optimize", "phi"))}
+        trace_exp, phi_objective = functionals.trace_exp_functional, variational.phi_objective
+        monkeypatch.setattr(functionals, "trace_exp_functional",
+                            lambda *a: 2.0 * trace_exp(*a))
+        monkeypatch.setattr(variational, "phi_objective", lambda *a: 2.0 * phi_objective(*a))
+        code, out, _ = run(capsys, "eval", "phi", path)
+        assert code == 0 and float(out) == 2.0 * float(genuine[("eval", "phi")])
+        code, out, _ = run(capsys, "optimize", "phi", path)
+        value, expected = json.loads(out)["value"], json.loads(genuine[("optimize", "phi")])
+        assert code == 0 and value == pytest.approx(2.0 * expected["value"], rel=1e-9)

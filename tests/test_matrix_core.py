@@ -256,6 +256,21 @@ class TestGenerators:
         with pytest.raises(DomainError, match="0 < lo <= hi < inf"):
             random_pd(3, eig_range, 1)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), 1e308, -1e308])
+    def test_random_hermitian_rejects_a_non_finite_or_overflowing_scale(self, scale):
+        # 1e308 times the drawn entries used to overflow with two RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                random_hermitian(3, scale, 3)
+        assert "scale" in str(exc.value) and str(scale) in str(exc.value)
+
+    @pytest.mark.parametrize("scale", [1e307, -1e-300, 0.0])
+    def test_random_hermitian_keeps_its_bits_at_extreme_valid_scales(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref.assert_same(random_hermitian(3, scale, 3), ref.random_hermitian(3, scale, 3))
+
     def test_random_pd_defaults_to_the_check_eigenvalue_range(self):
         assert matrix_core.EIG_RANGE == (0.05, 5.0)
         assert random_pd(3, seed=4).mat.tobytes() == random_pd(3, (0.05, 5.0), 4).mat.tobytes()

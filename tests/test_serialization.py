@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -58,6 +59,10 @@ class TestMatrixFormat:
         pytest.param({"rows": 1, "cols": 1, "data": [[10 ** 400, 0.0]]}, id="400-digit"),
         {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [1.0]]},
         {"rows": 1, "cols": 1, "data": "[[1.0, 0.0]]"},
+        # A JSON boolean is not a number, nor is a pair written as a string.
+        pytest.param({"rows": 1, "cols": 1, "data": [[True, False]]}, id="true-false"),
+        pytest.param({"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, False]]}, id="one-false"),
+        pytest.param({"rows": 1, "cols": 2, "data": ["12", "34"]}, id="string-pairs"),
         {"rows": float("inf"), "cols": 1, "data": [[1.0, 0.0]]},
         # rows and cols must be JSON integers: no truncation, no booleans.
         pytest.param({"rows": 2.9, "cols": 1, "data": [[1.0, 0.0], [2.0, 0.0]]}, id="rows-2.9"),
@@ -73,7 +78,7 @@ class TestMatrixFormat:
         [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [5e-324, -5e-324],
         [2.2250738585072014e-308, 1e-310],
         [1.7976931348623157e308, -1.7976931348623157e308], [0.1, 1 / 3],
-        [1, -2], [2 ** 53 + 1, 2 ** 63], [2 ** 64 + 1, 10 ** 300], [True, False],
+        [1, -2], [2 ** 53 + 1, 2 ** 63], [2 ** 64 + 1, 10 ** 300],
         ["1.5", " -2.5e-3\n"], ["1_0", "-0"], ["1e-320", "+0.1"],
     ])
     def test_entries_read_to_the_bits_of_float(self, pair):
@@ -273,10 +278,23 @@ class TestReadFields:
         assert np.array_equal(out["inst"].L.mat, inst.L.mat)
         assert out["t"] == (0.5, 2.0)
 
-    @pytest.mark.parametrize("bad", ["half", None, [1.0], pytest.param(10 ** 400, id="400-digit")])
+    @pytest.mark.parametrize("bad", ["half", None, [1.0], pytest.param(10 ** 400, id="400-digit"),
+                                     True, False])
     def test_malformed_float_names_the_key(self, bad):
         with pytest.raises(ParseError, match="'p'"):
             read_fields({"p": bad}, {"p": "float"}, "f.json")
+
+    @pytest.mark.parametrize("kind,value", [("floats", True), ("floats", [0.5, False]),
+                                            ("weights", [True]), ("weights", [0.25, True])])
+    def test_boolean_in_a_number_list_names_the_key(self, kind, value):
+        with pytest.raises(ParseError, match="'t'.*expected a number"):
+            read_fields({"t": value}, {"t": kind}, "f.json")
+
+    def test_numbers_and_numeric_strings_keep_their_bits(self):
+        obj = {"p": "0.1", "t": [1, "2.5e-3", -0.0], "lam": [0.25, "0.75"]}
+        out = read_fields(obj, {"p": "float", "t": "floats", "lam": "weights"})
+        assert out == {"p": 0.1, "t": (1.0, 2.5e-3, -0.0), "lam": (0.25, 0.75)}
+        assert math.copysign(1.0, out["t"][2]) == -1.0
 
     def test_missing_key(self):
         with pytest.raises(ParseError, match="missing required key 'B'"):

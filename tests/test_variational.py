@@ -181,6 +181,13 @@ class TestSolverGuards:
         with pytest.raises(DomainError):
             SolverConfig(grad_tol=0.0)
 
+    @pytest.mark.parametrize("grad_tol", [float("nan"), float("inf")])
+    def test_grad_tol_must_be_finite(self, grad_tol):
+        # A NaN tolerance ran every iteration and an infinite one stopped
+        # before the first step, each with a result and no error.
+        with pytest.raises(DomainError, match="grad_tol finite and positive"):
+            SolverConfig(grad_tol=grad_tol)
+
     def test_config_holds_the_stopping_rule_only(self):
         # The step rule is a set of module constants, not settings.
         assert [f.name for f in fields(SolverConfig)] == ["max_iters", "grad_tol"]
