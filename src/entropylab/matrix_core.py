@@ -347,9 +347,10 @@ def matrix_function(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
                     fname: str | None = None) -> HermitianMatrix:
     """Apply a real scalar function to a Hermitian matrix through its spectrum.
 
-    ``f`` receives the eigenvalue vector and must return real values; any
-    non-finite result (eigenvalue outside the function's domain) raises
-    DomainError.
+    ``f`` receives the eigenvalue vector and must return real values; a
+    complex result (zero imaginary parts included), one that is not numeric
+    or any non-finite result (eigenvalue outside the function's domain)
+    raises DomainError.
     """
     return HermitianMatrix(_on_spectrum(M, f, fname)[0])
 
@@ -364,7 +365,10 @@ def _on_eigenvalues(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
     label = fname or getattr(f, "__name__", "f")
     with np.errstate(all="ignore"):
         try:
-            fw = np.asarray(f(dec.eigenvalues), dtype=np.float64)
+            fw = f(dec.eigenvalues)
+            if np.iscomplexobj(fw):  # a float64 cast would drop the imaginary parts
+                raise TypeError("got complex values")
+            fw = np.asarray(fw, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"{label} did not return real values: {exc}") from exc
     if fw.shape != dec.eigenvalues.shape or not np.all(np.isfinite(fw)):
@@ -476,6 +480,8 @@ def _joined(values: Sequence):
 
 
 def _combined(values: Sequence, join: Callable):
+    """A value of the type of ``values[0]`` made of ``join`` of the values'
+    arrays, slot by slot: the one list of the arrays of each checked type."""
     first = values[0]
     out = type(first).__new__(type(first))
     if isinstance(first, ContractionTuple):
@@ -490,7 +496,7 @@ def _combined(values: Sequence, join: Callable):
             eigenvalues=_frozen(join([s.eigenvalues for s in spectra])),
             eigenvectors=_frozen(join([s.eigenvectors for s in spectra])))
     if isinstance(first, PositiveDefiniteMatrix):
-        out.min_eigenvalue = join([v.min_eigenvalue for v in values])
+        out.min_eigenvalue = _per_matrix(join([v.min_eigenvalue for v in values]))
     return out
 
 
@@ -498,20 +504,7 @@ def _entry(value, i: int):
     """Entry i of a stacked checked value, as a value of one axis fewer that
     is not checked again: read-only views, its share of the cached spectrum,
     and its ``min_eigenvalue`` (a float for a 2-d entry)."""
-    out = type(value).__new__(type(value))
-    if isinstance(value, ContractionTuple):
-        out.blocks = tuple(b[i] for b in value.blocks)
-        out.k, out.m, out.n = value.k, value.m, value.n
-        out.sum_is_identity = value.sum_is_identity
-        return out
-    out.mat = value.mat[i]
-    if isinstance(value, HermitianMatrix):
-        s = value._spectrum
-        out._spectrum = None if s is None else SpectralDecomposition(
-            eigenvalues=s.eigenvalues[i], eigenvectors=s.eigenvectors[i])
-    if isinstance(value, PositiveDefiniteMatrix):
-        out.min_eigenvalue = _per_matrix(value.min_eigenvalue[i])
-    return out
+    return _combined([value], lambda parts: parts[0][i])
 
 
 # ---------------------------------------------------------------------------

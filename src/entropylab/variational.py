@@ -11,6 +11,10 @@ The update direction is the Euclidean gradient at X applied directly to Y;
 it is always an ascent direction, and Armijo backtracking on the true
 objective guarantees monotone increase.  The step rule is fixed by the
 module constants below; ``SolverConfig`` sets only when the ascent stops.
+It stops in one of three ways: converged (the gradient norm is at most
+``grad_tol``), stalled (``_MAX_BACKTRACKS`` halvings of the step found no
+sufficient increase, the round-off limit) or after ``max_iters`` steps
+(the gradient norm of the last iterate is then measured, unchecked).
 ``OBJECTIVES`` holds each objective's instance fields, which ``optimize``
 reads, and the name of its problem builder, which ``maximize`` calls.
 """
@@ -97,9 +101,6 @@ def _ascend(objective: Callable[[PositiveDefiniteMatrix], float],
     x = _exp_point(y)
     f = _finite(objective(x), "objective")
     history = [f]
-    iterations = 0
-    converged = False
-    grad_norm = np.inf
 
     for _ in range(cfg.max_iters):
         g = gradient(x).mat
@@ -107,39 +108,27 @@ def _ascend(objective: Callable[[PositiveDefiniteMatrix], float],
             raise NonFiniteObjective("gradient contains non-finite entries")
         grad_norm = float(np.linalg.norm(g, "fro"))
         if grad_norm <= cfg.grad_tol:
-            converged = True
-            break
+            break  # converged
 
         step = _INITIAL_STEP
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
             y_trial = y + step * g
             x_trial = _exp_point(y_trial)
             f_trial = _finite(objective(x_trial), "objective")
             if f_trial >= f + _ARMIJO_C * step * grad_norm ** 2:
-                accepted = True
                 break
             step *= _BACKTRACK_FACTOR
-        if not accepted:
-            break  # step length underflowed: round-off limit reached
+        else:
+            break  # stalled: the step length underflowed at the round-off limit
 
         y, x, f = y_trial, x_trial, f_trial
         history.append(f)
-        iterations += 1
+    else:
+        # max_iters steps taken: the gradient norm at the last iterate.
+        grad_norm = float(np.linalg.norm(gradient(x).mat, "fro"))
 
-    if not converged:
-        g = gradient(x).mat
-        grad_norm = float(np.linalg.norm(g, "fro"))
-        converged = grad_norm <= cfg.grad_tol
-
-    return SolverResult(
-        argmax=x,
-        value=f,
-        iterations=iterations,
-        final_grad_norm=grad_norm,
-        converged=converged,
-        objective_history=history,
-    )
+    return SolverResult(argmax=x, value=f, iterations=len(history) - 1, final_grad_norm=grad_norm,
+                        converged=grad_norm <= cfg.grad_tol, objective_history=history)
 
 
 def _gibbs_problem(B):

@@ -220,17 +220,7 @@ class CheckReport:
     extra: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "semantics": self.semantics,
-            "trials_run": self.trials_run,
-            "violations": self.violations,
-            "worst_gap": self.worst_gap,
-            "passed": self.passed,
-            "note": self.note,
-            "config": self.config,
-            "extra": self.extra,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return dumps(self.to_dict())

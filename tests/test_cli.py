@@ -654,3 +654,19 @@ class TestRegistry:
         code, out, _ = run(capsys, "optimize", "phi", path)
         value, expected = json.loads(out)["value"], json.loads(genuine[("optimize", "phi")])
         assert code == 0 and value == pytest.approx(2.0 * expected["value"], rel=1e-9)
+
+
+class TestDimsErrors:
+    """A --dims value that is not three integers, or that no trial of the
+    check can use, exits 2 with the cause on stderr and no report."""
+
+    @pytest.mark.parametrize("suite,dims,message", [
+        ("gibbs_identity", "2,x,2", "--dims expects integers, got '2,x,2'"),
+        ("gt_jensen", "1,2,3", "no dims triple satisfies k*m >= n"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, suite, dims, message):
+        code, out, err = run(capsys, "check", suite, "--trials", "2", "--dims", dims,
+                             "--out-dir", str(tmp_path / "r"))
+        assert code == 2 and not out
+        assert message in err
+        assert not list(tmp_path.glob("r/*.json"))

@@ -588,3 +588,50 @@ class TestStackedValues:
         a = PositiveDefiniteMatrix(np.stack([np.eye(2), np.eye(2)]))
         with pytest.raises(NonFiniteObjective):
             trace_exp_functional(a, L, np.eye(2))
+
+
+def _instance(family: str = "a", m: int = 2, n: int = 2) -> MultiInstance:
+    tup = random_contraction_tuple(1, m, n, False, 50)
+    mats = {"a_list": [random_pd(m, seed=51)]} if family == "a" else \
+        {"b_list": [random_hermitian(m, 1.0, 51)]}
+    return MultiInstance(L=random_hermitian(n, 1.0, 52), H=tup, **mats)
+
+
+class TestTypedErrors:
+    """Each argument check raises its typed error and names the cause."""
+
+    def test_lieb_overlap_rejects_an_h_of_the_wrong_shape(self):
+        a, b = random_pd(2, seed=53), random_pd(3, seed=54)
+        for f in (lambda h: lieb_trace(a, b, h, 0.5),
+                  lambda h: lieb_trace_derivative_at_zero(a, b, h)):
+            with pytest.raises(DimensionError, match=r"H must have shape \(2, 3\), got \(3, 3\)"):
+                f(np.eye(3))
+
+    @pytest.mark.parametrize("family,entries,match", [
+        ("a_list", lambda: [HermitianMatrix(np.eye(2))],
+         "a_list entries must be PositiveDefiniteMatrix"),
+        ("b_list", lambda: [np.eye(2)], "b_list entries must be HermitianMatrix"),
+        ("a_list", lambda: [random_pd(3, seed=55)], "matrix 0 has dim 3, blocks act on dim 2"),
+        ("b_list", lambda: [random_hermitian(3, 1.0, 55)],
+         "matrix 0 has dim 3, blocks act on dim 2"),
+    ])
+    def test_multi_instance_entries_are_checked(self, family, entries, match):
+        tup = random_contraction_tuple(1, 2, 2, False, 50)
+        with pytest.raises(DimensionError, match=match):
+            MultiInstance(L=random_hermitian(2, 1.0, 52), H=tup, **{family: entries()})
+
+    @pytest.mark.parametrize("f,needs", [(gt_jensen_lhs, "b_list"), (gt_jensen_rhs, "b_list"),
+                                         (block_lift, "a_list")])
+    def test_functional_of_the_other_family_is_rejected(self, f, needs):
+        with pytest.raises(DimensionError, match=f"{f.__name__} needs an instance with {needs}"):
+            f(_instance("a" if needs == "b_list" else "b"))
+
+    def test_gibbs_objective_needs_equal_dimensions(self):
+        with pytest.raises(DimensionError, match="X and B must have equal dimension, got 2 and 3"):
+            gibbs_objective(random_pd(2, seed=56), random_pd(3, seed=57))
+
+    def test_phi_objective_needs_x_of_the_dimension_of_l(self):
+        a, L = random_pd(3, seed=58), random_hermitian(2, 1.0, 59)
+        h = 0.5 * np.ones((3, 2)) / 3.0
+        with pytest.raises(DimensionError, match=r"X must have the dimension of L \(2\), got 3"):
+            phi_objective(random_pd(3, seed=60), a, L, h)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -507,3 +508,80 @@ class TestStacks:
         t = stack(tuples)
         assert (t.k, t.m, t.n, t.sum_is_identity) == (2, 2, 3, True)
         assert t.blocks[1].shape == (2, 2, 3)
+
+
+class TestRealFunctionValues:
+    """``f`` must return real values: a complex or non-numeric result is a
+    DomainError that names ``f``, never a result with its imaginary parts
+    dropped."""
+
+    @pytest.mark.parametrize("f", [lambda w: np.sqrt(-w + 0j), lambda w: w + 0j],
+                             ids=["sqrt-of-negative", "zero-imaginary-parts"])
+    def test_complex_result(self, f):
+        a = random_pd(3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="root did not return real values"):
+                matrix_function(a, f, fname="root")
+
+    def test_non_numeric_result(self):
+        def words(w):
+            return ["x"] * len(w)
+
+        with pytest.raises(DomainError, match="words did not return real values"):
+            matrix_function(random_pd(3, seed=1), words)
+
+
+class TestReconstructionCheck:
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6])
+    def test_a_shifted_eigenvalue_fails_the_check(self, shift, monkeypatch):
+        # Unitary eigenvectors, so only the reconstruction check can fail.
+        m = random_hermitian(3, 1.0, seed=35)
+        original = np.linalg.eigh
+
+        def shifted(a):
+            w, u = original(a)
+            w = w.copy()
+            w[..., 1] += shift * (1.0 + np.abs(w).max())
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ConvergenceFailure, match="spectral reconstruction error"):
+            spectral_decompose(m)
+        with pytest.raises(ConvergenceFailure, match="spectral reconstruction error"):
+            PositiveDefiniteMatrix(np.diag([1.0, 2.0]))
+
+
+class TestTypedErrors:
+    """Each shape, size and seed check raises its typed error and names the
+    cause."""
+
+    @pytest.mark.parametrize("entries,shape", [(np.ones(3), "(3,)"), (np.ones((0, 2)), "(0, 2)"),
+                                               (1.0, "()")])
+    def test_a_matrix_is_2_dimensional_with_positive_shape(self, entries, shape):
+        message = f"must be 2-dimensional with positive shape, got {shape}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            HermitianMatrix(entries)
+
+    def test_a_tuple_needs_a_block(self):
+        with pytest.raises(DimensionError, match="needs at least one block"):
+            ContractionTuple([])
+
+    def test_tuple_blocks_share_one_shape(self):
+        with pytest.raises(DimensionError, match=r"block 1 has shape \(3, 2\), expected \(2, 2\)"):
+            ContractionTuple([0.1 * np.eye(2), 0.1 * np.ones((3, 2))])
+
+    @pytest.mark.parametrize("seed", ["7", 7.0, None])
+    def test_seed_is_an_integer_or_generator(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer or Generator, got"):
+            make_rng(seed)
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: random_pd(0), "dim must be >= 1, got 0"),
+        (lambda: random_hermitian(-1), "dim must be >= 1, got -1"),
+        (lambda: random_contraction_tuple(2, 0, 2, False),
+         r"k, m, n must all be >= 1, got \(2, 0, 2\)"),
+    ])
+    def test_generator_sizes_are_positive(self, make, match):
+        with pytest.raises(DimensionError, match=match):
+            make()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entropylab.errors import DomainError, ParseError
+from entropylab.errors import DimensionError, DomainError, ParseError
 from entropylab.functionals import MultiInstance
 from entropylab.matrix_core import make_rng, random_contraction_tuple, random_hermitian, random_pd
 from entropylab.serialization import (
@@ -306,3 +306,44 @@ class TestReadFields:
     def test_rejects_non_object(self):
         with pytest.raises(ParseError):
             read_fields([1, 2], {"A": "pd"})
+
+
+def _instance_json() -> dict:
+    tup = random_contraction_tuple(1, 2, 2, True, 61)
+    return multi_instance_to_json(
+        MultiInstance(L=random_hermitian(2, 1.0, 60), H=tup, a_list=[random_pd(2, seed=62)]))
+
+
+class TestTypedErrors:
+    """Each reader rejects a malformed object with a ParseError that names
+    the cause, and the writer a stack with a DimensionError."""
+
+    def test_a_stack_is_not_one_json_matrix(self):
+        with pytest.raises(DimensionError, match=r"got a stack of shape \(2, 3, 3\)"):
+            matrix_to_json(np.zeros((2, 3, 3)))
+
+    @pytest.mark.parametrize("obj,match", [
+        ([], "expected an object with an 'H' block list"),
+        ({"sum_is_identity": True}, "expected an object with an 'H' block list"),
+        ({"H": []}, "'H' must be a non-empty list of matrices"),
+        ({"H": {"rows": 1}}, "'H' must be a non-empty list of matrices"),
+    ])
+    def test_malformed_tuple(self, obj, match):
+        with pytest.raises(ParseError, match=match):
+            contraction_tuple_from_json(obj)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda obj: [obj], "inst: expected a JSON object"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "L"}, "missing required key 'L'"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "H"}, "missing required key 'H'"),
+        (lambda obj: {**obj, "A": obj["A"][0]}, "'A' must be a list of matrices"),
+        (lambda obj: {**{k: v for k, v in obj.items() if k != "A"}, "B": obj["A"][0]},
+         "'B' must be a list of matrices"),
+    ])
+    def test_malformed_instance(self, edit, match):
+        with pytest.raises(ParseError, match=match):
+            multi_instance_from_json(edit(_instance_json()), name="inst")
+
+    def test_pd_list_must_be_a_list(self):
+        with pytest.raises(ParseError, match="key 'A2'.*expected a list of matrices"):
+            read_fields({"A2": matrix_to_json(np.eye(2))}, {"A2": "pd_list"})

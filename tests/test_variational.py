@@ -193,3 +193,60 @@ class TestSolverGuards:
         assert [f.name for f in fields(SolverConfig)] == ["max_iters", "grad_tol"]
         assert (variational._INITIAL_STEP, variational._BACKTRACK_FACTOR,
                 variational._ARMIJO_C) == (1.0, 0.5, 1e-4)
+
+
+class TestStops:
+    """The ascent stops in one of three ways: the gradient norm reaches
+    grad_tol (converged), no backtracked step gives a sufficient increase
+    (stalled), or max_iters steps are taken."""
+
+    @staticmethod
+    def _counted(f):
+        calls = []
+
+        def counted(x):
+            calls.append(None)
+            return f(x)
+
+        return counted, calls
+
+    def test_backtracking_runs_on_a_tolerance_below_round_off(self):
+        b = random_pd(4, seed=1)
+        objective, calls = self._counted(lambda x: gibbs_objective(x, b))
+        cfg = SolverConfig(max_iters=40, grad_tol=1e-300)
+        result = _ascend(objective, lambda x: gibbs_gradient(x, b), 4, cfg)
+        # One evaluation at the start and at least one per accepted step;
+        # more than that means some steps were halved.
+        assert result.iterations == cfg.max_iters and not result.converged
+        assert len(calls) > 1 + result.iterations
+        assert len(result.objective_history) == result.iterations + 1
+        hist = result.objective_history
+        assert all(y >= x for x, y in zip(hist, hist[1:]))
+
+    def test_stall_when_no_step_increases_the_objective(self):
+        objective, calls = self._counted(lambda x: 0.0)
+        result = _ascend(objective, lambda x: HermitianMatrix(np.eye(2)), 2, SolverConfig())
+        # The start, then every backtrack of the first step, all rejected.
+        assert len(calls) == 1 + variational._MAX_BACKTRACKS == 61
+        assert result.iterations == 0 and not result.converged
+        assert result.final_grad_norm == math.sqrt(2.0)
+        assert result.objective_history == [0.0]
+        assert np.array_equal(result.argmax.mat, np.eye(2))
+
+    def test_max_iters_measures_the_returned_iterate(self):
+        b = random_pd(4, seed=1)
+        result = maximize("gibbs", {"B": b}, SolverConfig(max_iters=3, grad_tol=1e-300))
+        assert result.iterations == 3 and not result.converged
+        assert result.final_grad_norm == float(
+            np.linalg.norm(gibbs_gradient(result.argmax, b).mat, "fro"))
+
+    def test_converged_stops_at_the_first_small_gradient(self):
+        b = PositiveDefiniteMatrix(np.diag([1.0, 2.0]))
+        result = maximize("gibbs", {"B": b}, SolverConfig(max_iters=50))
+        assert result.converged and result.iterations < 50
+        assert result.final_grad_norm <= SolverConfig().grad_tol
+
+    def test_overflowing_step_is_a_non_finite_objective(self):
+        with pytest.raises(NonFiniteObjective, match="left the representable PD cone"):
+            _ascend(lambda x: 0.0, lambda x: HermitianMatrix(1e3 * np.eye(2)), 2,
+                    SolverConfig())

@@ -9,8 +9,14 @@ import sampling_reference as ref
 from entropylab import functionals as fn
 from entropylab import verifiers
 from entropylab.errors import DimensionError, DomainError, NumericalInconsistency, ParseError
-from entropylab.matrix_core import EIG_RANGE, _complex, random_pd
-from entropylab.serialization import matrix_from_json, matrix_to_json
+from entropylab.matrix_core import (
+    EIG_RANGE,
+    _complex,
+    random_contraction_tuple,
+    random_hermitian,
+    random_pd,
+)
+from entropylab.serialization import matrix_from_json, matrix_to_json, multi_instance_to_json
 from entropylab.verifiers import (
     CHECKS,
     CheckConfig,
@@ -907,3 +913,24 @@ class TestWholeRunGroups:
         assert report.violations == [error if w is chosen else w for w in found]
         monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
         assert search_gt_route_gap(cfg, route_fn=gt_route_value).to_json() == report.to_json()
+
+
+class TestReplayErrors:
+    @staticmethod
+    def _a_instance():
+        return fn.MultiInstance(L=random_hermitian(2, 1.0, 70),
+                                H=random_contraction_tuple(1, 2, 2, True, 71),
+                                a_list=[random_pd(2, seed=72)])
+
+    def test_instance_that_yields_no_comparison_of_the_record_kind(self):
+        # Without A2 and lam a multi_concavity instance is one point: its
+        # block_lift comparison, and no segment.
+        record = {"kind": "segment", "instance": multi_instance_to_json(self._a_instance())}
+        assert set(re_evaluate("multi_concavity", {**record, "kind": "block_lift"})) == {
+            "lhs", "rhs", "gap"}
+        with pytest.raises(DomainError, match="yields no 'segment' comparison"):
+            re_evaluate("multi_concavity", record)
+
+    def test_route_value_needs_the_b_family(self):
+        with pytest.raises(DomainError, match="gt_route_value needs an instance with b_list"):
+            gt_route_value(self._a_instance())
