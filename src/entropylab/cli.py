@@ -3,8 +3,9 @@
 Subcommands:
   eval      evaluate a named functional on a JSON instance file
   check     run verifier suites and write JSON reports
-  optimize  run the variational solver on an instance file; its flags are
-            --max-iters, --grad-tol and --out (the step rule is fixed)
+  optimize  maximize a variational objective on an instance file at its
+            closed-form argmax; its flags are --grad-tol (the certificate's
+            bound on the gradient norm there) and --out
   gen       generate random instance files
 
 Flag defaults are read from ``CheckConfig``, ``SolverConfig`` and
@@ -137,17 +138,15 @@ def cmd_check(args) -> int:
 
 def cmd_optimize(args) -> int:
     obj = load_json(args.instance)
-    cfg = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
+    cfg = SolverConfig(grad_tol=args.grad_tol)
     data = read_fields(obj, OBJECTIVES[args.objective][1], str(args.instance))
     result = maximize(args.objective, data, cfg)
     record = {
         "objective": args.objective,
         "value": result.value,
-        "iterations": result.iterations,
         "final_grad_norm": result.final_grad_norm,
         "converged": result.converged,
         "argmax": matrix_to_json(result.argmax),
-        "objective_history": result.objective_history,
     }
     print(dumps(record))
     if args.out:
@@ -210,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="maximize a variational objective")
     p_opt.add_argument("objective", choices=tuple(OBJECTIVES))
     p_opt.add_argument("instance", type=Path)
-    p_opt.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p_opt.add_argument("--grad-tol", type=float, default=SolverConfig.grad_tol)
     p_opt.add_argument("--out", type=Path, default=None)
 

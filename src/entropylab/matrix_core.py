@@ -522,20 +522,35 @@ def _entry(value, i: int):
 # build at once.
 # ---------------------------------------------------------------------------
 
+def checked_int(value, name: str, expected: str = "an integer") -> int:
+    """``value`` as an int, if it is an int or a NumPy integer.  A boolean
+    (``bool`` or ``np.bool_``) is no integer here, nor is an integral float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be {expected}, got {type(value).__name__} {value!r}")
+    return int(value)
+
+
+def checked_tolerance(value, name: str):
+    """``value``, a NumPy scalar as its Python number, if it is finite and
+    positive and not a boolean."""
+    if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:
+        raise DomainError(f"expected {name} finite and positive, got {name}={value!r}")
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def make_rng(seed: SeedLike) -> np.random.Generator:
     """Build a Generator from a 64-bit unsigned seed, or pass one through."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed must be an integer or Generator, got {type(seed).__name__}")
-    return np.random.default_rng(checked_seed(seed))
+    return np.random.default_rng(checked_seed(seed, "an integer or Generator"))
 
 
-def checked_seed(seed) -> int:
+def checked_seed(seed, expected: str = "an integer") -> int:
     """An integer seed as an int, if it fits in 64 unsigned bits."""
-    if not 0 <= int(seed) < 2 ** 64:
+    seed = checked_int(seed, "seed", expected)
+    if not 0 <= seed < 2 ** 64:
         raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return int(seed)
+    return seed
 
 
 # Trials whose substreams one pass of ``_substreams`` seeds together.

@@ -130,7 +130,9 @@ from .matrix_core import (
     _per_matrix,
     _scaled_pd,
     _substreams,
+    checked_int,
     checked_seed,
+    checked_tolerance,
     matrix_exp,
     stack,
 )
@@ -176,13 +178,16 @@ class CheckConfig:
     tol_rel: float = 1e-9
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(tuple(int(x) for x in d) for d in self.dims))
+        # Every setting is stored as a Python number, which the report can
+        # write; counts, seed and orders as ints, which no boolean or float is.
+        object.__setattr__(self, "dims", tuple(tuple(checked_int(x, "dims entry") for x in d)
+                                               for d in self.dims))
+        object.__setattr__(self, "trials", checked_int(self.trials, "trials"))
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        checked_seed(self.seed)
-        if not (0.0 < self.tol_abs < np.inf and 0.0 < self.tol_rel < np.inf):
-            raise DomainError("tolerances must be finite and positive, "
-                              f"got tol_abs={self.tol_abs}, tol_rel={self.tol_rel}")
+        object.__setattr__(self, "seed", checked_seed(self.seed))
+        for tol in ("tol_abs", "tol_rel"):
+            object.__setattr__(self, tol, checked_tolerance(getattr(self, tol), tol))
         if not self.dims or any(len(d) != 3 or min(d) < 1 for d in self.dims):
             raise DomainError(f"dims must be non-empty (k, m, n) triples >= 1, got {self.dims}")
 

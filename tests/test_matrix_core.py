@@ -13,6 +13,7 @@ from entropylab.matrix_core import (
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
+    checked_seed,
     make_rng,
     matrix_exp,
     matrix_function,
@@ -575,6 +576,19 @@ class TestTypedErrors:
     def test_seed_is_an_integer_or_generator(self, seed):
         with pytest.raises(DomainError, match="seed must be an integer or Generator, got"):
             make_rng(seed)
+
+    @pytest.mark.parametrize("seed", [True, False, np.True_])
+    def test_a_boolean_is_no_seed(self, seed):
+        # random_pd(2, seed=True) drew the instance of seed 1.
+        with pytest.raises(DomainError, match="seed must be an integer or Generator, got"):
+            random_pd(2, seed=seed)
+        with pytest.raises(DomainError, match="seed must be an integer, got"):
+            checked_seed(seed)
+
+    @pytest.mark.parametrize("seed", [7, np.int64(7), np.uint8(7)])
+    def test_an_integer_seed_is_an_int(self, seed):
+        assert checked_seed(seed) == 7 and type(checked_seed(seed)) is int
+        assert np.array_equal(random_pd(2, seed=seed).mat, random_pd(2, seed=7).mat)
 
     @pytest.mark.parametrize("make,match", [
         (lambda: random_pd(0), "dim must be >= 1, got 0"),

@@ -15,10 +15,10 @@ from entropylab.matrix_core import (
     matrix_log,
     random_hermitian,
     random_pd,
+    stack,
 )
 from entropylab.variational import (
     SolverConfig,
-    _ascend,
     gibbs_gradient,
     maximize,
     phi_gradient,
@@ -52,6 +52,24 @@ class TestGradients:
             x_star = matrix_exp(HermitianMatrix(L.mat + h.conj().T @ matrix_log(a).mat @ h))
             g = phi_gradient(x_star, a, L, h)
             assert np.abs(g.mat).max() <= 1e-9
+
+    @pytest.mark.parametrize("objective", ["gibbs", "phi"])
+    def test_stacked_gradient_is_the_gradient_of_each_entry(self, objective):
+        rng = make_rng(14)
+        xs = [random_pd(3, (0.05, 5.0), rng) for _ in range(4)]
+        if objective == "gibbs":
+            data = [(random_pd(3, (0.05, 5.0), rng),) for _ in xs]
+            gradient = gibbs_gradient
+        else:
+            data = [(random_pd(2, (0.05, 5.0), rng), random_hermitian(3, 1.0, rng),
+                     random_strict_contraction(rng, 2, 3)) for _ in xs]
+            gradient = phi_gradient
+        # Checked values are stacked as values, a raw H as an array.
+        columns = [stack(c) if isinstance(c[0], HermitianMatrix) else np.stack(c)
+                   for c in zip(*data)]
+        stacked = gradient(stack(xs), *columns)
+        for i, (x, args) in enumerate(zip(xs, data)):
+            assert np.array_equal(stacked.mat[i], gradient(x, *args).mat)
 
     @pytest.mark.parametrize("objective", ["gibbs", "phi"])
     def test_finite_difference_agreement(self, objective):
@@ -124,14 +142,6 @@ class TestMaximize:
             x_star = matrix_exp(HermitianMatrix(L.mat + h.conj().T @ matrix_log(a).mat @ h))
             assert np.linalg.norm(result.argmax.mat - x_star.mat, "fro") <= 1e-5
 
-    def test_monotone_objective_history(self):
-        rng = make_rng(7)
-        for _ in range(5):
-            b = random_pd(4, (0.05, 5.0), rng)
-            result = maximize("gibbs", {"B": b})
-            hist = result.objective_history
-            assert all(y >= x for x, y in zip(hist, hist[1:]))
-
     def test_value_never_exceeds_analytic_optimum(self):
         rng = make_rng(8)
         for _ in range(10):
@@ -149,35 +159,28 @@ class TestMaximize:
         if result.converged:
             assert result.final_grad_norm <= cfg.grad_tol
 
-    def test_iteration_cap_respected(self):
-        b = random_pd(5, (0.05, 5.0), 10)
-        cfg = SolverConfig(max_iters=1, grad_tol=1e-16)
-        result = maximize("gibbs", {"B": b}, cfg)
-        assert result.iterations <= 1
-
     def test_unknown_objective(self):
         with pytest.raises(DomainError):
             maximize("entropy", {})
 
 
 class TestSolverGuards:
-    def test_non_finite_objective_reported(self):
-        with pytest.raises(NonFiniteObjective):
-            _ascend(lambda x: float("nan"),
-                    lambda x: HermitianMatrix(np.zeros((2, 2))), 2, SolverConfig())
+    def test_non_finite_objective_reported(self, monkeypatch):
+        monkeypatch.setattr(variational, "gibbs_objective", lambda x, b: float("nan"))
+        with pytest.raises(NonFiniteObjective, match="objective evaluated to nan"):
+            maximize("gibbs", {"B": random_pd(2, seed=1)})
 
-    def test_non_finite_gradient_reported(self):
-        def grad(_x):
+    def test_non_finite_gradient_reported(self, monkeypatch):
+        def grad(_x, _b):
             h = HermitianMatrix.__new__(HermitianMatrix)
             h.mat = np.full((2, 2), np.inf)
             return h
 
-        with pytest.raises(NonFiniteObjective):
-            _ascend(lambda x: 0.0, grad, 2, SolverConfig())
+        monkeypatch.setattr(variational, "gibbs_gradient", grad)
+        with pytest.raises(NonFiniteObjective, match="gradient norm evaluated to inf"):
+            maximize("gibbs", {"B": random_pd(2, seed=1)})
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            SolverConfig(max_iters=0)
         with pytest.raises(DomainError):
             SolverConfig(grad_tol=0.0)
 
@@ -188,59 +191,60 @@ class TestSolverGuards:
         with pytest.raises(DomainError, match="grad_tol finite and positive"):
             SolverConfig(grad_tol=grad_tol)
 
-    def test_config_holds_the_stopping_rule_only(self):
-        # The step rule is a set of module constants, not settings.
-        assert [f.name for f in fields(SolverConfig)] == ["max_iters", "grad_tol"]
-        assert (variational._INITIAL_STEP, variational._BACKTRACK_FACTOR,
-                variational._ARMIJO_C) == (1.0, 0.5, 1e-4)
+    @pytest.mark.parametrize("grad_tol", [True, np.True_])
+    def test_grad_tol_is_not_a_boolean(self, grad_tol):
+        # True compares as 1.0, which would certify a gradient norm of 1.
+        with pytest.raises(DomainError, match="grad_tol=" + repr(grad_tol)):
+            SolverConfig(grad_tol=grad_tol)
+
+    def test_config_holds_the_certificate_bound_only(self):
+        assert [f.name for f in fields(SolverConfig)] == ["grad_tol"]
 
 
-class TestStops:
-    """The ascent stops in one of three ways: the gradient norm reaches
-    grad_tol (converged), no backtracked step gives a sufficient increase
-    (stalled), or max_iters steps are taken."""
+def _exponent(objective, data):
+    if objective == "gibbs":
+        return matrix_log(data["B"]).mat
+    a, L, h = data["A"], data["L"], data["H"]
+    return L.mat + h.conj().T @ matrix_log(a).mat @ h
 
-    @staticmethod
-    def _counted(f):
-        calls = []
 
-        def counted(x):
-            calls.append(None)
-            return f(x)
+def _instance(objective, seed):
+    rng = make_rng(seed)
+    if objective == "gibbs":
+        return {"B": random_pd(4, (0.05, 5.0), rng)}
+    return {"A": random_pd(3, (0.05, 5.0), rng), "L": random_hermitian(2, 1.0, rng),
+            "H": random_strict_contraction(rng, 3, 2)}
 
-        return counted, calls
 
-    def test_backtracking_runs_on_a_tolerance_below_round_off(self):
+class TestClosedForm:
+    """The argmax is exp(G), computed once, and the gradient norm there is
+    its certificate."""
+
+    @pytest.mark.parametrize("objective", ["gibbs", "phi"])
+    def test_argmax_is_the_exponential_of_the_exponent(self, objective):
+        data = _instance(objective, 11)
+        result = maximize(objective, data)
+        expected = matrix_exp(HermitianMatrix(_exponent(objective, data)))
+        assert np.array_equal(result.argmax.mat, expected.mat)
+        assert result.converged and result.iterations == 1
+
+    @pytest.mark.parametrize("objective", ["gibbs", "phi"])
+    def test_a_tolerance_below_round_off_only_withholds_the_certificate(self, objective):
+        data = _instance(objective, 12)
+        loose = maximize(objective, data)
+        tight = maximize(objective, data, SolverConfig(grad_tol=1e-300))
+        assert loose.converged and not tight.converged
+        assert np.array_equal(tight.argmax.mat, loose.argmax.mat)
+        assert (tight.value, tight.final_grad_norm) == (loose.value, loose.final_grad_norm)
+
+    def test_overflowing_argmax_is_a_non_finite_objective(self):
+        data = {"A": random_pd(2, seed=1), "L": HermitianMatrix(1e3 * np.eye(2)),
+                "H": 0.5 * np.eye(2)}
+        with pytest.raises(NonFiniteObjective, match="left the representable PD cone"):
+            maximize("phi", data)
+
+    def test_certificate_is_the_gradient_norm_at_the_argmax(self):
         b = random_pd(4, seed=1)
-        objective, calls = self._counted(lambda x: gibbs_objective(x, b))
-        cfg = SolverConfig(max_iters=40, grad_tol=1e-300)
-        result = _ascend(objective, lambda x: gibbs_gradient(x, b), 4, cfg)
-        # One evaluation at the start and at least one per accepted step;
-        # more than that means some steps were halved.
-        assert result.iterations == cfg.max_iters and not result.converged
-        assert len(calls) > 1 + result.iterations
-        assert len(result.objective_history) == result.iterations + 1
-        hist = result.objective_history
-        assert all(y >= x for x, y in zip(hist, hist[1:]))
-
-    def test_stall_when_no_step_increases_the_objective(self):
-        objective, calls = self._counted(lambda x: 0.0)
-        result = _ascend(objective, lambda x: HermitianMatrix(np.eye(2)), 2, SolverConfig())
-        # The start, then every backtrack of the first step, all rejected.
-        assert len(calls) == 1 + variational._MAX_BACKTRACKS == 61
-        assert result.iterations == 0 and not result.converged
-        assert result.final_grad_norm == math.sqrt(2.0)
-        assert result.objective_history == [0.0]
-        assert np.array_equal(result.argmax.mat, np.eye(2))
-
-    def test_max_iters_measures_the_returned_iterate(self):
-        b = random_pd(4, seed=1)
-        result = maximize("gibbs", {"B": b}, SolverConfig(max_iters=3, grad_tol=1e-300))
-        assert result.iterations == 3 and not result.converged
+        result = maximize("gibbs", {"B": b})
         assert result.final_grad_norm == float(
             np.linalg.norm(gibbs_gradient(result.argmax, b).mat, "fro"))
-
-    def test_overflowing_step_is_a_non_finite_objective(self):
-        with pytest.raises(NonFiniteObjective, match="left the representable PD cone"):
-            _ascend(lambda x: 0.0, lambda x: HermitianMatrix(1e3 * np.eye(2)), 2,
-                    SolverConfig())

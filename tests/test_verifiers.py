@@ -82,6 +82,37 @@ class TestConfig:
         assert CheckConfig(seed=2 ** 64 - 1, trials=1).seed == 2 ** 64 - 1
 
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"trials": True}, "trials"), ({"trials": np.True_}, "trials"),
+        ({"trials": 2.5}, "trials"), ({"trials": 3.0}, "trials"),
+        ({"seed": True}, "seed"), ({"seed": np.False_}, "seed"), ({"seed": 1.5}, "seed"),
+        ({"dims": ((1, 2.7, 2),)}, "dims entry"), ({"dims": ((1, True, 2),)}, "dims entry"),
+    ])
+    def test_counts_and_seeds_are_integers(self, kwargs, field):
+        # A boolean counted as 0 or 1 and a float was truncated or failed
+        # inside NumPy; each is now refused up front, by name.
+        with pytest.raises(DomainError, match=f"{field} must be an integer, got"):
+            CheckConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["tol_abs", "tol_rel"])
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_tolerances_are_not_booleans(self, field, value):
+        with pytest.raises(DomainError, match=f"{field}={value!r}"):
+            CheckConfig(**{field: value})
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        # A NumPy integer setting made the report's to_json raise a TypeError.
+        cfg = CheckConfig(trials=np.int64(3), seed=np.uint64(7),
+                          dims=np.array([[1, 2, 2]], dtype=np.int32),
+                          tol_abs=np.float64(1e-9), tol_rel=np.int64(1))
+        assert (cfg.trials, cfg.seed, cfg.dims) == (3, 7, ((1, 2, 2),))
+        assert {type(cfg.trials), type(cfg.seed), *map(type, cfg.dims[0])} == {int}
+        assert (type(cfg.tol_abs), type(cfg.tol_rel)) == (float, int)
+        report = run_check("gibbs_identity", cfg)
+        assert report.to_json() == run_check("gibbs_identity", CheckConfig(
+            trials=3, seed=7, dims=((1, 2, 2),), tol_rel=1)).to_json()
+
+
 class TestChecksPass:
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_check_passes_on_fast_config(self, name):
