@@ -26,6 +26,7 @@ each entry of a stacked result has the bits of the single-value result.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -130,10 +131,11 @@ class PositiveDefiniteMatrix(HermitianMatrix):
 
     Construction computes the value's checked spectral decomposition (one
     ``eigh``), which later matrix functions of the value reuse, and takes
-    ``min_eigenvalue`` from it; inputs with min eigenvalue <= ``pd_floor``
+    ``min_eigenvalue`` from it; inputs with min eigenvalue <= ``PD_FLOOR``
     are rejected rather than regularized.  A value built inside the library
     from a known spectrum (see the module docstring) keeps that spectrum and
-    runs no ``eigh``.
+    runs no ``eigh``; its floor is ``PD_FLOOR`` too, and 0 for exp and power
+    results.
 
     The kept spectrum, not ``.mat``, is what makes the value positive
     definite.  The ``.mat`` of exp(M) over a wide spectrum of M need not be
@@ -146,10 +148,10 @@ class PositiveDefiniteMatrix(HermitianMatrix):
 
     __slots__ = ("min_eigenvalue",)
 
-    def __init__(self, entries, pd_floor: float = PD_FLOOR):
+    def __init__(self, entries):
         super().__init__(entries)
         spectral_decompose(self)
-        self._check_floor(pd_floor)
+        self._check_floor(PD_FLOOR)
 
     @classmethod
     def _with_spectrum(cls, entries, w: np.ndarray, u: np.ndarray,
@@ -202,6 +204,9 @@ class ContractionTuple:
 
     When ``sum_is_identity`` is set the blocks must satisfy
     sum(H_i* H_i) = I_n up to round-off, which is checked at construction.
+    An entry of a block is at most the block's norm, so a tuple with an
+    entry above 1 (up to ``CONTRACTION_TOL``) is rejected before the sum is
+    formed, where its squares could overflow.
     """
 
     __slots__ = ("blocks", "k", "m", "n", "sum_is_identity")
@@ -214,15 +219,15 @@ class ContractionTuple:
         for i, b in enumerate(mats):
             if b.shape != shape:
                 raise DimensionError(f"block {i} has shape {b.shape}, expected {shape}")
-        for b in mats:
+        for i, b in enumerate(mats):
             b.setflags(write=False)
+            entry = np.abs(b).max()
+            if entry > 1.0 + CONTRACTION_TOL:
+                raise NotAContraction(f"block {i} has an entry of modulus {entry:.6e} > 1")
         m, n = shape[-2:]
         gram = _gram(mats)
-        try:
-            top = np.linalg.eigvalsh(gram)[..., -1]
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigensolver failed on sum(H_i* H_i): {exc}") from exc
-        if _any(top > 1.0 + CONTRACTION_TOL):
+        top = _checked_eigvalsh(gram)[..., -1]
+        if _any(~(top <= 1.0 + CONTRACTION_TOL)):
             raise NotAContraction(
                 f"largest eigenvalue of sum(H_i* H_i) is {float(np.max(top)):.12f} > 1")
         if sum_is_identity:
@@ -327,20 +332,37 @@ def _checked_eigvalsh(a: np.ndarray) -> np.ndarray:
     a stack), without eigenvectors.  With no eigenvectors to test, the check
     is on the invariants: sum(w) against Tr a and sum(w^2) against the
     squared Frobenius norm of a, in the tolerance form of ``_checked_eigh``.
-    Raises ConvergenceFailure if the eigensolver fails or a check does."""
+    Above about 1e154 the squares overflow, and inf - inf would pass any
+    bound, so a matrix whose check is not finite is checked again as
+    a / max|w|.  Raises ConvergenceFailure if the eigensolver fails or a
+    check does."""
     try:
         w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    top = _max_abs(w)
-    trace_dev = np.abs(w.sum(axis=-1) - _trace(a).real)
-    frob_dev = np.abs((w * w).sum(axis=-1) - (a.real ** 2 + a.imag ** 2).sum(axis=_MATRIX_AXES))
-    n = a.shape[-1]
-    if _any(trace_dev > 1e-10 * n * (1.0 + top)) or _any(frob_dev > 1e-10 * n * (1.0 + top) ** 2):
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = _invariant_checks(w, a)
+        void = ~(np.isfinite(checks[1]) & np.isfinite(checks[3]))
+        if _any(void):
+            top = np.where(void, _max_abs(w), 1.0)
+            checks = np.where(void, _invariant_checks(w / top[..., None], a / top[..., None, None]),
+                              checks)
+    trace_dev, frob_dev, trace_tol, frob_tol = checks
+    if _any(trace_dev > trace_tol) or _any(frob_dev > frob_tol):
         raise ConvergenceFailure(
             f"eigenvalues do not match the trace and norm: deviations "
             f"{np.max(trace_dev):.3e}, {np.max(frob_dev):.3e}")
     return w
+
+
+def _invariant_checks(w: np.ndarray, a: np.ndarray) -> tuple:
+    """The deviations of sum(w) from Tr a and of sum(w^2) from the squared
+    Frobenius norm of a, then their tolerances 1e-10 n (1 + max|w|) and
+    1e-10 n (1 + max|w|)^2, per matrix."""
+    n, scale = a.shape[-1], 1.0 + _max_abs(w)
+    return (np.abs(w.sum(axis=-1) - _trace(a).real),
+            np.abs((w * w).sum(axis=-1) - (a.real ** 2 + a.imag ** 2).sum(axis=_MATRIX_AXES)),
+            1e-10 * n * scale, 1e-10 * n * scale ** 2)
 
 
 def matrix_function(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
@@ -712,8 +734,12 @@ def random_pd(dim: int, eig_range: tuple[float, float] = EIG_RANGE,
               seed: SeedLike = 0) -> PositiveDefiniteMatrix:
     """Random positive definite matrix with eigenvalues uniform in ``eig_range``,
     conjugated by a Haar-random unitary."""
+    dim = checked_int(dim, "dim")
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
+    if not (isinstance(eig_range, (tuple, list, np.ndarray)) and len(eig_range) == 2
+            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in eig_range)):
+        raise DomainError(f"eig_range must be two numbers (lo, hi), got {eig_range!r}")
     lo, hi = float(eig_range[0]), float(eig_range[1])
     if not 0.0 < lo <= hi < np.inf:
         raise DomainError(f"eigenvalue range must satisfy 0 < lo <= hi < inf, got {eig_range}")
@@ -731,6 +757,7 @@ def random_hermitian(dim: int, scale: float = 1.0, seed: SeedLike = 0) -> Hermit
 
     A non-finite ``scale``, or one whose product with the drawn entries
     overflows, is a DomainError naming it, with no RuntimeWarning."""
+    dim = checked_int(dim, "dim")
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
     if not np.isfinite(scale):
@@ -794,6 +821,7 @@ def random_contraction_tuple(k: int, m: int, n: int, sum_is_identity: bool,
     construction is scaled by a uniform factor in (0, 1); if k*m < n the
     stacked matrix is built with orthonormal rows instead.
     """
+    k, m, n = (checked_int(size, name) for size, name in zip((k, m, n), "kmn"))
     if k < 1 or m < 1 or n < 1:
         raise DimensionError(f"k, m, n must all be >= 1, got {(k, m, n)}")
     if sum_is_identity and k * m < n:

@@ -8,9 +8,10 @@ Both objectives handled here,
 have the Euclidean gradient G - log X, with G = log B for gibbs and
 G = L + H* log(A) H for phi.  Each is strictly concave, so its stationary
 point X* = exp(G) is the maximum.  ``maximize`` computes X* and certifies it
-by the Frobenius norm of the gradient there, ``converged`` when that norm is
-at most ``SolverConfig.grad_tol``.  X* is one unit step of mirror ascent
-(the matrix exponentiated gradient) Y <- Y + (G - log X), X = exp(Y).
+by the Frobenius norm of the gradient G - log X* there, with the G of the
+argmax, ``converged`` when that norm is at most ``SolverConfig.grad_tol``.
+X* is one unit step of mirror ascent (the matrix exponentiated gradient)
+Y <- Y + (G - log X), X = exp(Y).
 ``OBJECTIVES`` holds each objective's instance fields, which ``optimize``
 reads, and the name of its problem builder, which ``maximize`` calls.
 """
@@ -63,16 +64,21 @@ def _phi_exponent(A: PositiveDefiniteMatrix, L: HermitianMatrix, h: np.ndarray) 
     return L.mat + _adjoint(h) @ matrix_log(A).mat @ h
 
 
+def _gradient(exponent: np.ndarray, X: PositiveDefiniteMatrix) -> HermitianMatrix:
+    """The gradient G - log X of either objective at X, for its exponent G."""
+    return HermitianMatrix(exponent - matrix_log(X).mat)
+
+
 def gibbs_gradient(X: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix) -> HermitianMatrix:
     """Euclidean gradient log B - log X of the Gibbs objective at X."""
-    return HermitianMatrix(matrix_log(B).mat - matrix_log(X).mat)
+    return _gradient(matrix_log(B).mat, X)
 
 
 def phi_gradient(X: PositiveDefiniteMatrix, A: PositiveDefiniteMatrix,
                  L: HermitianMatrix, H) -> HermitianMatrix:
     """Euclidean gradient L + H* log(A) H - log X of the phi objective at X."""
     h = _contraction_arg(H, A.dim, L.dim).mat
-    return HermitianMatrix(_phi_exponent(A, L, h) - matrix_log(X).mat)
+    return _gradient(_phi_exponent(A, L, h), X)
 
 
 def _finite(x: float, what: str) -> float:
@@ -90,15 +96,14 @@ def _exp_point(y: np.ndarray) -> PositiveDefiniteMatrix:
 
 
 # Each builder gives the exponent G of the argmax exp(G), computed as the
-# gradient at X = I computes it, then the objective and its gradient.
+# public gradient computes it, and the objective.
 def _gibbs_problem(B):
-    return matrix_log(B).mat, lambda x: gibbs_objective(x, B), lambda x: gibbs_gradient(x, B)
+    return matrix_log(B).mat, lambda x: gibbs_objective(x, B)
 
 
 def _phi_problem(A, L, H):
     h = _contraction_arg(H, A.dim, L.dim)
-    return (_phi_exponent(A, L, h.mat), lambda x: phi_objective(x, A, L, h),
-            lambda x: phi_gradient(x, A, L, h))
+    return _phi_exponent(A, L, h.mat), lambda x: phi_objective(x, A, L, h)
 
 
 # optimize name -> (its problem builder here; the data fields in argument order).
@@ -110,7 +115,7 @@ OBJECTIVES = {
 
 def maximize(objective: str, data: Mapping, cfg: SolverConfig | None = None) -> SolverResult:
     """Maximize one of the named objectives over X > 0 at exp(G), certified
-    by the gradient norm there.
+    by the norm of the gradient G - log X there, with the same G.
 
     Parameters
     ----------
@@ -129,9 +134,9 @@ def maximize(objective: str, data: Mapping, cfg: SolverConfig | None = None) -> 
         raise DomainError(f"unknown objective {objective!r}; "
                           f"expected {' or '.join(map(repr, OBJECTIVES))}")
     builder, fields = OBJECTIVES[objective]
-    exponent, f, gradient = globals()[builder](*(data[key] for key in fields))
-    x = _exp_point(HermitianMatrix(exponent).mat)
+    exponent, f = globals()[builder](*(data[key] for key in fields))
+    x = _exp_point(exponent)
     value = _finite(f(x), "objective")
-    grad_norm = _finite(np.linalg.norm(gradient(x).mat, "fro"), "gradient norm")
+    grad_norm = _finite(np.linalg.norm(_gradient(exponent, x).mat, "fro"), "gradient norm")
     return SolverResult(argmax=x, value=value, final_grad_norm=grad_norm,
                         converged=grad_norm <= cfg.grad_tol)

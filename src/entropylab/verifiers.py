@@ -108,7 +108,7 @@ from typing import Callable, Hashable, NamedTuple
 import numpy as np
 
 from . import functionals as fn
-from .errors import ConvergenceFailure, DimensionError, DomainError, EntropyLabError, ParseError
+from .errors import DimensionError, DomainError, EntropyLabError, ParseError
 from .matrix_core import (
     EIG_RANGE,
     Contraction,
@@ -134,6 +134,7 @@ from .matrix_core import (
     checked_seed,
     checked_tolerance,
     matrix_exp,
+    spectral_decompose,
     stack,
 )
 from .serialization import dumps, matrix_to_json, multi_instance_to_json, read_fields
@@ -782,10 +783,7 @@ def _build_route(d: dict) -> dict:
     conj = fn._conjugated_sum(zero, tup, [b.mat for b in bs])
     diff = (matrix_exp(HermitianMatrix(conj)).mat
             - fn._conjugated_sum(zero, tup, [matrix_exp(b).mat for b in bs]))
-    try:
-        spike = np.linalg.eigh((diff + _adjoint(diff)) / 2.0)[1][..., -1:]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed on the probe direction: {exc}") from exc
+    spike = spectral_decompose(HermitianMatrix(diff)).eigenvectors[..., -1:]
     l_probe = HermitianMatrix(_per_entry(d["alpha"]) * (spike @ _adjoint(spike)))
     return {"inst": fn.MultiInstance(L=l_random, H=tup, b_list=bs),
             "probe": fn.MultiInstance(L=l_probe, H=tup, b_list=bs)}

@@ -175,6 +175,34 @@ class TestEval:
         assert exc.value.code == 2
 
 
+class TestOverflowEdges:
+    """Inputs whose checks overflowed: each gives its value or its typed
+    error, with no RuntimeWarning."""
+
+    def test_a_huge_phi_eigenvalue_gives_the_value(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "inst.json", {
+            "A": matrix_to_json(np.array([[2.0, 0.5], [0.5, 1.0]])),
+            "L": matrix_to_json(np.diag([-1e160, 0.0])),
+            "H": matrix_to_json(0.6 * np.eye(2))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", "phi", path)
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(0.970861786431368, rel=1e-12)
+
+    @pytest.mark.parametrize("name,weights", [("multi_phi", "A"), ("gt_jensen_rhs", "B")])
+    def test_a_tuple_with_huge_entries_is_not_a_contraction(self, tmp_path, capsys,
+                                                            name, weights):
+        path = write_instance(tmp_path, "inst.json", {
+            "L": matrix_to_json(np.zeros((2, 2))), "H": [matrix_to_json(1e200 * np.eye(2))],
+            weights: [matrix_to_json(np.eye(2))], "sum_is_identity": False})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", name, path)
+        assert (code, out) == (2, "")
+        assert "block 0 has an entry of modulus 1.000000e+200 > 1" in err
+
+
 class TestCheck:
     def test_single_check_passes(self, tmp_path, capsys):
         code, out, _ = run(capsys, "check", "gibbs_identity",

@@ -5,6 +5,7 @@ multiples and block diagonals.  Tr exp computes checked eigenvalues only.
 scipy is an independent oracle here and nowhere in the library."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,53 @@ class TestTraceExpEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvalsh", spread)
         with pytest.raises(ConvergenceFailure, match="trace and norm"):
             fn.trace_exp_functional(a, L, h)
+
+    @staticmethod
+    def _huge_args():
+        # L = diag(-1e160, 0): above about 1e154 the squares of the invariant
+        # check overflow, and inf - inf passed any bound.
+        a = PositiveDefiniteMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        return a, HermitianMatrix(np.diag([-1e160, 0.0])), Contraction(0.6 * np.eye(2))
+
+    def test_a_huge_eigenvalue_is_checked_without_a_warning(self):
+        a, L, h = self._huge_args()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fn.trace_exp_functional(a, L, h)
+        # The spectrum is -1e160 and the (2, 2) entry of 0.36 log A.
+        assert value == pytest.approx(math.exp(0.36 * matrix_log(a).mat[1, 1].real), rel=1e-12)
+
+    def test_a_shift_that_keeps_the_trace_of_a_huge_spectrum_fails(self, monkeypatch):
+        a, L, h = self._huge_args()
+        original = np.linalg.eigvalsh
+
+        def spread(m):
+            w = original(m).copy()
+            step = 1e-6 * np.abs(w).max(axis=-1)
+            w[..., 0] -= step
+            w[..., -1] += step
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spread)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceFailure, match="trace and norm"):
+                fn.trace_exp_functional(a, L, h)
+
+    def test_only_the_overflowing_matrices_of_a_stack_are_rescaled(self, monkeypatch):
+        huge, small = np.diag([-1e160, 3.0]), np.diag([-1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = matrix_core._checked_eigvalsh(np.stack([huge, small]).astype(np.complex128))
+        assert w.tolist() == [[-1e160, 3.0], [-1.0, 2.0]]
+        original = np.linalg.eigvalsh
+        # A shift that keeps the trace, in either matrix alone.
+        for i, step in ((0, 1e154), (1, 1e-6)):
+            shift = np.zeros((2, 2))
+            shift[i] = -step, step
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: original(m) + shift)
+            with pytest.raises(ConvergenceFailure, match="trace and norm"):
+                matrix_core._checked_eigvalsh(np.stack([huge, small]).astype(np.complex128))
 
     def test_eigensolver_failure_is_a_convergence_failure(self, monkeypatch):
         a, L, h = self._phi_args()

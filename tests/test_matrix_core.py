@@ -1,6 +1,9 @@
+import ast
+import inspect
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,12 @@ class TestConstruction:
         with pytest.raises(DomainError):
             PositiveDefiniteMatrix(np.diag([-1.0, 1.0]))
 
+    def test_the_pd_floor_is_fixed(self):
+        # A caller-set floor of -2.0 (or NaN) let eigenvalue -1 through.
+        assert list(inspect.signature(PositiveDefiniteMatrix).parameters) == ["entries"]
+        with pytest.raises(TypeError):
+            PositiveDefiniteMatrix(np.diag([-1.0, 1.0]), pd_floor=-2.0)
+
     def test_pd_caches_min_eigenvalue(self):
         a = PositiveDefiniteMatrix(np.diag([0.5, 3.0]))
         assert a.min_eigenvalue == pytest.approx(0.5, abs=1e-14)
@@ -85,6 +94,22 @@ class TestConstruction:
     def test_contraction_tuple_rejects_expansion(self):
         with pytest.raises(Exception):
             ContractionTuple([2.0 * np.eye(2)])
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e308])
+    def test_a_tuple_with_huge_entries_is_not_a_contraction(self, scale):
+        # Its Gram overflowed to inf and NaN, and the bound passed on NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAContraction, match="entry of modulus"):
+                ContractionTuple([scale * np.eye(2)])
+            with pytest.raises(NotAContraction, match="block 1 has an entry"):
+                ContractionTuple([np.stack([0.1 * np.eye(2)] * 2),
+                                  np.stack([0.1 * np.eye(2), scale * np.eye(2)])])
+
+    def test_an_entry_of_one_is_a_contraction(self):
+        isometry = ContractionTuple([np.eye(2)], sum_is_identity=True)
+        assert isometry.gram().tobytes() == np.eye(2, dtype=np.complex128).tobytes()
+        ContractionTuple([np.array([[1.0 + 1e-11, 0.0]]), np.zeros((1, 2))])
 
     def test_contraction_tuple_identity_flag_checked(self):
         with pytest.raises(DomainError):
@@ -433,6 +458,41 @@ class TestEigensolverFailure:
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             ContractionTuple([0.5 * np.eye(2)])
 
+    def test_a_shifted_gram_eigenvalue_fails_the_check(self, monkeypatch):
+        # The tuple bound reads the top eigenvalue only; the invariant check
+        # catches a wrong lower one.
+        original = np.linalg.eigvalsh
+
+        def shifted(a):
+            w = original(a).copy()
+            w[..., 0] += 1e-6
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        with pytest.raises(ConvergenceFailure, match="trace and norm"):
+            ContractionTuple([0.5 * np.eye(2)])
+
+    def test_numpy_eigensolvers_run_only_in_the_checked_routines(self):
+        # Each np.linalg eigensolver call of the package, with the function
+        # that makes it.
+        calls = set()
+
+        def visit(node, owner, path):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                calls.update((path, owner, alias.name) for alias in node.names)
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("eig")
+                    and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")):
+                calls.add((path, owner, node.attr))
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner, path)
+
+        for path in sorted(Path(matrix_core.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), None, path.name)
+        assert calls == {("matrix_core.py", "_checked_eigh", "eigh"),
+                         ("matrix_core.py", "_checked_eigvalsh", "eigvalsh")}
+
 
 class TestStacks:
     """Every check runs on each matrix of a stack; one bad matrix fails it."""
@@ -599,3 +659,33 @@ class TestTypedErrors:
     def test_generator_sizes_are_positive(self, make, match):
         with pytest.raises(DimensionError, match=match):
             make()
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: random_pd(2.5), "dim must be an integer, got float 2.5"),
+        (lambda: random_pd(True), "dim must be an integer, got bool True"),
+        (lambda: random_hermitian(2.5), "dim must be an integer, got float 2.5"),
+        (lambda: random_contraction_tuple(1, 2.5, 2, False), "m must be an integer, got float"),
+        (lambda: random_contraction_tuple(np.True_, 2, 2, False), "k must be an integer, got"),
+        (lambda: random_pd(2, (1,)), r"eig_range must be two numbers \(lo, hi\), got \(1,\)"),
+        (lambda: random_pd(2, (1.0, "2")), "eig_range must be two numbers"),
+        (lambda: random_pd(2, (True, 2.0)), "eig_range must be two numbers"),
+        (lambda: random_pd(2, 3.0), "eig_range must be two numbers"),
+    ])
+    def test_generator_arguments_are_typed(self, make, match):
+        # Each raised NumPy's TypeError or an IndexError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                make()
+
+    def test_numpy_integer_sizes_draw_the_int_instances(self):
+        three = np.int64(3)
+        assert random_pd(three, seed=4).mat.tobytes() == random_pd(3, seed=4).mat.tobytes()
+        assert (random_pd(2, np.array([0.5, 2.0]), seed=4).mat.tobytes()
+                == random_pd(2, (0.5, 2.0), seed=4).mat.tobytes())
+        assert (random_hermitian(three, seed=4).mat.tobytes()
+                == random_hermitian(3, seed=4).mat.tobytes())
+        tup = random_contraction_tuple(np.int64(2), three, np.uint8(4), True, seed=4)
+        assert (tup.k, tup.m, tup.n) == (2, 3, 4) and type(tup.m) is int
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(tup.blocks, random_contraction_tuple(2, 3, 4, True, seed=4).blocks))

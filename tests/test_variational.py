@@ -171,12 +171,14 @@ class TestSolverGuards:
             maximize("gibbs", {"B": random_pd(2, seed=1)})
 
     def test_non_finite_gradient_reported(self, monkeypatch):
-        def grad(_x, _b):
+        # The certificate's gradient comes from the helper both public
+        # gradients share.
+        def grad(_exponent, _x):
             h = HermitianMatrix.__new__(HermitianMatrix)
             h.mat = np.full((2, 2), np.inf)
             return h
 
-        monkeypatch.setattr(variational, "gibbs_gradient", grad)
+        monkeypatch.setattr(variational, "_gradient", grad)
         with pytest.raises(NonFiniteObjective, match="gradient norm evaluated to inf"):
             maximize("gibbs", {"B": random_pd(2, seed=1)})
 
@@ -242,6 +244,15 @@ class TestClosedForm:
                 "H": 0.5 * np.eye(2)}
         with pytest.raises(NonFiniteObjective, match="left the representable PD cone"):
             maximize("phi", data)
+
+    @pytest.mark.parametrize("objective", ["gibbs", "phi"])
+    def test_the_exponent_is_formed_once(self, objective, monkeypatch):
+        # log of the data for G, then log X* for the certificate G - log X*.
+        logs = []
+        genuine = variational.matrix_log
+        monkeypatch.setattr(variational, "matrix_log", lambda a: logs.append(a) or genuine(a))
+        result = maximize(objective, _instance(objective, 13))
+        assert len(logs) == 2 and logs[-1] is result.argmax
 
     def test_certificate_is_the_gradient_norm_at_the_argmax(self):
         b = random_pd(4, seed=1)

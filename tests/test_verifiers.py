@@ -399,25 +399,50 @@ class TestLapackFailures:
     ConvergenceFailure: it becomes the error record of the trials whose
     stack raised, and the other trials' results do not change."""
 
-    def test_route_probe_eigh(self, monkeypatch):
-        cfg = CheckConfig(trials=20, seed=7, dims=((2, 4, 4),))
+    _ROUTE_CFG = CheckConfig(trials=20, seed=7, dims=((2, 4, 4),))
+
+    @staticmethod
+    def _probe_input(monkeypatch, cfg) -> np.ndarray:
+        """The matrix whose top eigenvector is trial 5's probe direction, as
+        the reference sampler symmetrizes it: HermitianMatrix gives the
+        checked eigh of _build_route the same bits."""
         spec = verifiers._SPECS["gt_route_gap"]
-        base = search_gt_route_gap(cfg)
-        # The matrix whose top eigenvector is trial 5's probe direction: the
-        # input of the one eigh that _build_route calls itself.
         seen = []
         genuine = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a) or genuine(a))
         ref.sample(spec, trial_rng(cfg.seed, 5), spec.dims(cfg), 5)
         monkeypatch.setattr(np.linalg, "eigh", genuine)
-        _lapack_failing_on(monkeypatch, "eigh", seen[-1])
-        report = search_gt_route_gap(cfg)
-        assert [r for r in report.violations if r["trial"] == 5] == [{
-            "kind": "error", "trial": 5,
-            "error": "eigensolver failed on the probe direction: did not converge"}]
+        return seen[-1]
+
+    def _assert_only_trial_5_fails(self, base, report, error):
+        assert [r for r in report.violations if r["trial"] == 5] == [
+            {"kind": "error", "trial": 5, "error": error}]
         assert [r for r in report.violations if r["trial"] != 5] == [
             r for r in base.violations if r["trial"] != 5]
         assert base.passed and not report.passed
+
+    def test_route_probe_eigh(self, monkeypatch):
+        cfg = self._ROUTE_CFG
+        base = search_gt_route_gap(cfg)
+        _lapack_failing_on(monkeypatch, "eigh", self._probe_input(monkeypatch, cfg))
+        self._assert_only_trial_5_fails(base, search_gt_route_gap(cfg),
+                                        "eigensolver failed: did not converge")
+
+    def test_route_probe_eigenvectors_are_checked(self, monkeypatch):
+        # The probe runs the unitarity check of every other decomposition.
+        cfg = self._ROUTE_CFG
+        base = search_gt_route_gap(cfg)
+        chosen = self._probe_input(monkeypatch, cfg)
+        genuine = np.linalg.eigh
+
+        def doubled(a):
+            w, u = genuine(a)
+            mats = np.reshape(a, (-1,) + a.shape[-2:])
+            return (w, 2.0 * u) if any(np.array_equal(m, chosen) for m in mats) else (w, u)
+
+        monkeypatch.setattr(np.linalg, "eigh", doubled)
+        self._assert_only_trial_5_fails(base, search_gt_route_gap(cfg),
+                                        "eigenvector matrix is not unitary: deviation 3.000e+00")
 
     def test_contraction_norm_svd(self, monkeypatch):
         cfg = CheckConfig(trials=30, seed=5)
