@@ -15,6 +15,7 @@ from .errors import (
     NonFiniteObjective,
     NotAContraction,
     NumericalInconsistency,
+    OutputError,
     ParseError,
 )
 from .functionals import (

@@ -23,7 +23,8 @@ a call sees nothing of the calls before it.  Only repeated calls in one
 process gain from this: the ``entropylab`` script calls ``main`` once.
 
 Exit codes: 0 success / all checks passed, 1 check violations (or an
-inconclusive witness search), 2 usage or input errors, 3 numerical errors.
+inconclusive witness search), 2 usage, input or output errors, 3 numerical
+errors.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import (
     EntropyLabError,
     NonFiniteObjective,
     NumericalInconsistency,
+    OutputError,
     ParseError,
 )
 from .matrix_core import (
@@ -108,12 +110,15 @@ def cmd_check(args) -> int:
         tol_rel=args.tol_rel,
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create {out_dir}: {exc}") from exc
     summary = {"seed": cfg.seed, "trials": cfg.trials, "checks": {}}
     all_passed = True
     for name in names:
         report = run_check(name, cfg)
-        (out_dir / f"{name}.json").write_text(report.to_json() + "\n")
+        dump_json(report.to_dict(), out_dir / f"{name}.json")
         if report.passed:
             status = "PASS"
         elif report.semantics == "witness_search" and not report.violations:

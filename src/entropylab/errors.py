@@ -33,4 +33,9 @@ class NonFiniteObjective(EntropyLabError):
 
 
 class ParseError(EntropyLabError):
-    """A JSON input file is malformed or violates its schema."""
+    """A JSON input file cannot be read, is not UTF-8 text, is malformed or
+    violates its schema."""
+
+
+class OutputError(EntropyLabError):
+    """An output file or directory cannot be written."""

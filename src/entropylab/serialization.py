@@ -21,11 +21,27 @@ every other value as the stdlib would, with its string encoder.  A value it
 does not write itself, a non-finite float, a key that is not a string or
 a type other than dict, list, tuple, str, int, float, bool and None, sends
 the whole object to the stdlib encoder, which gives its text or its error.
+
+Every output file is written by :func:`dump_json`, in place: it opens the
+path without ``O_TRUNC``, writes the text from offset 0 and, when the path
+is a regular file, cuts it to the written length.  The bytes, the inode,
+the file mode, hard links and symlinks end up as a truncating write leaves
+them, and a device such as ``/dev/null`` or ``/dev/stdout`` is written as
+before.  Truncating an existing file to length 0, as ``open(path, "w")``
+does, makes ext4 (with its default ``auto_da_alloc``) start write-back of
+the file when it is closed, and the next truncation of that file waits for
+that I/O: ``check`` rewrites ``summary.json`` on every run, so each run
+paid the disk's write latency.  A truncation to a non-zero length does
+not start it.  An ``OSError`` while writing becomes an
+:class:`~entropylab.errors.OutputError` naming the path, as a failed read
+becomes a :class:`~entropylab.errors.ParseError`.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
@@ -33,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, OutputError, ParseError
 from .matrix_core import (
     ContractionTuple,
     HermitianMatrix,
@@ -288,14 +304,28 @@ def _pairs(value, nl: str) -> str | None:
 
 
 def dump_json(obj, path) -> None:
-    Path(path).write_text(dumps(obj) + "\n")
+    """Write ``dumps(obj)`` and a newline to ``path`` in place (see the
+    module docstring)."""
+    data = (dumps(obj) + "\n").encode()
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path):
     p = Path(path)
     try:
         return json.loads(p.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc

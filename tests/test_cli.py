@@ -93,6 +93,22 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "relative_entropy", str(path))
         assert code == 2
 
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, _, err = run(capsys, "eval", "relative_entropy", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_unwritable_out_exits_2_after_the_value(self, tmp_path, capsys):
+        a = matrix_to_json(np.diag([1.5]))
+        path = write_instance(tmp_path, "inst.json", {"A": a, "B": a})
+        out_path = tmp_path / "absent" / "record.json"
+        code, out, err = run(capsys, "eval", "relative_entropy", path, "--out", str(out_path))
+        assert code == 2
+        assert float(out.strip()) == pytest.approx(0.0, abs=1e-12)
+        assert err.startswith(f"error: cannot write {out_path}: ")
+
     def test_non_contraction_exits_2(self, tmp_path, capsys):
         a = matrix_to_json(np.diag([2.0]))
         path = write_instance(tmp_path, "inst.json", {
@@ -281,6 +297,23 @@ class TestCheck:
         assert report["note"] == "found 115 witnesses"
         assert len(report["violations"]) == 115
         assert all(v["kind"] == "witness" and v["reverified"] for v in report["violations"])
+
+    def test_rerun_over_longer_reports_equals_a_fresh_run(self, tmp_path, capsys):
+        for d, trials in (("again", "12"), ("again", "3"), ("fresh", "3")):
+            code, _, _ = run(capsys, "check", "gibbs_identity", "--trials", trials,
+                             "--seed", "7", "--out-dir", str(tmp_path / d))
+            assert code == 0
+        for name in ("gibbs_identity.json", "summary.json"):
+            assert ((tmp_path / "again" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+
+    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("")
+        code, out, err = run(capsys, "check", "gibbs_identity", "--trials", "2",
+                             "--out-dir", str(out_dir))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot create {out_dir}: ")
 
     def test_bad_dims_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "check", "gibbs_identity",

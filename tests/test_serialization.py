@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entropylab.errors import DimensionError, DomainError, ParseError
+from entropylab.errors import DimensionError, DomainError, OutputError, ParseError
 from entropylab.functionals import MultiInstance
 from entropylab.matrix_core import make_rng, random_contraction_tuple, random_hermitian, random_pd
 from entropylab.serialization import (
@@ -204,6 +205,79 @@ class TestFiles:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_json(path)
+
+    def test_load_non_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ParseError, match=f"cannot read {re.escape(str(path))}: .*utf-8"):
+            load_json(path)
+
+
+class TestWriter:
+    """``dump_json`` rewrites a file in place and leaves what a truncating
+    write leaves."""
+
+    @staticmethod
+    def _text(obj) -> bytes:
+        return (dumps(obj) + "\n").encode()
+
+    def test_rewrite_keeps_the_inode(self, tmp_path):
+        path = tmp_path / "r.json"
+        dump_json({"a": 1}, path)
+        inode = path.stat().st_ino
+        dump_json({"b": [1.5, 2.5]}, path)
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == self._text({"b": [1.5, 2.5]})
+
+    @pytest.mark.parametrize("old, new", [
+        ({"data": list(range(50))}, {"x": 0}),      # shorter: cut to length
+        ({"x": 0}, {"data": list(range(50))}),      # longer
+    ])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old, new):
+        path = tmp_path / "r.json"
+        dump_json(old, path)
+        dump_json(new, path)
+        assert path.read_bytes() == self._text(new)
+
+    def test_rewrite_keeps_the_mode_and_a_hard_link(self, tmp_path):
+        path, link = tmp_path / "r.json", tmp_path / "link.json"
+        dump_json({"data": list(range(20))}, path)
+        path.chmod(0o640)
+        os.link(path, link)
+        dump_json({"x": 0}, path)
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert path.stat().st_nlink == 2
+        assert link.read_bytes() == self._text({"x": 0})
+
+    def test_symlink_keeps_pointing_at_its_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        dump_json({"data": list(range(20))}, target)
+        link.symlink_to(target)
+        dump_json({"x": 0}, link)
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == self._text({"x": 0})
+
+    def test_writes_to_a_device(self):
+        dump_json({"x": 0}, os.devnull)
+
+    def test_opens_without_truncation(self, tmp_path, monkeypatch):
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        dump_json({"x": 0}, tmp_path / "r.json")
+        dump_json({"x": 1}, tmp_path / "r.json")
+        assert len(flags) == 2
+        assert not any(flag & os.O_TRUNC for flag in flags)
+
+    def test_unwritable_path_names_the_path(self, tmp_path):
+        path = tmp_path / "absent" / "r.json"
+        with pytest.raises(OutputError, match=f"cannot write {re.escape(str(path))}: "):
+            dump_json({"x": 0}, path)
 
 
 def _stdlib(value) -> str:
