@@ -315,20 +315,23 @@ class BlockLift:
 
 def block_lift(inst: MultiInstance) -> BlockLift:
     """Embed a k-tuple instance into block matrices, zero-padded so that the
-    k-variable functional reduces to the single-variable one."""
+    k-variable functional reduces to the single-variable one.  Each lifted
+    value keeps the stack shape of what it is built from: ``a_hat`` that of
+    the A_i, ``l_hat`` that of L and ``h_hat`` that of the H_i, so a stack
+    of points of the A_i shares one ``l_hat`` and ``h_hat``, which
+    :meth:`BlockLift.lifted_value` broadcasts against them."""
     if inst.a_list is None:
         raise DimensionError("block_lift needs an instance with a_list")
     k, m, n = inst.H.k, inst.H.m, inst.H.n
-    batch = np.broadcast_shapes(inst.L.mat.shape[:-2], inst.a_list[0].mat.shape[:-2])
-    l_hat = np.zeros(batch + (k * n, k * n), dtype=np.complex128)
+    l_hat = np.zeros(inst.L.mat.shape[:-2] + (k * n, k * n), dtype=np.complex128)
     l_hat[..., :n, :n] = inst.L.mat
-    h_hat = np.zeros(batch + (k * m, k * n), dtype=np.complex128)
+    h_hat = np.zeros(inst.H.blocks[0].shape[:-2] + (k * m, k * n), dtype=np.complex128)
     for i, h in enumerate(inst.H.blocks):
         h_hat[..., i * m:(i + 1) * m, :n] = h
     # ||h_hat||^2 is the top eigenvalue of sum(H_i* H_i), which the tuple
     # bounds by 1 + CONTRACTION_TOL, so ||h_hat|| <= 1 + CONTRACTION_TOL.
     return BlockLift(
-        a_hat=_block_diagonal(inst.a_list, batch),
+        a_hat=_block_diagonal(inst.a_list, inst.a_list[0].mat.shape[:-2]),
         l_hat=HermitianMatrix(l_hat),
         h_hat=Contraction._bounded(h_hat),
     )

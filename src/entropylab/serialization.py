@@ -329,3 +329,5 @@ def load_json(path):
         raise ParseError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{p}: invalid JSON: nested too deeply") from exc

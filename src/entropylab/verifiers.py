@@ -70,8 +70,8 @@ pass's weights are built as one (P, T, n, n) stack, and the functionals
 broadcast it against the group's (T, n, n) values and return (P, T)
 values.  The points run in as few passes as keep every matrix stack of a
 pass, point axis included, within ``BLOCK_BYTES``: at n <= 4 a pass
-usually holds every point, and when a group alone fills the budget (n = 32)
-each pass holds one.  The comparisons come out in the order of the points,
+usually holds every point, and when a group alone fills the budget (8 trials
+at n = 32) each pass holds one.  The comparisons come out in point order,
 each from its point's entry, with the bits of evaluating that point alone.
 Every "segment" comparison, the value at a mix against the chord of the
 end values, is built by :func:`_chord`.  A raise inside a pass comes before
@@ -154,11 +154,11 @@ HOMOGENEITY_BREAK_MIN = 1e-3
 BREAK_ATTEMPTS = 20
 # Instance families of the gt_jensen check, cycled by trial index.
 GT_FAMILIES = ("general", "golden_thompson", "general", "jensen")
-# Bytes of the largest matrix stack that a group of trials, or one pass of
-# a group over several points of a segment, may build: a group of 2 x 2
-# matrices holds up to 1024 trials, one of multi_concavity at k = 4 (whose
-# block lift is 8 x 8) up to 64, and one at n = 32 four.
-BLOCK_BYTES = 1 << 16
+# Bytes of the largest matrix stack that a group, or one pass of a group over
+# the points of a segment, may build: 2048 trials of 2 x 2 matrices, 128 at
+# k = 4 in multi_concavity (8 x 8 lift), 8 at n = 32.  Swept on check_large
+# (BENCH_25.json): 64/128/256 KiB: 0.69/0.64/0.61 s, 44.1/45.5/47.5 MB peak RSS.
+BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,13 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "relative_entropy", str(path))
         assert code == 2
 
+    def test_deeply_nested_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "eval", "relative_entropy", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: invalid JSON: nested too deeply\n"
+
     def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\xff\xfe{")

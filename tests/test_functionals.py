@@ -578,6 +578,26 @@ class TestStackedValues:
         assert all(isinstance(v, float) for v in expected)
         assert values.tolist() == expected
 
+    def test_block_lift_of_a_point_stack_shares_l_hat_and_h_hat(self):
+        # A (P, T) stack of points of the A_i against one (T,) stack of L
+        # and H: l_hat and h_hat keep the stack shape of L and H, and each
+        # lifted value has the bits of lifting its point alone.
+        singles = _stacked_instances(61)
+        rng = make_rng(62)
+        points = [[[random_pd(3, (0.05, 5.0), rng) for _ in range(2)] for _ in singles]
+                  for _ in range(4)]
+        base = _stack_instances(singles)["multi_a"]
+        lift = block_lift(MultiInstance(
+            L=base.L, H=base.H,
+            a_list=[stack([stack([a[i] for a in per_t]) for per_t in points]) for i in range(2)]))
+        assert lift.a_hat.mat.shape == (4, 3, 6, 6)
+        assert lift.l_hat.mat.shape == (3, 4, 4) and lift.h_hat.mat.shape == (3, 6, 4)
+        values = lift.lifted_value()
+        assert values.shape == (4, 3)
+        assert values.tolist() == [
+            [block_lift(MultiInstance(L=d["multi_a"].L, H=d["multi_a"].H, a_list=a)).lifted_value()
+             for d, a in zip(singles, per_t)] for per_t in points]
+
     def test_imaginary_trace_in_one_entry_raises(self):
         with pytest.raises(NumericalInconsistency):
             _real_trace(np.array([1.0 + 0j, 2.0 + 1e-3j, 3.0 + 0j]))

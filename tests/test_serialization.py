@@ -206,6 +206,14 @@ class TestFiles:
         with pytest.raises(ParseError):
             load_json(path)
 
+    def test_load_deeply_nested_json_names_the_file(self, tmp_path):
+        # Past the interpreter's recursion limit json.loads raises
+        # RecursionError, which must reach the caller as a ParseError.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: .*nested too deeply"):
+            load_json(path)
+
     def test_load_non_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\xff\xfe{")

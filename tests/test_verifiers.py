@@ -141,6 +141,22 @@ class TestDeterminism:
         second = run_check(name, cfg).to_json()
         assert first == second
 
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_reports_do_not_depend_on_the_byte_budget(self, name, monkeypatch):
+        # The budget sets only how trials and points are grouped: at 4 KiB
+        # every group at n >= 16 is one trial, and at 4 MiB one group holds
+        # every trial of a key and one pass every point.  The route search
+        # takes only the dims with k >= 2.
+        configs = [CheckConfig(trials=200, seed=7)] + [
+            CheckConfig(trials=8, seed=7, dims=(kmn,)) for kmn in LARGE_DIMS
+            if name != "gt_route_gap" or kmn[0] >= 2]
+        reports = {}
+        for budget in (1 << 12, verifiers.BLOCK_BYTES, 1 << 22):
+            monkeypatch.setattr(verifiers, "BLOCK_BYTES", budget)
+            reports[budget] = [run_check(name, cfg).to_json() for cfg in configs]
+        first, *rest = reports.values()
+        assert all(r == first for r in rest)
+
     def test_different_seeds_differ(self):
         a = run_check("sh_convexity", CheckConfig(trials=10, seed=1)).to_json()
         b = run_check("sh_convexity", CheckConfig(trials=10, seed=2)).to_json()
@@ -677,10 +693,11 @@ class TestPointPasses:
 
     @pytest.mark.parametrize("name", ["sh_convexity", "multi_concavity", "homogeneity"])
     def test_point_passes_stay_within_the_byte_budget(self, name, monkeypatch):
-        # 45 trials at n = 32 leave groups of one or two trials, whose
-        # passes hold several points.  The mixes of a segment are decomposed
-        # (eigh); the scales of homogeneity keep their spectra, and its
-        # passes show in the eigenvalues of each Tr exp argument (eigvalsh).
+        # A multiple of the group cap at n = 32, plus one, leaves a group of
+        # one trial, whose passes hold several points.  The mixes of a
+        # segment are decomposed (eigh); the scales of homogeneity keep their
+        # spectra, and its passes show in the eigenvalues of each Tr exp
+        # argument (eigvalsh).
         seen = []
         lapack = "eigvalsh" if name == "homogeneity" else "eigh"
         solver = getattr(np.linalg, lapack)
@@ -690,7 +707,8 @@ class TestPointPasses:
             return solver(a)
 
         monkeypatch.setattr(np.linalg, lapack, sized)
-        report = run_check(name, CheckConfig(trials=45, dims=((1, 32, 32),)))
+        trials = 5 * verifiers._group_cap(verifiers._SPECS[name], (1, 32, 32)) + 1
+        report = run_check(name, CheckConfig(trials=trials, dims=((1, 32, 32),)))
         assert report.passed
         itemsize = np.dtype(np.complex128).itemsize
         assert 32 * 32 * itemsize < max(np.prod(s) * itemsize for s in seen) <= verifiers.BLOCK_BYTES
@@ -832,8 +850,8 @@ class TestStackedSampling:
         witnesses = [v["trial"] for v in report.violations if v["kind"] == "witness"]
         assert errors == [19, 20, 30] and len(witnesses) == 113
         assert drawn == list(range(200))
-        # Groups of 64 trials (the cap at n = 8); only a part that holds a
-        # raising trial is split again, into its halves.
+        # Groups of as many trials as fill the byte budget at n = 8; only a
+        # part that holds a raising trial is split again, into its halves.
         cap = verifiers._group_cap(spec, (2, 8, 8))
         expected, parts = [], [list(range(t, min(t + cap, 200))) for t in range(0, 200, cap)]
         while parts:
@@ -841,7 +859,7 @@ class TestStackedSampling:
             expected.append(len(part))
             if len(part) > 1 and {19, 20, 30} & set(part):
                 parts += [part[:len(part) // 2], part[len(part) // 2:]]
-        assert cap == 64 and sorted(built) == sorted(expected)
+        assert cap == verifiers.BLOCK_BYTES // (8 * 8 * 16) and sorted(built) == sorted(expected)
 
 
 class TestWholeRunGroups:
