@@ -14,8 +14,9 @@ fields of ``eval`` and ``optimize`` from ``functionals.FUNCTIONALS`` and
 ``variational.OBJECTIVES``.
 
 All commands are reproducible: the seed defaults to 0xC0FFEE, can be set
-with --seed or the ENTROPYLAB_SEED environment variable, and identical
-arguments produce byte-identical output files.
+with --seed or the ENTROPYLAB_SEED environment variable, each in decimal or
+with a 0x, 0o or 0b prefix, and identical arguments produce byte-identical
+output files.
 
 ``main`` builds its argument parser on its first call and reuses it for
 every later call in the process; parsing leaves the parser unchanged, so
@@ -63,14 +64,26 @@ from .variational import OBJECTIVES, SolverConfig, maximize
 from .verifiers import CHECKS, CheckConfig, DEFAULT_DIMS, DEFAULT_SEED, run_check
 
 
+def _seed(text: str) -> int:
+    """A seed as --seed and ENTROPYLAB_SEED take it: decimal, leading zeros
+    included (as in 012), or with a 0x, 0o or 0b prefix.  Its range is
+    checked by the config that takes it."""
+    for base in (10, 0):
+        try:
+            return int(text, base)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
-        return int(flag_value)
+        return flag_value
     env = os.environ.get("ENTROPYLAB_SEED")
     if env is not None:
         try:
-            return int(env, 0)
-        except ValueError as exc:
+            return _seed(env)
+        except argparse.ArgumentTypeError as exc:
             raise ParseError(f"ENTROPYLAB_SEED is not an integer: {env!r}") from exc
     return DEFAULT_SEED
 
@@ -204,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run verifier suites")
     p_check.add_argument("suite", choices=("all",) + tuple(CHECKS))
     p_check.add_argument("--trials", type=int, default=CheckConfig.trials)
-    p_check.add_argument("--seed", type=int, default=None)
+    p_check.add_argument("--seed", type=_seed, default=None)
     p_check.add_argument("--tol-abs", type=float, default=CheckConfig.tol_abs)
     p_check.add_argument("--tol-rel", type=float, default=CheckConfig.tol_rel)
     p_check.add_argument("--dims", action="append", metavar="k,m,n",
@@ -220,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate random instance files")
     p_gen.add_argument("kind", choices=("pd", "hermitian", "contraction_tuple", "multi_instance"))
     p_gen.add_argument("--out", type=Path, required=True)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=_seed, default=None)
     p_gen.add_argument("--dim", type=int, default=3)
     p_gen.add_argument("--k", type=int, default=1)
     p_gen.add_argument("--m", type=int, default=2)

@@ -26,8 +26,9 @@ eigenvalues of its symmetrized argument.  The imaginary-part guard runs
 where a trace of a matrix product is still taken, the Tr(X L) and Tr A of
 :func:`phi_objective`: there the real part is returned after checking that
 the imaginary part is at round-off level, and a larger one raises
-NumericalInconsistency instead of being silently discarded.  A sum of exps
-that overflows raises NonFiniteObjective.
+NumericalInconsistency instead of being silently discarded.  A trace sum
+that overflows (a sum of exps, or of terms a log a at entries near the
+largest double) raises NonFiniteObjective instead of returning inf or NaN.
 
 Every functional also takes stacks of arguments (see ``matrix_core``): given
 values of shape (T, n, n) it returns the T values, each bit-equal to the
@@ -43,6 +44,7 @@ checked once when it was built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -124,18 +126,27 @@ def _conjugated_log(A: PositiveDefiniteMatrix, h: np.ndarray) -> np.ndarray:
     return _adjoint(w) @ (log_a[..., :, None] * w)
 
 
+def _finite_sum(what: str, total: Callable[[], np.ndarray]):
+    """``total()``, a trace sum, computed with overflow and invalid-value
+    warnings off; a sum that is not finite (a term that overflows, or inf -
+    inf) raises NonFiniteObjective naming ``what``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = total()
+    if _any(~np.isfinite(value)):
+        raise NonFiniteObjective(f"{what} is not finite: it overflows")
+    return _per_matrix(value)
+
+
 def _exp_weighted_trace(L: HermitianMatrix, pairs, what: str):
     """The sum over (h, B) in ``pairs`` of Tr(e^L h e^B h*) = sum_jk e^(l_j)
     |(U_L* h U_B)_jk|^2 e^(b_k), for Hermitian L and B and h None for the
     identity; a sum that overflows, an exp of an eigenvalue included, raises
     NonFiniteObjective."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    def total():
         exp_l = np.exp(spectral_decompose(L).eigenvalues)
-        total = sum(_pair_sum(exp_l, _weights(_basis_overlap(L, h, B)),
-                              np.exp(spectral_decompose(B).eigenvalues)) for h, B in pairs)
-    if _any(~np.isfinite(total)):
-        raise NonFiniteObjective(f"{what} is not finite: it overflows")
-    return _per_matrix(total)
+        return sum(_pair_sum(exp_l, _weights(_basis_overlap(L, h, B)),
+                             np.exp(spectral_decompose(B).eigenvalues)) for h, B in pairs)
+    return _finite_sum(what, total)
 
 
 def _entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix, h):
@@ -144,10 +155,10 @@ def _entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix, h):
     for V = U_A* H U_B."""
     log_a, dec_a = _on_eigenvalues(A, np.log, "log")
     log_b, _ = _on_eigenvalues(B, np.log, "log")
-    a = dec_a.eigenvalues
-    t = (_pair_sum(a, None, log_a) - _pair_sum(a, _weights(_basis_overlap(A, h, B)), log_b)
-         - _trace(A.mat).real + _trace(B.mat).real)
-    return _per_matrix(t)
+    a, weights = dec_a.eigenvalues, _weights(_basis_overlap(A, h, B))
+    return _finite_sum("Tr(A log A - H* A H log B - A + B)", lambda: (
+        _pair_sum(a, None, log_a) - _pair_sum(a, weights, log_b)
+        - _trace(A.mat).real + _trace(B.mat).real))
 
 
 def reduced_relative_entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix,
@@ -189,7 +200,7 @@ def _lieb_sum(weights: np.ndarray, A: PositiveDefiniteMatrix, B: PositiveDefinit
     |U_A* H U_B|^2 of :func:`_lieb_overlap`, which several p can share."""
     b_p, _ = _on_eigenvalues(B, _power(p), "power")
     a_1p, _ = _on_eigenvalues(A, _power(1.0 - p), "power")
-    return _per_matrix(_pair_sum(a_1p, weights, b_p))
+    return _finite_sum("Tr(H B^p H* A^(1-p))", lambda: _pair_sum(a_1p, weights, b_p))
 
 
 def lieb_trace_derivative_at_zero(A: PositiveDefiniteMatrix,
@@ -200,7 +211,8 @@ def lieb_trace_derivative_at_zero(A: PositiveDefiniteMatrix,
     log_a, dec_a = _on_eigenvalues(A, np.log, "log")
     log_b, _ = _on_eigenvalues(B, np.log, "log")
     gaps = log_b[..., None, :] - log_a[..., :, None]
-    return _per_matrix(_pair_sum(dec_a.eigenvalues, weights * gaps, np.ones(B.dim)))
+    return _finite_sum("d/dp Tr(H B^p H* A^(1-p)) at p = 0",
+                       lambda: _pair_sum(dec_a.eigenvalues, weights * gaps, np.ones(B.dim)))
 
 
 def trace_exp_functional(A: PositiveDefiniteMatrix, L: HermitianMatrix, H) -> float:
@@ -343,10 +355,9 @@ def gibbs_objective(X: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix) -> flo
         raise DimensionError(f"X and B must have equal dimension, got {X.dim} and {B.dim}")
     log_b, _ = _on_eigenvalues(B, np.log, "log")
     log_x, dec_x = _on_eigenvalues(X, np.log, "log")
-    x = dec_x.eigenvalues
-    t = (_pair_sum(x, _weights(_basis_overlap(X, None, B)), log_b) - _pair_sum(x, None, log_x)
-         + _trace(X.mat).real)
-    return _per_matrix(t)
+    x, weights = dec_x.eigenvalues, _weights(_basis_overlap(X, None, B))
+    return _finite_sum("Tr(X log B - X log X + X)", lambda: (
+        _pair_sum(x, weights, log_b) - _pair_sum(x, None, log_x) + _trace(X.mat).real))
 
 
 def phi_objective(X: PositiveDefiniteMatrix, A: PositiveDefiniteMatrix,

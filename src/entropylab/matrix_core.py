@@ -522,13 +522,6 @@ def _combined(values: Sequence, join: Callable):
     return out
 
 
-def _entry(value, i: int):
-    """Entry i of a stacked checked value, as a value of one axis fewer that
-    is not checked again: read-only views, its share of the cached spectrum,
-    and its ``min_eigenvalue`` (a float for a 2-d entry)."""
-    return _combined([value], lambda parts: parts[0][i])
-
-
 # ---------------------------------------------------------------------------
 # Random instance generation.  Every generator accepts either a seed or an
 # existing numpy Generator, so callers can derive deterministic substreams.
@@ -577,10 +570,10 @@ def checked_seed(seed, expected: str = "an integer") -> int:
 
 # Trials whose substreams one pass of ``_substreams`` seeds together.
 SUBSTREAM_CHUNK = 1024
-# Runs of at most this many trials seed each trial with ``default_rng`` itself.
-# The chunked seeding costs a fixed 0.27-0.38 ms for a run of 1 to 4 trials,
-# direct seeding about 20 us per trial: on a 2-core x86-64 host with numpy
-# 2.4.6 and one BLAS thread, the two broke even between 16 and 24 trials.
+# Runs of at most this many trials seed each trial with ``default_rng`` itself:
+# on a 2-core x86-64 host with numpy 2.4.6, direct seeding took 88/132 us for
+# 16/24 trials (about 5.5 us each) and the chunked one 99/107 us (82 us fixed),
+# so the two break even between 16 and 24 trials.
 SUBSTREAM_DIRECT = 16
 # NumPy's SeedSequence (NEP 19) and the PCG64 multiplier, for
 # ``_substream_states``.

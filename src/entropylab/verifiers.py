@@ -38,10 +38,12 @@ gives the loop each trial's generator: ``trial_rng`` itself in a run of at
 most ``SUBSTREAM_DIRECT`` trials, and otherwise one reused Generator set to
 each trial's state, seeded in chunks of trials, bit-equal to ``trial_rng``
 (and checked against NumPy's own seeding at the first trial).
-A comparison breaches when gap > tol (gap >= tol if strict), where tol is
-tol_abs + tol_rel * scale and scale is the largest magnitude in the
-comparison; a record is built only on a breach.  A trial that raises an EntropyLabError becomes an error record
-``{"kind": "error", "trial", "error"}`` and the check goes on.
+A comparison breaches when gap > tol (gap >= tol if strict); a record is
+built only on a breach.  Every tolerance comes from :func:`_tol`: tol_abs +
+tol_rel * scale, scale the largest magnitude it is given (derivative_limit's
+ratios and ``HOMOGENEITY_BREAK_MIN`` are thresholds).  A trial that raises
+an EntropyLabError becomes an error record ``{"kind": "error", "trial",
+"error"}`` and the check goes on.
 
 The loop draws the trials in order, each alone and once, and appends each
 draw to the pending group of its key.  A group runs once it holds as many
@@ -54,12 +56,13 @@ and generators that serve a single instance.  Every stacked value has the
 bits of its trial's own value, so each trial's gaps and records come from
 its entry of the stacked comparisons: lhs, rhs, gap, tol, extra, and the
 dump of the trial's slice of the held values (for the witness search, the
-gaps up to the first breach and one record).  A group whose build, compare
-or re-verification raises is split in halves, down to stacks of one trial;
-such a trial keeps what it recorded before the raise and gets its error
-record.  There is no other trial path: a lone trial is a stack of one.  The
-results are merged in trial order, so the report does not depend on the
-order in which groups run.
+gaps up to the first breach and one record).  One walk, :func:`_stacked`,
+stacks draws and read-back dumps, and takes a trial's entry (:func:`_slice`).
+A group whose build, compare or re-verification raises is split in halves,
+down to stacks of one trial; such a trial keeps what it recorded before the
+raise and gets its error record.  There is no other trial path: a lone
+trial is a stack of one.  The results are merged in trial order, so the
+report does not depend on the order in which groups run.
 
 A segment check evaluates its functional at several points per instance:
 the two ends and the mix at each weight of ``lam`` (sh_convexity,
@@ -123,8 +126,8 @@ from .matrix_core import (
     _complex_gaussian,
     _draw_contraction,
     _draw_pd,
+    _combined,
     _draw_tuple,
-    _entry,
     _joined,
     _per_entry,
     _per_matrix,
@@ -135,7 +138,6 @@ from .matrix_core import (
     checked_tolerance,
     matrix_exp,
     spectral_decompose,
-    stack,
 )
 from .serialization import dumps, matrix_to_json, multi_instance_to_json, read_fields
 
@@ -347,7 +349,7 @@ def _same_shape(**ends) -> None:
 
 def _points(kept: slice, w: np.ndarray, ends: list, make: Callable):
     """The ends ``ends[kept]``, then ``make(w, *ends)``, along one axis."""
-    parts = [stack(ends[kept])] if kept.stop > kept.start else []
+    parts = [_stacked(ends[kept])] if kept.stop > kept.start else []
     if len(w):
         parts.append(make(w, *ends))
     return _joined(parts)
@@ -483,47 +485,35 @@ def _run_group(check: Check, cfg: CheckConfig, funcs: dict, group: list) -> dict
     return out
 
 
-def _stacked(values: list):
+def _stacked(values: list, join: Callable = np.array):
     """One value stacked from values of one shape (draws of one key, or
     instances read back from dumps): arrays as stacks, floats as arrays,
     checked matrix values as stacked values that are not checked again,
     dicts, sequences and dataclasses field by field, anything else as it
-    is."""
+    is.  Each array is ``join`` of the list of its values' arrays (np.array
+    stacks as np.stack does, in half the time), and a number is made a
+    float: so a ``join`` that takes entry i of a one-value list gives that
+    value's entry i (:func:`_slice`)."""
     first = values[0]
     if isinstance(first, dict):
-        return {key: _stacked([v[key] for v in values]) for key in first}
+        return {key: _stacked([v[key] for v in values], join) for key in first}
     if isinstance(first, (list, tuple)):
-        return type(first)(_stacked(list(column)) for column in zip(*values))
+        return type(first)(_stacked(list(column), join) for column in zip(*values))
     if is_dataclass(first):
-        return type(first)(**{f.name: _stacked([getattr(v, f.name) for v in values])
+        return type(first)(**{f.name: _stacked([getattr(v, f.name) for v in values], join)
                               for f in fields(first)})
     if isinstance(first, (HermitianMatrix, Contraction, ContractionTuple)):
-        return stack(values)
+        return _combined(values, join)
     if isinstance(first, (np.ndarray, float)):
-        return np.array(values)  # as np.stack does for arrays, in half the time
+        return _per_matrix(join(values))
     return first
 
 
 def _slice(value, i: int):
-    """Entry i of a built instance, as the build of its draw alone makes it:
-    2-d values (with the stack's checks and cached spectra) and floats."""
-    if isinstance(value, dict):
-        return {key: _slice(v, i) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_slice(v, i) for v in value)
-    if is_dataclass(value):
-        return type(value)(**{f.name: _slice(getattr(value, f.name), i) for f in fields(value)})
-    if isinstance(value, (HermitianMatrix, Contraction, ContractionTuple)):
-        return _entry(value, i)
-    if isinstance(value, np.ndarray):
-        return float(value[i])
-    return value
-
-
-def _at(x, i: int) -> float:
-    """Entry i of per-trial values, or x itself when it is one number for
-    every trial, as a float."""
-    return float(x[i] if np.ndim(x) else x)
+    """Entry i of a stacked value, as the build of its trial alone makes it:
+    2-d values (with the stack's checks and cached spectra) and floats; a
+    number that holds for every trial is that number."""
+    return _stacked([value], lambda parts: parts[0][i] if np.ndim(parts[0]) else parts[0])
 
 
 def _record(check: Check, trial: int, c: Comparison, i: int) -> dict:
@@ -531,10 +521,10 @@ def _record(check: Check, trial: int, c: Comparison, i: int) -> dict:
     that entry's slice of the values c holds.  A witness record gets its
     re-verification from :func:`_reverify`."""
     record = {"kind": c.kind, "trial": trial, **(c.extra or {}),
-              "lhs": _at(c.lhs, i), "rhs": _at(c.rhs, i), "gap": _at(c.gap, i),
+              "lhs": _slice(c.lhs, i), "rhs": _slice(c.rhs, i), "gap": _slice(c.gap, i),
               "instance": _dump(**_slice(c.dump, i))}
     if check.semantics != "witness_search":
-        record["tol"] = _at(c.tol, i)
+        record["tol"] = _slice(c.tol, i)
     return record
 
 
@@ -662,11 +652,11 @@ def _compare_multi(inst, cfg, f):
     walk = _by_point(evaluate, len(ends), inst.get("lam", ()),
                      _stack_bytes(first.k * max(first.H.m, first.H.n), _batch(first.L)))
     for lam, j, (a_lists, directs, lifteds) in walk:
-        m = replace(first, a_list=[_entry(a, j) for a in a_lists])
+        m = replace(first, a_list=_slice(a_lists, j))
         direct, lifted = directs[j], lifteds[j]
         expected = direct + (m.k - 1) * m.H.n
         yield Comparison("block_lift", lifted, expected, abs(lifted - expected),
-                         cfg.tol_abs + cfg.tol_rel * abs(direct), dict(inst=m))
+                         _tol(cfg, direct), dict(inst=m))
         if lam is None:
             p_ends.append(direct)
             continue
@@ -817,9 +807,9 @@ def _compare_homogeneity(inst, cfg, f):
         1, inst["t"], _stack_bytes(max(m.H.m, m.H.n), _batch(m.L)))
     base = next(values[j] for _, j, values in walk)
     for t, j, values in walk:
-        val = values[j]
-        yield Comparison("identity", val, t * base, abs(val - t * base),
-                         cfg.tol_abs + cfg.tol_rel * t * abs(base), dict(inst=m, t=t))
+        val, scaled = values[j], t * base
+        yield Comparison("identity", val, scaled, abs(val - scaled), _tol(cfg, scaled),
+                         dict(inst=m, t=t))
 
 
 def _build_strict_contraction(d: dict) -> dict:

@@ -225,6 +225,24 @@ class TestOverflowEdges:
         assert (code, out) == (2, "")
         assert "block 0 has an entry of modulus 1.000000e+200 > 1" in err
 
+    @pytest.mark.parametrize("command,name,fields,what", [
+        ("eval", "relative_entropy", ("A", "B"), "Tr(A log A - H* A H log B - A + B)"),
+        ("eval", "gibbs_objective", ("X", "B"), "Tr(X log B - X log X + X)"),
+        ("optimize", "gibbs", ("B",), "Tr(X log B - X log X + X)"),
+    ])
+    def test_an_overflowing_pair_sum_exits_3(self, tmp_path, capsys, command, name, fields,
+                                             what):
+        # The terms a log a at 2e305 overflow before the sum cancels: a
+        # numerical error, where the value was NaN with RuntimeWarnings.
+        big, scale = np.diag([2e305, 1e305]), 1e305 * np.eye(2)
+        path = write_instance(tmp_path, "inst.json", {
+            key: matrix_to_json(m) for key, m in zip(fields, (big, scale))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, name, path)
+        assert (code, out) == (3, "")
+        assert err == f"numerical error: {what} is not finite: it overflows\n"
+
 
 class TestCheck:
     def test_single_check_passes(self, tmp_path, capsys):
@@ -353,6 +371,31 @@ class TestCheck:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert "64 unsigned bits" in err
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize("text", ["0xC0FFEE", "12648430", "0012648430", "0o60177756",
+                                      "0b110000001111111111101110"])
+    def test_seed_forms_write_the_default_run(self, tmp_path, capsys, monkeypatch, how, text):
+        # The default seed 0xC0FFEE in decimal (leading zeros too) or with a
+        # prefix, through either route, writes the bytes of a run with no seed.
+        def reports(name, *seed):
+            out_dir = tmp_path / name
+            assert run(capsys, "check", "gibbs_identity", "--trials", "20", *seed,
+                       "--out-dir", str(out_dir))[0] == 0
+            return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+        default = reports("default")
+        if how == "flag":
+            assert reports("seeded", "--seed", text) == default
+        else:
+            monkeypatch.setenv("ENTROPYLAB_SEED", text)
+            assert reports("seeded") == default
+
+    def test_flag_seed_garbage_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "gibbs_identity", "--seed", "0xZZ"])
+        assert exc.value.code == 2
+        assert "argument --seed: not an integer: '0xZZ'" in capsys.readouterr().err
 
 
 class TestOptimize:

@@ -1,18 +1,22 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from entropylab import functionals
 from entropylab.errors import (
     DimensionError,
     DomainError,
+    EntropyLabError,
     NonFiniteObjective,
     NotAContraction,
     NumericalInconsistency,
 )
 from entropylab.functionals import (
+    FUNCTIONALS,
     MultiInstance,
     _real_trace,
     block_lift,
@@ -655,3 +659,75 @@ class TestTypedErrors:
         h = 0.5 * np.ones((3, 2)) / 3.0
         with pytest.raises(DimensionError, match=r"X must have the dimension of L \(2\), got 3"):
             phi_objective(random_pd(3, seed=60), a, L, h)
+
+
+# Exponents k of the scales t = 10^k: every seventh decade from 1e-300, then
+# each decade above 1e300 up to 1e308, where the trace sums start to overflow.
+SCALE_EXPONENTS = [*range(-300, 301, 7), *range(301, 309)]
+
+
+def _scaling_instances(seed: int, n: int) -> dict:
+    """eval name -> arguments whose scaling law is exact: the H of S_H and
+    phi unitary, and the tuple of multi_phi isometric."""
+    rng = make_rng(seed)
+    a, b = random_pd(n, seed=rng), random_pd(n, seed=rng)
+    u = random_contraction_tuple(1, n, n, True, rng).blocks[0]
+    m = (n + 1) // 2
+    tup = random_contraction_tuple(2, m, n, True, rng)
+    inst = MultiInstance(L=random_hermitian(n, 1.0, rng), H=tup,
+                         a_list=[random_pd(m, seed=rng) for _ in range(2)])
+    return {"relative_entropy": (a, b), "reduced_relative_entropy": (a, b, u),
+            "lieb_trace": (a, b, 0.5 * u, float(rng.uniform())), "lieb_derivative": (a, b, u),
+            "gibbs_objective": (a, b), "phi": (a, random_hermitian(n, 1.0, rng), u),
+            "multi_phi": (inst,)}
+
+
+def _scaled(t: float, value):
+    """t times a PD value, through the checked constructor, or an instance
+    with its A_i scaled; anything else as it is.  An entry of t A that
+    overflows is left infinite for the constructor to refuse."""
+    if isinstance(value, MultiInstance):
+        return replace(value, a_list=[_scaled(t, a) for a in value.a_list])
+    if isinstance(value, PositiveDefiniteMatrix):
+        with np.errstate(over="ignore"):
+            return PositiveDefiniteMatrix(t * value.mat)
+    return value
+
+
+@pytest.fixture(scope="module")
+def scaling_cases() -> list:
+    """(name, arguments, value at t = 1, scale of the bound) for instances at
+    n = 1 to 6; the scale is the larger of |value| and the summed traces of
+    the PD arguments."""
+    cases = []
+    for seed, n in enumerate((1, 2, 4, 6)):
+        for name, args in _scaling_instances(seed, n).items():
+            value = getattr(functionals, FUNCTIONALS[name][0])(*args)
+            pds = [a for arg in args for a in (arg.a_list if isinstance(arg, MultiInstance)
+                                               else [arg])
+                   if isinstance(a, PositiveDefiniteMatrix)]
+            cases.append((name, args, value, max(abs(value), sum(a.trace() for a in pds))))
+    return cases
+
+
+class TestScalingLaws:
+    """Scaling every PD argument by t > 0 scales each eval functional by t
+    (S_H and phi with a unitary H, multi_phi with sum H_i* H_i = I).  At each
+    t from 1e-300 to 1e308 a functional gives t times its value or a typed
+    error, with no warning: below t ~ 1e-10 the PD floor refuses the
+    arguments, and near the largest double the trace sums overflow."""
+
+    @pytest.mark.parametrize("k", SCALE_EXPONENTS)
+    def test_values_scale_with_the_pd_arguments(self, scaling_cases, k):
+        t = 10.0 ** k
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, args, value, scale in scaling_cases:
+                try:
+                    scaled = getattr(functionals, FUNCTIONALS[name][0])(
+                        *(_scaled(t, arg) for arg in args))
+                except EntropyLabError:
+                    # Between these scales every value is representable.
+                    assert not -6 <= k <= 300, name
+                    continue
+                assert abs(scaled / t - value) <= 1e-9 * scale, name

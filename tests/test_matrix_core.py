@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sampling_reference as ref
 
-from entropylab import matrix_core
+from entropylab import matrix_core, verifiers
 from entropylab.errors import ConvergenceFailure, DimensionError, DomainError, NotAContraction
 from entropylab.matrix_core import (
     Contraction,
@@ -340,7 +340,7 @@ class TestDrawThenBuild:
             draws = [draw(make_rng(seed)) for seed in range(5)]
             stack_built = build(*map(stacked, zip(*draws)))
             for i, d in enumerate(draws):
-                ref.assert_same(matrix_core._entry(stack_built, i), build(*d))
+                ref.assert_same(verifiers._slice(stack_built, i), build(*d))
 
         each(lambda rng: matrix_core._draw_pd(rng, dim, 0.1, 3.0), matrix_core._build_pd)
         each(lambda rng: (matrix_core._complex_gaussian(rng, dim, dim),),

@@ -1,6 +1,6 @@
 """The trace functionals evaluated on kept spectra agree with their matrix
 forms (tests/functional_reference.py), form no log, power or exp matrix,
-and raise NonFiniteObjective where a sum of exps overflows."""
+and raise NonFiniteObjective where a trace sum overflows."""
 
 import warnings
 
@@ -17,6 +17,7 @@ from entropylab.matrix_core import (
     Contraction,
     ContractionTuple,
     HermitianMatrix,
+    PositiveDefiniteMatrix,
     _build_pd,
     _complex_gaussian,
     matrix_log,
@@ -206,9 +207,46 @@ def _wide_instance(top: float) -> fn.MultiInstance:
                             b_list=[wide])
 
 
+def _overflowing_pair_sums() -> dict:
+    """The five functionals whose sums over pairs of eigenvalues overflow on
+    finite arguments near the largest double, with such arguments: a log a
+    at 2e305, and a^(1/2) b^(1/2) or a log a at 8e307."""
+    a = PositiveDefiniteMatrix(np.diag([2e305, 1e305]))
+    b = PositiveDefiniteMatrix(1e305 * np.eye(2))
+    top, eye = PositiveDefiniteMatrix(8e307 * np.eye(3)), np.eye(3)
+    return {"relative_entropy": (fn.relative_entropy, (a, b)),
+            "reduced_relative_entropy": (fn.reduced_relative_entropy, (a, b, np.eye(2))),
+            "gibbs_objective": (fn.gibbs_objective, (a, b)),
+            "lieb_trace": (fn.lieb_trace, (top, top, eye, 0.5)),
+            "lieb_derivative": (fn.lieb_trace_derivative_at_zero,
+                                (PositiveDefiniteMatrix(np.diag([8e307, 1.0, 1.0])),
+                                 PositiveDefiniteMatrix(eye), eye))}
+
+
 class TestNonFiniteSums:
     """e^700 is finite but e^700 e^700 is not: the commuting-case bound and
-    the route value raise as Tr exp does, without a warning."""
+    the route value raise as Tr exp does, without a warning.  So do the
+    relative entropies, the Gibbs objective, the Lieb trace and its
+    derivative where a sum over pairs of eigenvalues overflows."""
+
+    @pytest.mark.parametrize("name", ["relative_entropy", "reduced_relative_entropy",
+                                      "gibbs_objective", "lieb_trace", "lieb_derivative"])
+    def test_an_overflowing_pair_sum_raises(self, name):
+        f, args = _overflowing_pair_sums()[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteObjective, match="is not finite: it overflows"):
+                f(*args)
+
+    def test_one_overflowing_pair_sum_of_a_stack_raises(self):
+        a, b = _overflowing_pair_sums()["relative_entropy"][1]
+        small = PositiveDefiniteMatrix(np.diag([2.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteObjective):
+                fn.relative_entropy(stack([small, a]), stack([small, b]))
+            pair = stack([small, small])
+            assert fn.relative_entropy(pair, pair).tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("f", [fn.gt_jensen_lhs, fn.gt_jensen_rhs, gt_route_value])
     def test_an_overflowing_sum_raises(self, f):

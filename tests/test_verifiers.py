@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from dataclasses import fields, replace
@@ -59,6 +60,26 @@ class TestConfig:
         config = CheckConfig().to_dict()
         assert config["eig_range"] == [0.05, 5.0] == list(EIG_RANGE)
         assert config["lambda_samples"] == [0.25, 0.5, 0.75] == list(verifiers.LAMBDA_SAMPLES)
+
+    def test_every_tolerance_comes_from_tol(self):
+        # Each function of verifiers.py that reads a tolerance setting, by
+        # attribute or by name: only _tol forms a comparison's tolerance, and
+        # CheckConfig's own methods check and record the settings.
+        readers = set()
+
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = f"{owner}.{node.name}" if owner else node.name
+            if (isinstance(node, ast.Attribute) and node.attr in ("tol_abs", "tol_rel")
+                    or isinstance(node, ast.Constant) and node.value in ("tol_abs", "tol_rel")):
+                readers.add(owner)
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        with open(verifiers.__file__, encoding="utf-8") as source:
+            visit(ast.parse(source.read()), None)
+        assert "_tol" in readers
+        assert all(r == "_tol" or r.startswith("CheckConfig.") for r in readers), readers
 
     def test_trial_rng_is_pure_function_of_seed_and_index(self):
         a = trial_rng(7, 3).standard_normal(4)
