@@ -61,7 +61,7 @@ from .serialization import (
     read_fields,
 )
 from .variational import OBJECTIVES, SolverConfig, maximize
-from .verifiers import CHECKS, CheckConfig, DEFAULT_DIMS, DEFAULT_SEED, run_check
+from .verifiers import CHECKS, CheckConfig, DEFAULT_DIMS, DEFAULT_SEED, check_dims, run_check
 
 
 def _seed(text: str) -> int:
@@ -88,9 +88,16 @@ def _resolve_seed(flag_value) -> int:
     return DEFAULT_SEED
 
 
+def _read_instance(obj, path: Path, fields: dict) -> dict:
+    """The typed fields of ``obj``, the instance object loaded from ``path``."""
+    if isinstance(obj, list):  # which read_fields would read as a stack of instances
+        raise ParseError(f"{path}: expected a JSON object, got list")
+    return read_fields(obj, fields, str(path))
+
+
 def cmd_eval(args) -> int:
     attr, fields = fn.FUNCTIONALS[args.functional]
-    inputs = read_fields(load_json(args.instance), fields, str(args.instance))
+    inputs = _read_instance(load_json(args.instance), args.instance, fields)
     value = getattr(fn, attr)(*inputs.values())
     print(f"{value:.15g}")
     if args.out:
@@ -122,6 +129,8 @@ def cmd_check(args) -> int:
         tol_abs=args.tol_abs,
         tol_rel=args.tol_rel,
     )
+    for name in names:  # a check that cannot use the dims fails before any report is written
+        check_dims(name, cfg)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -157,7 +166,7 @@ def cmd_check(args) -> int:
 def cmd_optimize(args) -> int:
     obj = load_json(args.instance)
     cfg = SolverConfig(grad_tol=args.grad_tol)
-    data = read_fields(obj, OBJECTIVES[args.objective][1], str(args.instance))
+    data = _read_instance(obj, args.instance, OBJECTIVES[args.objective][1])
     result = maximize(args.objective, data, cfg)
     record = {
         "objective": args.objective,

@@ -46,10 +46,11 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, OutputError, ParseError
+from .errors import DimensionError, EntropyLabError, OutputError, ParseError
 from .matrix_core import (
     ContractionTuple,
     HermitianMatrix,
@@ -105,12 +106,28 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
-def hermitian_from_json(obj, name: str = "matrix") -> HermitianMatrix:
-    return HermitianMatrix(matrix_from_json(obj, name))
+def _now(make: Callable, *args):
+    """``make(*args)``: how a reader builds each checked value of one object."""
+    return make(*args)
 
 
-def pd_from_json(obj, name: str = "matrix") -> PositiveDefiniteMatrix:
-    return PositiveDefiniteMatrix(matrix_from_json(obj, name))
+class _Later:
+    """A checked value not yet built: ``make(*args)``.  :func:`read_fields`
+    reads each object of a list with these, then builds each one once, on
+    the stack of the objects' arguments (:func:`_built`)."""
+
+    __slots__ = ("make", "args")
+
+    def __init__(self, make: Callable, *args):
+        self.make, self.args = make, args
+
+
+def hermitian_from_json(obj, name: str = "matrix", make: Callable = _now) -> HermitianMatrix:
+    return make(HermitianMatrix, matrix_from_json(obj, name))
+
+
+def pd_from_json(obj, name: str = "matrix", make: Callable = _now) -> PositiveDefiniteMatrix:
+    return make(PositiveDefiniteMatrix, matrix_from_json(obj, name))
 
 
 def contraction_tuple_to_json(t: ContractionTuple) -> dict:
@@ -120,7 +137,8 @@ def contraction_tuple_to_json(t: ContractionTuple) -> dict:
     }
 
 
-def contraction_tuple_from_json(obj, name: str = "contraction tuple") -> ContractionTuple:
+def contraction_tuple_from_json(obj, name: str = "contraction tuple",
+                                make: Callable = _now) -> ContractionTuple:
     if not isinstance(obj, dict) or "H" not in obj:
         raise ParseError(f"{name}: expected an object with an 'H' block list")
     blocks_json = obj["H"]
@@ -130,7 +148,7 @@ def contraction_tuple_from_json(obj, name: str = "contraction tuple") -> Contrac
     flag = obj.get("sum_is_identity", False)
     if not isinstance(flag, bool):
         raise ParseError(f"{name}: key 'sum_is_identity' must be true or false, got {flag!r}")
-    return ContractionTuple(blocks, sum_is_identity=flag)
+    return make(ContractionTuple, blocks, flag)
 
 
 def multi_instance_to_json(inst) -> dict:
@@ -142,7 +160,7 @@ def multi_instance_to_json(inst) -> dict:
     return out
 
 
-def multi_instance_from_json(obj, name: str = "instance"):
+def multi_instance_from_json(obj, name: str = "instance", make: Callable = _now):
     from .functionals import MultiInstance
 
     if not isinstance(obj, dict):
@@ -152,17 +170,17 @@ def multi_instance_from_json(obj, name: str = "instance"):
             raise ParseError(f"{name}: missing required key '{key}'")
     if ("A" in obj) == ("B" in obj):
         raise ParseError(f"{name}: exactly one of 'A' or 'B' must be present")
-    L = hermitian_from_json(obj["L"], name=f"{name}.L")
-    tup = contraction_tuple_from_json(obj, name=f"{name}.H")
+    L = hermitian_from_json(obj["L"], f"{name}.L", make)
+    tup = contraction_tuple_from_json(obj, f"{name}.H", make)
     if "A" in obj:
         if not isinstance(obj["A"], list):
             raise ParseError(f"{name}: 'A' must be a list of matrices")
-        a_list = [pd_from_json(a, name=f"{name}.A[{i}]") for i, a in enumerate(obj["A"])]
-        return MultiInstance(L=L, H=tup, a_list=a_list)
+        a_list = [pd_from_json(a, f"{name}.A[{i}]", make) for i, a in enumerate(obj["A"])]
+        return make(MultiInstance, L, tup, a_list, None)
     if not isinstance(obj["B"], list):
         raise ParseError(f"{name}: 'B' must be a list of matrices")
-    b_list = [hermitian_from_json(b, name=f"{name}.B[{i}]") for i, b in enumerate(obj["B"])]
-    return MultiInstance(L=L, H=tup, b_list=b_list)
+    b_list = [hermitian_from_json(b, f"{name}.B[{i}]", make) for i, b in enumerate(obj["B"])]
+    return make(MultiInstance, L, tup, None, b_list)
 
 
 def _float(obj, name: str) -> float:
@@ -186,20 +204,21 @@ def _weights(obj, name: str) -> tuple:
     return weights
 
 
-def _pd_list(obj, name: str) -> list:
+def _pd_list(obj, name: str, make: Callable) -> list:
     if not isinstance(obj, list):
         raise ParseError(f"{name}: expected a list of matrices")
-    return [pd_from_json(a, name=f"{name}[{i}]") for i, a in enumerate(obj)]
+    return [pd_from_json(a, f"{name}[{i}]", make) for i, a in enumerate(obj)]
 
 
-# Field kinds of an instance object: how one key's value is read.
+# Field kinds of an instance object: how one key's value is read, given how
+# a checked value is built.
 _FIELD_READERS = {
     "pd": pd_from_json,
     "hermitian": hermitian_from_json,
-    "matrix": matrix_from_json,
-    "float": _float,
-    "floats": _floats,           # a number or a list of numbers, as a tuple
-    "weights": _weights,         # the same, each in (0, 1)
+    "matrix": lambda obj, name, make: matrix_from_json(obj, name),
+    "float": lambda obj, name, make: _float(obj, name),
+    "floats": lambda obj, name, make: _floats(obj, name),     # a number or a list, as a tuple
+    "weights": lambda obj, name, make: _weights(obj, name),   # the same, each in (0, 1)
     "pd_list": _pd_list,
 }
 
@@ -212,18 +231,66 @@ def read_fields(obj, fields: dict, name: str = "instance", required: bool = True
     H, A or B, sum_is_identity); every other kind reads its own key with
     ``_FIELD_READERS``.  A missing key raises ParseError, or is left out when
     ``required`` is false.
+
+    A non-empty list of objects of one shape is read as one instance of
+    stacked values, with the bits of each object's values stacked along a
+    leading axis: each object's matrices are parsed, then each checked
+    value is built once, on the stack.  An object that cannot be read alone
+    raises the error of reading it alone (the first such object's).
     """
+    if not isinstance(obj, list):
+        return _read(obj, fields, name, required, _now)
+    if not obj:
+        raise ParseError(f"{name}: expected a non-empty list of JSON objects")
+    try:
+        return _built([_read(o, fields, name, required, _Later) for o in obj])
+    except (EntropyLabError, ValueError) as exc:
+        for o in obj:
+            _read(o, fields, name, required, _now)
+        raise DimensionError(f"{name}: the objects of the list do not stack: {exc}") from exc
+
+
+def _read(obj, fields: dict, name: str, required: bool, make: Callable) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{name}: expected a JSON object, got {type(obj).__name__}")
     out = {}
     for key, kind in fields.items():
         if kind == "multi":
-            out[key] = multi_instance_from_json(obj, name=name)
+            out[key] = multi_instance_from_json(obj, name, make)
         elif key in obj:
-            out[key] = _FIELD_READERS[kind](obj[key], f"{name}: key '{key}'")
+            out[key] = _FIELD_READERS[kind](obj[key], f"{name}: key '{key}'", make)
         elif required:
             raise ParseError(f"{name}: missing required key '{key}'")
     return out
+
+
+def _built(values: list):
+    """One value from the reads of several objects: each ``_Later`` built
+    once from its arguments joined across the objects, in the order in
+    which one object's read builds them; arrays and numbers stacked with
+    ``np.array``; dicts, lists and tuples entry by entry; any other value
+    (a flag, None) as it is.  Values that do not stack, such as arrays of
+    two shapes or two flags, are a ValueError."""
+    first = values[0]
+    if any(type(v) is not type(first) for v in values):
+        raise ValueError("the objects differ in the types of their values")
+    if isinstance(first, (np.ndarray, float)):
+        return np.array(values)
+    if isinstance(first, _Later):
+        if any(v.make is not first.make for v in values):
+            raise ValueError("the objects differ in the types of their values")
+        return first.make(*(_built(list(column)) for column in zip(*(v.args for v in values))))
+    if isinstance(first, dict):
+        if any(v.keys() != first.keys() for v in values):
+            raise ValueError("the objects differ in their keys")
+        return {key: _built([v[key] for v in values]) for key in first}
+    if isinstance(first, (list, tuple)):
+        if any(len(v) != len(first) for v in values):
+            raise ValueError("the objects differ in the lengths of their lists")
+        return type(first)(_built(list(column)) for column in zip(*values))
+    if any(v != first for v in values):
+        raise ValueError(f"the objects differ in a value: {first!r} and another")
+    return first
 
 
 class _Unwritten(Exception):

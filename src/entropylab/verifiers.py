@@ -16,7 +16,10 @@ Each check is declared as a :class:`Check` rather than written as a loop:
   imaginary parts, once per group: it
   makes the instance, a dict of typed values, from one draw, or one
   instance of stacked values from a group of draws stacked along a leading
-  axis, each entry with the bits of building its draw alone;
+  axis, each entry with the bits of building its draw alone.  It makes one
+  builder call per shape (:func:`_fused`): a group's same-shape fields, such
+  as sh_convexity's A1, B1, A2 and B2, are built as one stack, as many to a
+  call as fit ``BLOCK_BYTES``;
 - ``compare(instance, cfg, functionals)`` is a lazy generator of
   :class:`Comparison` s (kind, lhs, rhs, gap, tol, strict), each holding
   the values that its record's instance dump is made of;
@@ -57,7 +60,7 @@ bits of its trial's own value, so each trial's gaps and records come from
 its entry of the stacked comparisons: lhs, rhs, gap, tol, extra, and the
 dump of the trial's slice of the held values (for the witness search, the
 gaps up to the first breach and one record).  One walk, :func:`_stacked`,
-stacks draws and read-back dumps, and takes a trial's entry (:func:`_slice`).
+stacks draws, or the fields of a fused build, and takes an entry (:func:`_slice`).
 A group whose build, compare or re-verification raises is split in halves,
 down to stacks of one trial; such a trial keeps what it recorded before the
 raise and gets its error record.  There is no other trial path: a lone
@@ -96,8 +99,9 @@ instance), which is exact up to arithmetic noise.  `search_gt_route_gap`
 inverts the usual pass meaning: it hunts for witnesses that the
 Golden-Thompson-first bound Tr(e^L e^(sum H_i* B_i H_i)) can exceed the
 commuting-case bound, keeps at most one per trial, re-verifies each by
-replaying its JSON dump (the dumps of a group are read back, stacked and
-compared at once), and passes when it finds one and no trial errored.
+replaying its JSON dump (the dumps of a group's record kind make one JSON
+round trip, are read back as one stack by ``read_fields`` and are compared
+at once), and passes when it finds one and no trial errored.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial, reduce
-from itertools import islice
+from itertools import groupby, islice
 from typing import Callable, Hashable, NamedTuple
 
 import numpy as np
@@ -156,10 +160,11 @@ HOMOGENEITY_BREAK_MIN = 1e-3
 BREAK_ATTEMPTS = 20
 # Instance families of the gt_jensen check, cycled by trial index.
 GT_FAMILIES = ("general", "golden_thompson", "general", "jensen")
-# Bytes of the largest matrix stack that a group, or one pass of a group over
-# the points of a segment, may build: 2048 trials of 2 x 2 matrices, 128 at
-# k = 4 in multi_concavity (8 x 8 lift), 8 at n = 32.  Swept on check_large
-# (BENCH_25.json): 64/128/256 KiB: 0.69/0.64/0.61 s, 44.1/45.5/47.5 MB peak RSS.
+# Bytes of the largest matrix stack that a group, one pass of a group over the
+# points of a segment, or one fused build of a group's same-shape fields may
+# build: 2048 trials of 2 x 2 matrices, 128 at k = 4 in multi_concavity (8 x 8
+# lift), 8 at n = 32.  Swept on check_large (BENCH_25.json): 64/128/256 KiB:
+# 0.69/0.64/0.61 s, 44.1/45.5/47.5 MB peak RSS.
 BLOCK_BYTES = 1 << 17
 
 
@@ -486,8 +491,8 @@ def _run_group(check: Check, cfg: CheckConfig, funcs: dict, group: list) -> dict
 
 
 def _stacked(values: list, join: Callable = np.array):
-    """One value stacked from values of one shape (draws of one key, or
-    instances read back from dumps): arrays as stacks, floats as arrays,
+    """One value stacked from values of one shape (draws of one key, or the
+    same-shape fields of a build): arrays as stacks, floats as arrays,
     checked matrix values as stacked values that are not checked again,
     dicts, sequences and dataclasses field by field, anything else as it
     is.  Each array is ``join`` of the list of its values' arrays (np.array
@@ -516,6 +521,44 @@ def _slice(value, i: int):
     return _stacked([value], lambda parts: parts[0][i] if np.ndim(parts[0]) else parts[0])
 
 
+def _fused(build: Callable, fields: list, *args) -> list:
+    """``[build(*field, *args) for field in fields]``, a field being a tuple of
+    stacked arguments or one stacked argument.  Each run of consecutive
+    same-shape fields is joined along a new leading axis (:func:`_stacked`),
+    built by one call per as many fields as keep the joined stack within
+    BLOCK_BYTES, and split (:func:`_slice`): each value has the bits, the kept
+    spectrum or its absence and the ``min_eigenvalue`` of its own build.  A
+    call that raises is redone field by field, so the first field that fails
+    raises its own error."""
+    fields = [f if isinstance(f, tuple) else (f,) for f in fields]
+    out = []
+    for _, run in groupby(fields, lambda f: _largest(f).shape):
+        run = list(run)
+        size = max(1, BLOCK_BYTES // _largest(run[0]).nbytes)
+        for part in (run[start:start + size] for start in range(0, len(run), size)):
+            if len(part) > 1:
+                try:
+                    value = build(*_stacked(part), *args)
+                except EntropyLabError:
+                    pass  # built field by field below, where the failing field raises
+                else:
+                    out += [_slice(value, i) for i in range(len(part))]
+                    continue
+            out += [build(*f, *args) for f in part]
+    return out
+
+
+def _largest(field: tuple) -> np.ndarray:
+    """The array of a field's last argument (a draw's Gaussian parts, or a
+    value's matrix), the largest that its build makes."""
+    return getattr(field[-1], "mat", field[-1])
+
+
+def _fused_pd(d: dict, *keys) -> dict:
+    """{key: the PD value of the draw d[key]} for ``keys``, built by :func:`_fused`."""
+    return dict(zip(keys, _fused(_build_pd, [d[key] for key in keys])))
+
+
 def _record(check: Check, trial: int, c: Comparison, i: int) -> dict:
     """The record of entry i of a stacked comparison c, with the dump of
     that entry's slice of the values c holds.  A witness record gets its
@@ -530,16 +573,17 @@ def _record(check: Check, trial: int, c: Comparison, i: int) -> dict:
 
 def _reverify(check: Check, records: list) -> None:
     """Re-verify witness records from their serialized dumps with the
-    genuine functionals.  The dumps of each record kind make a JSON round
-    trip, are read back with ``fields``, stacked, and compared once; each
-    record gets its replayed gap and whether it is within 1e-12 of its own."""
+    genuine functionals.  The dumps of each record kind make one JSON round
+    trip as a list, are read back with ``fields`` as one stack, and are
+    compared once; each record gets its replayed gap and whether it is
+    within 1e-12 of its own."""
     kinds: dict = {}
     for r in records:
         kinds.setdefault(r["kind"], []).append(r)
     for kind, same in kinds.items():
-        read = [read_fields(json.loads(json.dumps(r["instance"])), check.fields, required=False)
-                for r in same]
-        redo = np.broadcast_to(_replay(check, kind, _stacked(read)).gap, len(same)).tolist()
+        dumped = json.loads(json.dumps([r["instance"] for r in same]))
+        read = read_fields(dumped, check.fields, required=False)
+        redo = np.broadcast_to(_replay(check, kind, read).gap, len(same)).tolist()
         for r, gap in zip(same, redo):
             r["reverified_gap"] = gap
             r["reverified"] = abs(gap - r["gap"]) <= 1e-12
@@ -577,8 +621,8 @@ def _draw_sh(rng, kmn, trial) -> dict:
 
 
 def _build_sh(d: dict) -> dict:
-    return {"H": _build_contraction(*d["H"]),
-            **{key: _build_pd(*d[key]) for key in ("A1", "B1", "A2", "B2")}, "lam": d["lam"]}
+    return {"H": _build_contraction(*d["H"]), **_fused_pd(d, "A1", "B1", "A2", "B2"),
+            "lam": d["lam"]}
 
 
 def _batch(value) -> int:
@@ -607,7 +651,7 @@ def _draw_phi(rng, kmn, trial) -> dict:
 
 def _build_phi(d: dict) -> dict:
     return {"H": _build_contraction(*d["H"]), "L": _build_hermitian(d["L"]),
-            "A1": _build_pd(*d["A1"]), "A2": _build_pd(*d["A2"]), "lam": d["lam"]}
+            **_fused_pd(d, "A1", "A2"), "lam": d["lam"]}
 
 
 def _compare_phi(inst, cfg, f):
@@ -632,9 +676,9 @@ def _draw_multi(rng, kmn, trial) -> dict:
 def _build_multi(d: dict) -> dict:
     tup = _build_tuple(*d["H"])
     L = _build_hermitian(d["L"])
-    a1s = [_build_pd(*a) for a in d["A1"]]
-    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=a1s),
-            "A2": [_build_pd(*a) for a in d["A2"]], "lam": d["lam"]}
+    a_s = _fused(_build_pd, d["A1"] + d["A2"])
+    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=a_s[:tup.k]),
+            "A2": a_s[tup.k:], "lam": d["lam"]}
 
 
 def _compare_multi(inst, cfg, f):
@@ -686,7 +730,7 @@ def _build_gt_jensen(d: dict) -> dict:
     L = (HermitianMatrix(np.zeros(shape[:-3] + (tup.n, tup.n))) if d["L"] is None
          else _build_hermitian(d["L"]))
     return {"kind": d["kind"],
-            "inst": fn.MultiInstance(L=L, H=tup, b_list=[_build_hermitian(b) for b in d["B"]])}
+            "inst": fn.MultiInstance(L=L, H=tup, b_list=_fused(_build_hermitian, d["B"]))}
 
 
 def _compare_gt_jensen(inst, cfg, f):
@@ -702,7 +746,7 @@ def _draw_gibbs(rng, kmn, trial) -> dict:
 
 
 def _build_gibbs(d: dict) -> dict:
-    return {"B": _build_pd(*d["B"]), "X": _build_pd(*d["X"])}
+    return _fused_pd(d, "B", "X")
 
 
 def _compare_gibbs(inst, cfg, f):
@@ -725,7 +769,7 @@ def _draw_derivative(rng, kmn, trial) -> dict:
 
 
 def _build_derivative(d: dict) -> dict:
-    return {"A": _build_pd(*d["A"]), "B": _build_pd(*d["B"]), "H": _build_contraction(*d["H"])}
+    return {**_fused_pd(d, "A", "B"), "H": _build_contraction(*d["H"])}
 
 
 def _compare_derivative(inst, cfg, f):
@@ -767,12 +811,15 @@ def _build_route(d: dict) -> dict:
     # eigendirection of e^(sum H* B H) - sum H* e^B H (a random search over
     # L alone almost never aligns with that thin direction).
     tup = _build_tuple(*d["H"])
-    bs = [_build_hermitian(b, 3.0) for b in d["B"]]
+    bs = _fused(_build_hermitian, d["B"], 3.0)
     l_random = _build_hermitian(d["L"], d["L_scale"])
     zero = HermitianMatrix(np.zeros(l_random.mat.shape))
     conj = fn._conjugated_sum(zero, tup, [b.mat for b in bs])
-    diff = (matrix_exp(HermitianMatrix(conj)).mat
-            - fn._conjugated_sum(zero, tup, [matrix_exp(b).mat for b in bs]))
+    top = matrix_exp(HermitianMatrix(conj)).mat
+    # The B_i are decomposed as one stack after the exponent, as each was alone,
+    # so errors keep their order; each keeps its spectrum.
+    bs, exps = zip(*_fused(lambda b: (b, matrix_exp(b)), bs))
+    diff = top - fn._conjugated_sum(zero, tup, [e.mat for e in exps])
     spike = spectral_decompose(HermitianMatrix(diff)).eigenvectors[..., -1:]
     l_probe = HermitianMatrix(_per_entry(d["alpha"]) * (spike @ _adjoint(spike)))
     return {"inst": fn.MultiInstance(L=l_random, H=tup, b_list=bs),
@@ -796,8 +843,7 @@ def _draw_homogeneity(rng, kmn, trial) -> dict:
 def _build_homogeneity(d: dict) -> dict:
     tup = _build_tuple(*d["H"])
     L = _build_hermitian(d["L"])
-    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=[_build_pd(*a) for a in d["A"]]),
-            "t": d["t"]}
+    return {"inst": fn.MultiInstance(L=L, H=tup, a_list=_fused(_build_pd, d["A"])), "t": d["t"]}
 
 
 def _compare_homogeneity(inst, cfg, f):
@@ -998,9 +1044,16 @@ CHECKS: dict[str, Callable[[CheckConfig], CheckReport]] = {
 
 
 def run_check(name: str, cfg: CheckConfig) -> CheckReport:
+    check_dims(name, cfg)
+    return CHECKS[name](cfg)
+
+
+def check_dims(name: str, cfg: CheckConfig) -> tuple:
+    """The dims triples of ``cfg`` that check ``name`` draws from; a
+    DomainError names an unknown check, or one that can use none of them."""
     if name not in CHECKS:
         raise DomainError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-    return CHECKS[name](cfg)
+    return _SPECS[name].dims(cfg)
 
 
 def run_all(cfg: CheckConfig, names: list[str] | None = None) -> list[CheckReport]:
@@ -1023,5 +1076,7 @@ def re_evaluate(check_name: str, record: dict) -> dict:
         raise DomainError(f"check {check.name!r} has no comparison of kind {kind!r}")
     if "instance" not in record:
         raise ParseError("record: missing required key 'instance'")
+    if isinstance(record["instance"], list):  # which read_fields would read as a stack
+        raise ParseError("instance: expected a JSON object, got list")
     c = _replay(check, kind, read_fields(record["instance"], check.fields, required=False))
     return {"lhs": float(c.lhs), "rhs": float(c.rhs), "gap": float(c.gap)}

@@ -192,6 +192,15 @@ class TestEval:
         assert code == 2 and not out
         assert "'p'" in err and "expected a number" in err
 
+    @pytest.mark.parametrize("command", ["eval relative_entropy", "optimize gibbs"])
+    def test_a_list_of_instances_exits_2(self, tmp_path, capsys, command):
+        obj = {"A": matrix_to_json(np.eye(2)), "B": matrix_to_json(np.eye(2)),
+               "X": matrix_to_json(np.eye(2))}
+        path = write_instance(tmp_path, "list.json", [obj, obj])
+        code, out, err = run(capsys, *command.split(), path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: expected a JSON object, got list\n"
+
     def test_unknown_functional_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "nonsense", "x.json"])
@@ -339,6 +348,17 @@ class TestCheck:
                              "--out-dir", str(out_dir))
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot create {out_dir}: ")
+
+    def test_dims_that_a_later_check_cannot_use_exit_2_before_any_report(self, tmp_path,
+                                                                          capsys):
+        # Every check but gt_route_gap can run at k = 1; the route search's
+        # dims are resolved, with every other check's, before any check runs.
+        out_dir = tmp_path / "reports"
+        code, out, err = run(capsys, "check", "all", "--trials", "2", "--dims", "1,1,1",
+                             "--out-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == "error: search_gt_route_gap needs at least one dims triple with k >= 2\n"
+        assert not out_dir.exists()
 
     def test_bad_dims_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "check", "gibbs_identity",

@@ -8,9 +8,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entropylab.errors import DimensionError, DomainError, OutputError, ParseError
+import sampling_reference as ref
+
+from entropylab import verifiers
+from entropylab.errors import (
+    DimensionError,
+    DomainError,
+    EntropyLabError,
+    NotAContraction,
+    OutputError,
+    ParseError,
+)
 from entropylab.functionals import MultiInstance
-from entropylab.matrix_core import make_rng, random_contraction_tuple, random_hermitian, random_pd
+from entropylab.matrix_core import (
+    ContractionTuple,
+    HermitianMatrix,
+    make_rng,
+    random_contraction_tuple,
+    random_hermitian,
+    random_pd,
+)
 from entropylab.serialization import (
     contraction_tuple_from_json,
     contraction_tuple_to_json,
@@ -388,6 +405,96 @@ class TestReadFields:
     def test_rejects_non_object(self):
         with pytest.raises(ParseError):
             read_fields([1, 2], {"A": "pd"})
+
+
+def _bits(value):
+    """A read value as nested tuples of its types, shapes and bytes: its
+    matrices, kept spectra (or None) and min_eigenvalue, flags and numbers."""
+    if isinstance(value, dict):
+        return tuple((key, _bits(v)) for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, *map(_bits, value))
+    if isinstance(value, MultiInstance):
+        return ("multi", *(_bits(getattr(value, f)) for f in ("L", "H", "a_list", "b_list")))
+    if isinstance(value, ContractionTuple):
+        return ("tuple", value.k, value.m, value.n, value.sum_is_identity, _bits(value.blocks))
+    if isinstance(value, HermitianMatrix):
+        spectrum = value._spectrum and (value._spectrum.eigenvalues, value._spectrum.eigenvectors)
+        return (type(value).__name__, _bits(value.mat), _bits(spectrum),
+                _bits(getattr(value, "min_eigenvalue", None)))
+    if isinstance(value, np.ndarray):
+        return value.shape, value.dtype.str, value.tobytes()
+    if isinstance(value, float):
+        return float.hex(value)
+    return value
+
+
+def _signature(obj):
+    """What the instance objects that stack share: matrix shapes, list
+    lengths, flags and keys."""
+    if isinstance(obj, dict):
+        if "data" in obj:
+            return obj["rows"], obj["cols"]
+        return tuple((key, _signature(v)) for key, v in sorted(obj.items()))
+    if isinstance(obj, list):
+        return tuple(map(_signature, obj))
+    return obj if isinstance(obj, bool) else type(obj).__name__
+
+
+class TestReadStacked:
+    """A list of instance objects is read as one instance of stacked values."""
+
+    @pytest.mark.parametrize("name", list(verifiers.CHECKS))
+    def test_a_list_reads_as_the_reads_of_its_objects_stacked(self, name):
+        # Every dump that replay reads: each comparison's instance, for six
+        # trials built alone, read with the check's own fields.
+        spec = verifiers._SPECS[name]
+        cfg = verifiers.CheckConfig(trials=6, seed=3, dims=((2, 3, 3),))
+        groups = {}
+        for t in range(cfg.trials):
+            instance = ref.sample(spec, verifiers.trial_rng(cfg.seed, t), spec.dims(cfg), t)
+            for c in spec.compare(instance, cfg, spec.functionals()):
+                dump = json.loads(json.dumps(verifiers._dump(**c.dump)))
+                groups.setdefault((c.kind, _signature(dump)), []).append(dump)
+        assert max(map(len, groups.values())) >= 3
+        for objs in groups.values():
+            alone = [read_fields(o, spec.fields, required=False) for o in objs]
+            stacked = read_fields(objs, spec.fields, required=False)
+            assert _bits(stacked) == _bits(verifiers._stacked(alone))
+
+    @pytest.mark.parametrize("bad", ["pd", "hermitian", "parse", "contraction"])
+    def test_an_object_raises_the_error_of_reading_it_alone(self, bad):
+        # The second bad object is worse, so that an error taken over the
+        # whole stack would name its numbers, not those of the first.
+        fields = {"X": "pd", "inst": "multi"}
+        good = {**_instance_json(), "X": matrix_to_json(np.diag([1.0, 2.0]))}
+
+        def edited(worse):
+            if bad == "pd":
+                return {**good, "X": matrix_to_json(np.diag([-worse, 1.0]))}
+            if bad == "hermitian":
+                return {**good, "L": matrix_to_json(np.array([[0.0, worse], [0.0, 0.0]]))}
+            if bad == "parse":
+                return {**good, "X": {"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * (2 + worse)}}
+            return {**good, "H": [matrix_to_json(np.diag([1.0 + worse, 0.0]))]}
+
+        first, second = edited(1), edited(3)
+        with pytest.raises(EntropyLabError) as alone:
+            read_fields(first, fields)
+        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+            read_fields([good, first, second], fields)
+        assert isinstance(alone.value, ParseError if bad == "parse" else DomainError
+                          if bad != "contraction" else NotAContraction)
+
+    def test_objects_that_do_not_stack_are_a_dimension_error(self):
+        small = _instance_json()
+        large = multi_instance_to_json(MultiInstance(
+            L=random_hermitian(3, 1.0, 1), H=random_contraction_tuple(1, 3, 3, True, 2),
+            a_list=[random_pd(3, seed=3)]))
+        with pytest.raises(DimensionError, match="the objects of the list do not stack"):
+            read_fields([small, large], {"inst": "multi"})
+        with pytest.raises(ParseError, match="non-empty list"):
+            read_fields([], {"inst": "multi"})
 
 
 def _instance_json() -> dict:

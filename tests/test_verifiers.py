@@ -20,6 +20,7 @@ from entropylab.matrix_core import (
 from entropylab.serialization import matrix_from_json, matrix_to_json, multi_instance_to_json
 from entropylab.verifiers import (
     CHECKS,
+    DEFAULT_DIMS,
     CheckConfig,
     check_derivative_limit,
     check_gibbs_identity,
@@ -343,6 +344,13 @@ class TestViolationDumps:
     def test_record_that_is_not_an_object_is_a_parse_error(self, record):
         with pytest.raises(ParseError, match="record: expected a JSON object"):
             re_evaluate("sh_convexity", record)
+
+    def test_instance_that_is_a_list_is_a_parse_error(self):
+        record = check_gibbs_identity(CheckConfig(trials=2, seed=1),
+                                      objective_fn=lambda x, b: -fn.gibbs_objective(x, b)
+                                      ).violations[0]
+        with pytest.raises(ParseError, match="^instance: expected a JSON object, got list$"):
+            re_evaluate("gibbs_identity", {**record, "instance": [record["instance"]] * 2})
 
     def test_record_without_instance_is_a_parse_error(self):
         with pytest.raises(ParseError, match="record: missing required key 'instance'"):
@@ -883,6 +891,103 @@ class TestStackedSampling:
         assert cap == verifiers.BLOCK_BYTES // (8 * 8 * 16) and sorted(built) == sorted(expected)
 
 
+def _field_by_field(build, fields, *args):
+    """``verifiers._fused`` as one builder call per field."""
+    return [build(*(f if isinstance(f, tuple) else (f,)), *args) for f in fields]
+
+
+class TestFusedBuilds:
+    """A build makes one builder call per shape: a group's same-shape fields
+    are built as one stack within the byte budget, and each value is the
+    one that its own build makes."""
+
+    @pytest.mark.parametrize("budget", ["default", "4KiB"])
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_fused_build_equals_the_builds_field_by_field(self, name, size, budget,
+                                                          monkeypatch):
+        if budget == "4KiB":
+            monkeypatch.setattr(verifiers, "BLOCK_BYTES", 1 << 12)
+        cfg = _sizes(name)[size]
+        spec = verifiers._SPECS[name]
+        draws = _draws(spec, cfg)
+        groups = list(_groups(spec, cfg).values())
+        fused = [spec.build(verifiers._stacked([draws[t] for t in g])) for g in groups]
+        monkeypatch.setattr(verifiers, "_fused", _field_by_field)
+        for g, built in zip(groups, fused):
+            alone = spec.build(verifiers._stacked([draws[t] for t in g]))
+            for i in range(len(g)):
+                # mat, kept spectrum or its absence and min_eigenvalue, bit for bit
+                ref.assert_same(verifiers._slice(built, i), verifiers._slice(alone, i))
+
+    @pytest.mark.parametrize("budget", [None, 1 << 12])
+    def test_fused_stacks_stay_within_the_byte_budget(self, budget, monkeypatch):
+        if budget:
+            monkeypatch.setattr(verifiers, "BLOCK_BYTES", budget)
+        fused = []  # (fields, bytes) of each fused builder call
+
+        def recording(build, arg):
+            def recorded(*args):
+                value = args[arg]
+                a = getattr(value, "mat", value)
+                if a.ndim == (4 if a is not value else 5):  # a field axis before the trials
+                    fused.append((a.shape[0], a.nbytes))
+                return build(*args)
+            return recorded
+
+        monkeypatch.setattr(verifiers, "_build_pd", recording(verifiers._build_pd, 1))
+        monkeypatch.setattr(verifiers, "_build_hermitian",
+                            recording(verifiers._build_hermitian, 0))
+        monkeypatch.setattr(verifiers, "matrix_exp", recording(verifiers.matrix_exp, 0))
+        for name in CHECKS:
+            assert run_check(name, CheckConfig(trials=200, seed=7)).passed
+        for dims in LARGE_DIMS:
+            cfg = CheckConfig(trials=8, seed=7, dims=(dims,))
+            for name in CHECKS:
+                if name != "gt_route_gap":
+                    run_check(name, cfg)
+        assert fused and all(n > 1 for n, _ in fused)
+        assert max(size for _, size in fused) <= verifiers.BLOCK_BYTES
+
+    def test_no_field_fuses_where_one_fills_the_budget(self, monkeypatch):
+        calls = []
+        genuine = verifiers._stacked
+        monkeypatch.setattr(verifiers, "_stacked",
+                            lambda values, *join: calls.append(len(values)) or genuine(values, *join))
+        for name in ("sh_convexity", "gibbs_identity", "homogeneity"):
+            run_check(name, CheckConfig(trials=8, seed=7, dims=((1, 32, 32),)))
+        # Only the draws of each group, and the points of each pass, are stacked.
+        assert set(calls) <= {1, 8}
+
+    def test_a_failing_field_is_rebuilt_field_by_field(self, monkeypatch):
+        # The third field of trial 7 (its A2) fails to build: the fused call
+        # of the four PD fields raises, and the fields are built one by one,
+        # so the error is the one that the failing field's own build raises.
+        cfg = CheckConfig(trials=30, seed=5)
+        spec = verifiers._SPECS["sh_convexity"]
+        draws = _draws(spec, cfg)
+        chosen = draws[7]["A2"][1]
+        built = []
+        genuine = verifiers._build_pd
+
+        def build_pd(w, g):
+            built.append(g.size // chosen.size)
+            if g.shape[-3:] == chosen.shape and np.all(g == chosen, axis=(-3, -2, -1)).any():
+                raise DomainError(f"a stack of {g.size // chosen.size} matrices holds the draw")
+            return genuine(w, g)
+
+        monkeypatch.setattr(verifiers, "_build_pd", build_pd)
+        group = next(g for g in _groups(spec, cfg).values() if 7 in g)
+        with pytest.raises(DomainError, match=f"^a stack of {len(group)} matrices"):
+            spec.build(verifiers._stacked([draws[t] for t in group]))
+        assert built == [4 * len(group)] + [len(group)] * 3
+        report = check_sh_convexity(cfg)
+        assert report.violations == [
+            {"kind": "error", "trial": 7, "error": "a stack of 1 matrices holds the draw"}]
+        monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
+        assert check_sh_convexity(cfg).to_json() == report.to_json()
+
+
 class TestWholeRunGroups:
     """Each signature is built and compared once per run, within the byte
     budget of its own dims, and witnesses are re-verified in stacks."""
@@ -953,6 +1058,15 @@ class TestWholeRunGroups:
         assert report.violations
         for w in report.violations:
             assert w["reverified"]
+            redo = re_evaluate("gt_route_gap", w)
+            assert float(w["reverified_gap"]).hex() == float(redo["gap"]).hex()
+
+    @pytest.mark.parametrize("seed", [7, 1])
+    @pytest.mark.parametrize("dims", [DEFAULT_DIMS, ((2, 8, 8),)])
+    def test_stacked_read_back_reverifies_each_record(self, seed, dims):
+        report = search_gt_route_gap(CheckConfig(trials=200, seed=seed, dims=dims))
+        assert report.passed
+        for w in report.violations:
             redo = re_evaluate("gt_route_gap", w)
             assert float(w["reverified_gap"]).hex() == float(redo["gap"]).hex()
 
