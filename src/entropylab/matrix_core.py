@@ -204,6 +204,9 @@ class ContractionTuple:
 
     When ``sum_is_identity`` is set the blocks must satisfy
     sum(H_i* H_i) = I_n up to round-off, which is checked at construction.
+    A stack may give one flag per entry (an array of the stack's shape);
+    then only the flagged entries are checked.  The flags are kept as one
+    bool when the entries agree, and as that array when they differ.
     An entry of a block is at most the block's norm, so a tuple with an
     entry above 1 (up to ``CONTRACTION_TOL``) is rejected before the sum is
     formed, where its squares could overflow.
@@ -211,7 +214,7 @@ class ContractionTuple:
 
     __slots__ = ("blocks", "k", "m", "n", "sum_is_identity")
 
-    def __init__(self, blocks: Sequence[np.ndarray], sum_is_identity: bool = False):
+    def __init__(self, blocks: Sequence[np.ndarray], sum_is_identity: bool | np.ndarray = False):
         mats = tuple(as_complex_matrix(b, name=f"block {i}") for i, b in enumerate(blocks))
         if not mats:
             raise DimensionError("a contraction tuple needs at least one block")
@@ -219,6 +222,10 @@ class ContractionTuple:
         for i, b in enumerate(mats):
             if b.shape != shape:
                 raise DimensionError(f"block {i} has shape {b.shape}, expected {shape}")
+        flags = _flag(sum_is_identity)
+        if not isinstance(flags, bool) and flags.shape != shape[:-2]:
+            raise DimensionError(f"sum_is_identity has shape {flags.shape}, "
+                                 f"expected one flag per block stack entry {shape[:-2]}")
         for i, b in enumerate(mats):
             b.setflags(write=False)
             entry = np.abs(b).max()
@@ -230,8 +237,10 @@ class ContractionTuple:
         if _any(~(top <= 1.0 + CONTRACTION_TOL)):
             raise NotAContraction(
                 f"largest eigenvalue of sum(H_i* H_i) is {float(np.max(top)):.12f} > 1")
-        if sum_is_identity:
+        if flags is not False:
             dev = np.abs(gram - np.eye(n)).max(axis=_MATRIX_AXES)
+            if flags is not True:
+                dev = np.where(flags, dev, 0.0)  # the flagged entries only
             if _any(dev > IDENTITY_SUM_TOL):
                 raise DomainError(
                     f"blocks do not sum to the identity: max deviation {np.max(dev):.3e}")
@@ -239,7 +248,7 @@ class ContractionTuple:
         self.k = len(mats)
         self.m = m
         self.n = n
-        self.sum_is_identity = bool(sum_is_identity)
+        self.sum_is_identity = flags
 
     def gram(self) -> np.ndarray:
         return _gram(self.blocks)
@@ -247,6 +256,19 @@ class ContractionTuple:
     def __repr__(self) -> str:
         return (f"ContractionTuple(k={self.k}, m={self.m}, n={self.n}, "
                 f"sum_is_identity={self.sum_is_identity})")
+
+
+def _flag(flags):
+    """A flag, or one flag per stack entry: a bool when every entry agrees,
+    else the read-only bool array."""
+    if not isinstance(flags, np.ndarray) or flags.ndim == 0:
+        return bool(flags)
+    raised = np.count_nonzero(flags)  # one C call, where .all() and .any() take two
+    if raised == flags.size:
+        return True
+    if raised == 0:
+        return False
+    return _frozen(np.array(flags, dtype=bool))
 
 
 class Contraction:
@@ -503,13 +525,19 @@ def _joined(values: Sequence):
 
 def _combined(values: Sequence, join: Callable):
     """A value of the type of ``values[0]`` made of ``join`` of the values'
-    arrays, slot by slot: the one list of the arrays of each checked type."""
+    arrays, slot by slot: the one list of the arrays of each checked type.
+    Tuples keep their ``sum_is_identity`` as one bool where every value
+    holds the same bool, and otherwise join it as one flag per entry."""
     first = values[0]
     out = type(first).__new__(type(first))
     if isinstance(first, ContractionTuple):
         out.blocks = tuple(_frozen(join(b)) for b in zip(*(v.blocks for v in values)))
         out.k, out.m, out.n = first.k, first.m, first.n
-        out.sum_is_identity = first.sum_is_identity
+        flag = first.sum_is_identity
+        if not (isinstance(flag, bool) and all(v.sum_is_identity is flag for v in values)):
+            flag = _flag(join([np.broadcast_to(v.sum_is_identity, v.blocks[0].shape[:-2])
+                               for v in values]))  # one flag per entry
+        out.sum_is_identity = flag
         return out
     out.mat = _frozen(join([v.mat for v in values]))
     if isinstance(first, HermitianMatrix):
@@ -783,10 +811,10 @@ def _build_contraction(g: np.ndarray, target) -> Contraction:
 def _draw_tuple(rng: np.random.Generator, k: int, m: int, n: int,
                 sum_is_identity: bool) -> tuple:
     """The numbers of a random contraction tuple, as (k, m, n, Gaussian,
-    scale): the scale is drawn only for a strict tuple, and is None for an
-    isometric one."""
+    scale): the scale is drawn only for a strict tuple, in (0, 1), and is
+    1.0 for an isometric one, so the two draw the same shapes."""
     g = _complex_gaussian(rng, k * m, n) if k * m >= n else _complex_gaussian(rng, n, k * m)
-    u = None
+    u = 1.0
     if not sum_is_identity:
         u = rng.uniform()
         if u == 0.0:
@@ -795,13 +823,19 @@ def _draw_tuple(rng: np.random.Generator, k: int, m: int, n: int,
 
 
 def _build_tuple(k: int, m: int, n: int, g: np.ndarray, u) -> ContractionTuple:
+    """The tuple of a draw, or the stacked tuple of a stack of draws: an
+    entry of scale 1.0 is isometric and is not scaled, so it keeps the bits
+    of its Haar blocks, and every other entry is scaled by its u."""
     stacked = _build_haar(g)
     if k * m < n:
         stacked = _adjoint(stacked)
-    if u is not None:
+    isometric = _flag(u == 1.0)
+    if isometric is False:
         stacked = _per_entry(u) * stacked
+    elif isometric is not True:
+        stacked = np.where(_per_entry(isometric), stacked, _per_entry(u) * stacked)
     blocks = [stacked[..., i * m:(i + 1) * m, :] for i in range(k)]
-    return ContractionTuple(blocks, sum_is_identity=u is None)
+    return ContractionTuple(blocks, sum_is_identity=isometric)
 
 
 def random_contraction_tuple(k: int, m: int, n: int, sum_is_identity: bool,

@@ -6,8 +6,8 @@ Each check is declared as a :class:`Check` rather than written as a loop:
 - ``draw(rng, kmn, trial) -> draw`` makes one trial's generator
   calls, from the trial's substream, after the run loop has picked the
   trial's (k, m, n) triple from that substream, and nothing else: it
-  returns the drawn numbers and the fields that choose a shape or a family
-  (dims, gt_jensen's family, ``sum_is_identity``).  Its calls keep the
+  returns the drawn numbers and the trial's labels (gt_jensen's family;
+  an isometric tuple has the scale 1.0).  Its calls keep the
   order of the one-pass samplers it replaced; reordering two changes every
   later number of the substream, and so the reports;
 - ``build(draw) -> instance`` does everything else and owns every check
@@ -31,8 +31,10 @@ Each check is declared as a :class:`Check` rather than written as a loop:
   Where a record's instance is that of an ``eval`` functional (gt_jensen,
   gibbs_identity, derivative_limit and gt_route_gap), ``fields`` is read
   from ``functionals.FUNCTIONALS``, so the record is an ``eval`` instance;
-- ``key(kmn, draw)`` is what fixes the shapes of a draw: the dims it uses
-  and the fields that choose a family.  Draws of one key stack together.
+- ``key(kmn, draw)`` is the shapes of a draw and nothing else: the dims
+  it uses.  Draws of one key stack together, and a label that differs per
+  trial (gt_jensen's family, a tuple's ``sum_is_identity``) stacks like a
+  per-trial number.
 
 One run loop (:func:`_run`) serves every check.  Trial i uses the substream
 derived from (seed, i), :func:`trial_rng`, so results are bit-identical
@@ -57,7 +59,7 @@ per check.  A group runs as one instance of (T, n, n) stacks and per-trial
 weight arrays, through one lazy ``compare`` pass, with the same functionals
 and generators that serve a single instance.  Every stacked value has the
 bits of its trial's own value, so each trial's gaps and records come from
-its entry of the stacked comparisons: lhs, rhs, gap, tol, extra, and the
+its entry of the stacked comparisons: kind, lhs, rhs, gap, tol, extra, and the
 dump of the trial's slice of the held values (for the witness search, the
 gaps up to the first breach and one record).  One walk, :func:`_stacked`,
 stacks draws, or the fields of a fused build, and takes an entry (:func:`_slice`).
@@ -242,7 +244,8 @@ class CheckReport:
 class Comparison(NamedTuple):
     """One compared pair.  ``dump`` holds the values that the JSON instance
     of its record is made of (see :func:`_dump`); ``extra`` holds further
-    record fields."""
+    record fields.  In a stacked comparison ``kind`` may be one label per
+    trial, as lhs and rhs are one value per trial."""
 
     kind: str
     lhs: float
@@ -277,8 +280,8 @@ class Check:
     semantics: str = "violations"
     # Order of the largest matrix that a trial of dims (k, m, n) builds.
     order: Callable[[int, int, int], int] = lambda k, m, n: max(m, n)
-    # What fixes the shapes of a trial's draw of dims (k, m, n): the dims
-    # it uses and any field that chooses a family.  Draws of one key stack.
+    # The shapes of a trial's draw of dims (k, m, n), from the dims it uses;
+    # draws of one key stack, their labels one per trial.
     key: Callable[[tuple, dict], Hashable] = lambda kmn, draw: kmn
 
 
@@ -492,13 +495,14 @@ def _run_group(check: Check, cfg: CheckConfig, funcs: dict, group: list) -> dict
 
 def _stacked(values: list, join: Callable = np.array):
     """One value stacked from values of one shape (draws of one key, or the
-    same-shape fields of a build): arrays as stacks, floats as arrays,
-    checked matrix values as stacked values that are not checked again,
-    dicts, sequences and dataclasses field by field, anything else as it
-    is.  Each array is ``join`` of the list of its values' arrays (np.array
-    stacks as np.stack does, in half the time), and a number is made a
-    float: so a ``join`` that takes entry i of a one-value list gives that
-    value's entry i (:func:`_slice`)."""
+    same-shape fields of a build): arrays as stacks, floats and strings
+    that differ as arrays, checked matrix values as stacked values that are
+    not checked again, dicts, sequences and dataclasses field by field,
+    anything else as it is.  Each array is ``join`` of the list of its
+    values' arrays (np.array stacks as np.stack does, in half the time),
+    and a number is made a float and a label a str: so a ``join`` that
+    takes entry i of a one-value list gives that value's entry i
+    (:func:`_slice`)."""
     first = values[0]
     if isinstance(first, dict):
         return {key: _stacked([v[key] for v in values], join) for key in first}
@@ -510,7 +514,10 @@ def _stacked(values: list, join: Callable = np.array):
     if isinstance(first, (HermitianMatrix, Contraction, ContractionTuple)):
         return _combined(values, join)
     if isinstance(first, (np.ndarray, float)):
-        return _per_matrix(join(values))
+        out = join(values)
+        return str(out) if isinstance(out, np.str_) else _per_matrix(out)
+    if isinstance(first, str) and values.count(first) < len(values):
+        return np.array(values)  # labels that differ, one per entry
     return first
 
 
@@ -560,10 +567,11 @@ def _fused_pd(d: dict, *keys) -> dict:
 
 
 def _record(check: Check, trial: int, c: Comparison, i: int) -> dict:
-    """The record of entry i of a stacked comparison c, with the dump of
-    that entry's slice of the values c holds.  A witness record gets its
-    re-verification from :func:`_reverify`."""
-    record = {"kind": c.kind, "trial": trial, **(c.extra or {}),
+    """The record of entry i of a stacked comparison c, with entry i's kind
+    and the dump of that entry's slice of the values c holds.  A witness
+    record gets its re-verification from :func:`_reverify`."""
+    kind = c.kind if isinstance(c.kind, str) else _slice(c.kind, i)
+    record = {"kind": kind, "trial": trial, **(c.extra or {}),
               "lhs": _slice(c.lhs, i), "rhs": _slice(c.rhs, i), "gap": _slice(c.gap, i),
               "instance": _dump(**_slice(c.dump, i))}
     if check.semantics != "witness_search":
@@ -709,28 +717,27 @@ def _compare_multi(inst, cfg, f):
 
 def _draw_gt_jensen(rng, kmn, trial) -> dict:
     # The Golden-Thompson family takes H = I and draws no tuple; the Jensen
-    # family takes L = 0 and draws no L.
+    # family takes L = 0, held as zero parts, and draws no L, so that its
+    # draws have the shapes of the general family's.
     family = GT_FAMILIES[trial % len(GT_FAMILIES)]
     k, m, n = kmn
     if family == "golden_thompson":
         return {"kind": family, "H": None, "L": _complex_gaussian(rng, m, m),
                 "B": [_complex_gaussian(rng, m, m)]}
     return {"kind": family, "H": _draw_tuple(rng, k, m, n, True),
-            "L": None if family == "jensen" else _complex_gaussian(rng, n, n),
+            "L": np.zeros((2, n, n)) if family == "jensen" else _complex_gaussian(rng, n, n),
             "B": [_complex_gaussian(rng, m, m) for _ in range(k)]}
 
 
 def _build_gt_jensen(d: dict) -> dict:
-    shape = d["B"][0].shape  # (..., 2, m, m): drawn parts
     if d["H"] is None:
+        shape = d["B"][0].shape  # (..., 2, m, m): drawn parts
         tup = ContractionTuple([np.tile(np.eye(shape[-1]), shape[:-3] + (1, 1))],
                                sum_is_identity=True)
     else:
         tup = _build_tuple(*d["H"])
-    L = (HermitianMatrix(np.zeros(shape[:-3] + (tup.n, tup.n))) if d["L"] is None
-         else _build_hermitian(d["L"]))
-    return {"kind": d["kind"],
-            "inst": fn.MultiInstance(L=L, H=tup, b_list=_fused(_build_hermitian, d["B"]))}
+    return {"kind": d["kind"], "inst": fn.MultiInstance(
+        L=_build_hermitian(d["L"]), H=tup, b_list=_fused(_build_hermitian, d["B"]))}
 
 
 def _compare_gt_jensen(inst, cfg, f):
@@ -887,12 +894,11 @@ _SPECS = {c.name: c for c in (
     Check("multi_concavity", _draw_multi, _build_multi, _compare_multi,
           lambda: {"phi": fn.multi_trace_exp},
           {"inst": "multi", "A2": "pd_list", "lam": "weights"},
-          ("block_lift", "segment"), order=lambda k, m, n: k * max(m, n),
-          key=lambda kmn, d: (kmn, d["H"][-1] is None)),  # an isometric tuple draws no scale
+          ("block_lift", "segment"), order=lambda k, m, n: k * max(m, n)),
     Check("gt_jensen", _draw_gt_jensen, _build_gt_jensen, _compare_gt_jensen,
           lambda: {"lhs": fn.gt_jensen_lhs, "rhs": fn.gt_jensen_rhs},
           fn.FUNCTIONALS["gt_jensen_rhs"][1], GT_FAMILIES, dims=_isometric_dims,
-          key=lambda kmn, d: (d["kind"], kmn[1] if d["H"] is None else kmn)),
+          key=lambda kmn, d: ("golden_thompson", kmn[1]) if d["H"] is None else kmn),
     Check("gibbs_identity", _draw_gibbs, _build_gibbs, _compare_gibbs,
           lambda: {"objective": fn.gibbs_objective},
           fn.FUNCTIONALS["gibbs_objective"][1], ("bound", "equality"), order=lambda k, m, n: m,
@@ -1057,7 +1063,13 @@ def check_dims(name: str, cfg: CheckConfig) -> tuple:
 
 
 def run_all(cfg: CheckConfig, names: list[str] | None = None) -> list[CheckReport]:
-    return [run_check(name, cfg) for name in (names or list(CHECKS))]
+    """The reports of checks ``names`` (every check by default), in order.
+    Each check's dims are resolved before the first check runs, so dims
+    that one of them cannot use raise before any runs."""
+    names = names or list(CHECKS)
+    for name in names:
+        check_dims(name, cfg)
+    return [CHECKS[name](cfg) for name in names]
 
 
 def re_evaluate(check_name: str, record: dict) -> dict:

@@ -253,15 +253,16 @@ def trial_alone(check, cfg, funcs, t):
 
 def signature(draw):
     """What the draws of one stack share: the shape of every array and
-    every field that is neither an array nor a float."""
+    every field that is neither an array, a float nor a string (a label
+    stacks per trial, as a float does)."""
     if isinstance(draw, dict):
         return tuple((key, signature(v)) for key, v in draw.items())
     if isinstance(draw, (list, tuple)):
         return (type(draw), *map(signature, draw))
     if isinstance(draw, np.ndarray):
         return draw.shape
-    if isinstance(draw, float):
-        return float
+    if isinstance(draw, (float, str)):
+        return type(draw)
     return draw
 
 

@@ -29,6 +29,7 @@ from entropylab.matrix_core import (
     spectral_decompose,
     stack,
 )
+from entropylab.serialization import contraction_tuple_to_json
 
 
 class TestConstruction:
@@ -569,6 +570,50 @@ class TestStacks:
         t = stack(tuples)
         assert (t.k, t.m, t.n, t.sum_is_identity) == (2, 2, 3, True)
         assert t.blocks[1].shape == (2, 2, 3)
+
+    @pytest.mark.parametrize("order", [(True, False), (False, True)])
+    def test_a_stack_of_tuples_keeps_each_tuple_flag(self, order):
+        tuples = [random_contraction_tuple(2, 2, 3, flag, s) for flag, s in zip(order, (40, 41))]
+        t = stack(tuples)
+        assert t.sum_is_identity.tolist() == list(order)
+        for i, alone in enumerate(tuples):
+            entry = verifiers._slice(t, i)
+            assert entry.sum_is_identity is alone.sum_is_identity
+            ref.assert_same(entry, alone)
+            assert contraction_tuple_to_json(entry) == contraction_tuple_to_json(alone)
+            assert contraction_tuple_to_json(entry)["sum_is_identity"] is order[i]
+        again = stack([t, t])  # per-entry flags join along the stack
+        assert again.sum_is_identity.shape == (2, 2)
+        assert again.sum_is_identity.tolist() == [list(order)] * 2
+
+    def test_only_the_flagged_entries_must_sum_to_the_identity(self):
+        blocks = self._with(np.eye(2), 0.5 * np.eye(2))
+        # The unflagged entry sums to I / 4, and the flagged ones to I.
+        t = ContractionTuple([blocks], sum_is_identity=np.array([True, False, True]))
+        assert t.sum_is_identity.tolist() == [True, False, True]
+        assert not t.sum_is_identity.flags.writeable
+        same = ContractionTuple([blocks[[0, 2]]], sum_is_identity=np.array([True, True]))
+        assert same.sum_is_identity is True
+        # A flagged entry that does not sum to I raises the error of its tuple alone.
+        with pytest.raises(DomainError) as alone:
+            ContractionTuple([blocks[1]], sum_is_identity=True)
+        with pytest.raises(DomainError) as stacked:
+            ContractionTuple([self._with(4.0 * np.eye(2) / 5.0, 0.5 * np.eye(2))],
+                             sum_is_identity=np.array([False, True, False]))
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(DimensionError, match="one flag per"):
+            ContractionTuple([blocks], sum_is_identity=np.array([True, False]))
+
+    def test_build_scales_only_the_strict_entries(self):
+        # A stack of an isometric and a strict draw builds each entry with
+        # the bits of its tuple built alone.
+        draws = [matrix_core._draw_tuple(make_rng(s), 2, 2, 3, flag)
+                 for s, flag in ((40, True), (41, False), (42, True))]
+        assert [d[-1] == 1.0 for d in draws] == [True, False, True]
+        built = matrix_core._build_tuple(*verifiers._stacked(draws))
+        assert built.sum_is_identity.tolist() == [True, False, True]
+        for i, d in enumerate(draws):
+            ref.assert_same(verifiers._slice(built, i), matrix_core._build_tuple(*d))
 
 
 class TestRealFunctionValues:

@@ -150,6 +150,16 @@ class TestChecksPass:
         reports = run_all(CheckConfig(trials=5, seed=1))
         assert [r.check_name for r in reports] == list(CHECKS)
 
+    def test_run_all_rejects_dims_before_any_check_runs(self, monkeypatch):
+        # The route search, the seventh check, needs k >= 2; no group runs.
+        groups = []
+        genuine = verifiers._run_group
+        monkeypatch.setattr(verifiers, "_run_group",
+                            lambda *args: groups.append(1) or genuine(*args))
+        with pytest.raises(DomainError, match="search_gt_route_gap needs .* k >= 2"):
+            run_all(CheckConfig(trials=200, dims=((1, 1, 1),)))
+        assert groups == []
+
     def test_unknown_check_rejected(self):
         with pytest.raises(DomainError):
             run_check("nope", FAST)
@@ -755,7 +765,7 @@ class TestPointPasses:
             monkeypatch.setattr(fn, name, counting)
         assert check_multi_concavity(cfg).passed and check_sh_convexity(cfg).passed
         groups = _groups(verifiers._SPECS["multi_concavity"], cfg)
-        assert counts["multi_trace_exp"] <= 2 * len(groups) == 28
+        assert counts["multi_trace_exp"] <= 2 * len(groups) == 14
         assert counts["reduced_relative_entropy"] <= 9
 
     @pytest.mark.parametrize("name,corrupt_kw,corrupted", [
@@ -1008,7 +1018,33 @@ class TestWholeRunGroups:
         calls = self._count_compares(monkeypatch, "multi_concavity")
         report = check_multi_concavity(cfg)
         assert report.passed
-        assert len(calls) == len(_groups(verifiers._SPECS["multi_concavity"], cfg)) == 14
+        assert len(calls) == len(_groups(verifiers._SPECS["multi_concavity"], cfg)) == 7
+
+    @pytest.mark.parametrize("seed", [7, 1])
+    @pytest.mark.parametrize("name,hook", [
+        ("multi_concavity", {"phi_fn": lambda inst: fn.multi_trace_exp(inst) ** 1.5}),
+        ("gt_jensen", {"rhs_fn": lambda inst: 0.5 * fn.gt_jensen_rhs(inst)}),
+    ])
+    def test_mixed_groups_record_as_every_trial_alone(self, name, hook, seed, monkeypatch):
+        # One group holds isometric and strict tuples (multi_concavity), or
+        # the general and Jensen families (gt_jensen); a corrupted hook makes
+        # records of both, each with its own kind and sum_is_identity.
+        cfg = CheckConfig(trials=200, seed=seed)
+        spec = verifiers._SPECS[name]
+        draws = _draws(spec, cfg)
+        labels = ({t: d["H"][-1] == 1.0 for t, d in draws.items()} if name == "multi_concavity"
+                  else {t: d["kind"] for t, d in draws.items()})
+        assert any(len({labels[t] for t in g}) > 1 for g in _groups(spec, cfg).values())
+        batched = CHECKS[name](cfg, **hook)
+        records = [r for r in batched.violations if r["kind"] != "error"]
+        if name == "multi_concavity":
+            assert {r["instance"]["sum_is_identity"] for r in records} == {True, False}
+        else:
+            assert {"general", "jensen"} <= {r["kind"] for r in records}
+        monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
+        alone = CHECKS[name](cfg, **hook)
+        assert alone.violations == batched.violations  # record for record
+        assert alone.to_json() == batched.to_json()
 
     def test_one_overlap_per_derivative_group(self, monkeypatch):
         # U_A* H U_B is computed once for the Lieb traces at p = 0 and at
