@@ -59,6 +59,7 @@ from .matrix_core import (
     _basis_overlap,
     _block_diagonal,
     _checked_eigvalsh,
+    _norm_checked,
     _on_eigenvalues,
     _per_matrix,
     _power,
@@ -85,12 +86,13 @@ def _real_trace(value):
 
 def _contraction_arg(H, rows: int, cols: int, what: str = "H") -> Contraction:
     """H as a Contraction of shape (rows, cols).  A raw array is checked for
-    its shape first and then for its norm; a Contraction only for its shape."""
+    its shape first and then for its norm; a Contraction only for its shape.
+    The entries are coerced and checked for finiteness once, here."""
     checked = isinstance(H, Contraction)
     h = H.mat if checked else as_complex_matrix(H, name=what)
     if h.shape[-2:] != (rows, cols):
         raise DimensionError(f"{what} must have shape {(rows, cols)}, got {h.shape}")
-    return H if checked else Contraction(h, name=what)
+    return H if checked else Contraction._bounded(_norm_checked(h, what))
 
 
 def _trace_exp(arg: np.ndarray):
@@ -99,7 +101,7 @@ def _trace_exp(arg: np.ndarray):
     w = _checked_eigvalsh(HermitianMatrix(arg).mat)
     with np.errstate(over="ignore"):
         total = np.exp(w).sum(axis=-1)
-    if _any(~np.isfinite(total)):
+    if not np.isfinite(total).all():
         raise NonFiniteObjective(f"Tr exp overflows: top eigenvalue {np.max(w[..., -1]):.6g}")
     return _per_matrix(total)
 
@@ -132,7 +134,7 @@ def _finite_sum(what: str, total: Callable[[], np.ndarray]):
     inf) raises NonFiniteObjective naming ``what``."""
     with np.errstate(over="ignore", invalid="ignore"):
         value = total()
-    if _any(~np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteObjective(f"{what} is not finite: it overflows")
     return _per_matrix(value)
 

@@ -22,10 +22,35 @@ raising if any fails.  A single value is the 2-d case, and a result that is
 a number per matrix is a ``float`` for it and an array for a stack.
 Stacked matrix operations run the same LAPACK and BLAS call per matrix, so
 each entry of a stacked result has the bits of the single-value result.
+
+The checked kernels, which every value passes through once:
+
+- ``HermitianMatrix`` construction takes max |M_ij| per matrix in one
+  reduction.  A NaN or inf fails its bound of half the largest double as
+  an overflow does, and only then are the entries tested for finiteness,
+  so the non-finite error still comes before the shape and overflow ones.
+  The asymmetry max |M - M*| is bounded relative to it, and M + M* is
+  halved in place with ``/= 2.0``: the bits of (M + M*) / 2.0.  Complex
+  ``*= 0.5`` would differ in the sign of zero parts: -0.0 + 0j gives -0.0
+  where the division gives +0.0.
+- ``_checked_eigh`` runs one ``eigh`` and checks that U is unitary
+  (max |U U* - I| <= 1e-10, ``_check_unitary``) and that U diag(w) U*
+  reproduces the input to 1e-10 (1 + max |w|).
+- ``_checked_eigvalsh`` runs one ``eigvalsh`` and checks sum(w) and
+  sum(w^2) against the trace and the squared Frobenius norm; when every
+  deviation is within a finite tolerance it returns at once.
+- ``operator_norm`` is the first of the descending singular values of one
+  gesdd call, the call and the bits of ``np.linalg.norm(a, 2)``.
+  ``Contraction`` checks the norm of the array it has already coerced.
+
+A residual that only feeds a check (U U* - I, U diag(w) U* - M, a Gram
+sum minus I) is formed in place in the product it starts from, against
+one read-only identity kept per order.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -54,12 +79,25 @@ def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
     (shape (..., rows, cols), rows and cols >= 1)."""
     if isinstance(entries, (HermitianMatrix, Contraction)):
         return entries.mat
+    a = _complex_entries(entries, name)
+    _check_finite(a, name)
+    return a
+
+
+def _complex_entries(entries, name: str) -> np.ndarray:
+    """``entries`` as a complex128 matrix or stack, checked for its shape
+    but not yet for finiteness; a checked value gives its ``.mat``."""
+    if isinstance(entries, (HermitianMatrix, Contraction)):
+        return entries.mat
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
         raise DimensionError(f"{name} must be 2-dimensional with positive shape, got {a.shape}")
+    return a
+
+
+def _check_finite(a: np.ndarray, name: str) -> None:
     if not np.isfinite(a).all():  # a complex entry is finite when both parts are
         raise DomainError(f"{name} contains non-finite entries")
-    return a
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -69,7 +107,7 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 def _trace(a: np.ndarray):
     """Trace of a matrix, or the traces of a stack."""
-    return np.trace(a, axis1=-2, axis2=-1)
+    return a.trace(axis1=-2, axis2=-1)
 
 
 def _per_matrix(x):
@@ -87,6 +125,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=32)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, made once per order."""
+    return _frozen(np.eye(n))
+
+
 class HermitianMatrix:
     """Square complex matrix kept exactly equal to its conjugate transpose.
 
@@ -101,18 +145,25 @@ class HermitianMatrix:
     __slots__ = ("mat", "_spectrum")
 
     def __init__(self, entries):
-        a = as_complex_matrix(entries, name=type(self).__name__)
+        a = _complex_entries(entries, type(self).__name__)
+        # A NaN or inf fails the bound too; only then are the entries tested
+        # for finiteness, whose error comes first (see the module docstring).
+        top = np.abs(a).max(axis=_MATRIX_AXES)
+        unbounded = _any(~(top <= _HALF_MAX))
+        if unbounded:
+            _check_finite(a, type(self).__name__)
         if a.shape[-2] != a.shape[-1]:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-        top = np.abs(a).max(axis=_MATRIX_AXES)
-        if _any(top > _HALF_MAX):
+        if unbounded:
             raise DomainError(f"matrix entry of modulus {np.max(top):.3e} overflows "
                               "the symmetrization (M + M*)/2")
         ah = _adjoint(a)
         asym = np.abs(a - ah).max(axis=_MATRIX_AXES)
         if _any(asym > HERMITIAN_TOL * (1.0 + top)):
             raise DomainError(f"matrix is not Hermitian: max |M - M*| = {np.max(asym):.3e}")
-        self.mat = _frozen((a + ah) / 2.0)
+        mat = a + ah
+        mat /= 2.0
+        self.mat = _frozen(mat)
         self._spectrum = None
 
     @property
@@ -196,7 +247,9 @@ def _gram(blocks) -> np.ndarray:
     g = np.zeros(shape[:-2] + (shape[-1], shape[-1]), dtype=np.complex128)
     for b in blocks:
         g += _adjoint(b) @ b
-    return (g + _adjoint(g)) / 2.0
+    g = g + _adjoint(g)
+    g /= 2.0
+    return g
 
 
 class ContractionTuple:
@@ -238,7 +291,8 @@ class ContractionTuple:
             raise NotAContraction(
                 f"largest eigenvalue of sum(H_i* H_i) is {float(np.max(top)):.12f} > 1")
         if flags is not False:
-            dev = np.abs(gram - np.eye(n)).max(axis=_MATRIX_AXES)
+            gram -= _identity(n)
+            dev = np.abs(gram).max(axis=_MATRIX_AXES)
             if flags is not True:
                 dev = np.where(flags, dev, 0.0)  # the flagged entries only
             if _any(dev > IDENTITY_SUM_TOL):
@@ -282,9 +336,7 @@ class Contraction:
     __slots__ = ("mat",)
 
     def __init__(self, entries, name: str = "H"):
-        a = as_complex_matrix(entries, name=name)
-        _check_norm(operator_norm(a), name)
-        self.mat = _frozen(np.array(a))
+        self.mat = _norm_checked(as_complex_matrix(entries, name=name), name)
 
     @classmethod
     def _bounded(cls, mat: np.ndarray) -> Contraction:
@@ -299,6 +351,13 @@ class Contraction:
 
     def __repr__(self) -> str:
         return f"Contraction(shape={self.mat.shape})"
+
+
+def _norm_checked(a: np.ndarray, name: str) -> np.ndarray:
+    """A read-only copy of ``a``, a matrix or stack that
+    :func:`as_complex_matrix` has given, after checking its norm."""
+    _check_norm(_top_singular_value(a), name)
+    return _frozen(np.array(a))
 
 
 def _check_norm(norm, name: str) -> None:
@@ -327,8 +386,9 @@ def _checked_eigh(a: np.ndarray) -> SpectralDecomposition:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
-    uh = _check_unitary(u)
-    recon_dev = np.abs((u * w[..., None, :]) @ uh - a).max(axis=_MATRIX_AXES)
+    residual = (u * w[..., None, :]) @ _check_unitary(u)
+    residual -= a
+    recon_dev = np.abs(residual).max(axis=_MATRIX_AXES)
     if _any(recon_dev > 1e-10 * (1.0 + _max_abs(w))):
         raise ConvergenceFailure(f"spectral reconstruction error {np.max(recon_dev):.3e}")
     return SpectralDecomposition(eigenvalues=_frozen(w), eigenvectors=_frozen(u))
@@ -342,7 +402,9 @@ def _max_abs(w: np.ndarray) -> np.ndarray:
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     """U*, after checking that U (or each matrix of a stack) is unitary."""
     uh = _adjoint(u)
-    unit_dev = np.abs(u @ uh - np.eye(u.shape[-1])).max(axis=_MATRIX_AXES)
+    residual = u @ uh
+    residual -= _identity(u.shape[-1])
+    unit_dev = np.abs(residual).max(axis=_MATRIX_AXES)
     if _any(unit_dev > 1e-10):
         raise ConvergenceFailure(
             f"eigenvector matrix is not unitary: deviation {np.max(unit_dev):.3e}")
@@ -364,7 +426,11 @@ def _checked_eigvalsh(a: np.ndarray) -> np.ndarray:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         checks = _invariant_checks(w, a)
-        void = ~(np.isfinite(checks[1]) & np.isfinite(checks[3]))
+        trace_dev, frob_dev, trace_tol, frob_tol = checks
+        # Every deviation within a finite tolerance: nothing to rescale or raise.
+        if ((trace_dev <= trace_tol) & (frob_dev <= frob_tol) & (frob_tol < np.inf)).all():
+            return w
+        void = ~(np.isfinite(frob_dev) & np.isfinite(frob_tol))
         if _any(void):
             top = np.where(void, _max_abs(w), 1.0)
             checks = np.where(void, _invariant_checks(w / top[..., None], a / top[..., None, None]),
@@ -382,8 +448,10 @@ def _invariant_checks(w: np.ndarray, a: np.ndarray) -> tuple:
     Frobenius norm of a, then their tolerances 1e-10 n (1 + max|w|) and
     1e-10 n (1 + max|w|)^2, per matrix."""
     n, scale = a.shape[-1], 1.0 + _max_abs(w)
+    squares = a.real ** 2
+    squares += a.imag ** 2
     return (np.abs(w.sum(axis=-1) - _trace(a).real),
-            np.abs((w * w).sum(axis=-1) - (a.real ** 2 + a.imag ** 2).sum(axis=_MATRIX_AXES)),
+            np.abs((w * w).sum(axis=-1) - squares.sum(axis=_MATRIX_AXES)),
             1e-10 * n * scale, 1e-10 * n * scale ** 2)
 
 
@@ -415,7 +483,7 @@ def _on_eigenvalues(M: HermitianMatrix, f: Callable[[np.ndarray], np.ndarray],
             fw = np.asarray(fw, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"{label} did not return real values: {exc}") from exc
-    if fw.shape != dec.eigenvalues.shape or not np.all(np.isfinite(fw)):
+    if fw.shape != dec.eigenvalues.shape or not np.isfinite(fw).all():
         raise DomainError(f"{label} is not finite on the spectrum {dec.eigenvalues}")
     return fw, dec
 
@@ -504,9 +572,15 @@ def _block_diagonal(values: Sequence[PositiveDefiniteMatrix],
 
 def operator_norm(M):
     """Largest singular value of a (possibly rectangular) complex matrix."""
-    a = as_complex_matrix(M, name="operator_norm argument")
+    return _per_matrix(_top_singular_value(as_complex_matrix(M, name="operator_norm argument")))
+
+
+def _top_singular_value(a: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of ``a``: the first of the
+    descending singular values of the one gesdd call that
+    ``np.linalg.norm(a, 2, axis=(-2, -1))`` makes, so the same bits."""
     try:
-        return _per_matrix(np.linalg.norm(a, 2, axis=_MATRIX_AXES))
+        return np.linalg.svd(a, compute_uv=False)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
 

@@ -268,9 +268,11 @@ def _built(values: list):
     """One value from the reads of several objects: each ``_Later`` built
     once from its arguments joined across the objects, in the order in
     which one object's read builds them; arrays and numbers stacked with
-    ``np.array``; dicts, lists and tuples entry by entry; any other value
-    (a flag, None) as it is.  Values that do not stack, such as arrays of
-    two shapes or two flags, are a ValueError."""
+    ``np.array``; dicts, lists and tuples entry by entry; a flag (such as a
+    tuple's ``sum_is_identity``) as it is where every object holds it, and
+    otherwise as one bool per object; any other value (None) as it is.
+    Values that do not stack, such as arrays of two shapes, are a
+    ValueError."""
     first = values[0]
     if any(type(v) is not type(first) for v in values):
         raise ValueError("the objects differ in the types of their values")
@@ -288,6 +290,8 @@ def _built(values: list):
         if any(len(v) != len(first) for v in values):
             raise ValueError("the objects differ in the lengths of their lists")
         return type(first)(_built(list(column)) for column in zip(*values))
+    if isinstance(first, bool):
+        return first if all(v is first for v in values) else np.array(values)
     if any(v != first for v in values):
         raise ValueError(f"the objects differ in a value: {first!r} and another")
     return first
@@ -389,9 +393,17 @@ def dump_json(obj, path) -> None:
 
 
 def load_json(path):
-    p = Path(path)
+    """The JSON value of the file at ``path``, read as strict UTF-8 text with
+    its line ends read as a text-mode read reads them ("\\r\\n" and "\\r" as
+    "\\n"), so an error names the line and column that it names.  An
+    unreadable file or invalid JSON is a ParseError."""
+    p = path if isinstance(path, Path) else Path(path)
     try:
-        return json.loads(p.read_text())
+        with open(p, "rb") as f:
+            text = f.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -131,7 +131,7 @@ class TestEval:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "norm", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
         code, out, err = run(capsys, "eval", "reduced_relative_entropy", path)
         assert code == 3 and not out
         assert err == "numerical error: singular value decomposition failed: SVD did not converge\n"

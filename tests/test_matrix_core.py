@@ -1,5 +1,6 @@
 import ast
 import inspect
+import json
 import math
 import re
 import warnings
@@ -218,11 +219,109 @@ class TestOperatorNorm:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "norm", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(ConvergenceFailure, match="SVD did not converge"):
             operator_norm(np.eye(2))
         with pytest.raises(ConvergenceFailure, match="SVD did not converge"):
             Contraction(0.5 * np.eye(2))
+
+
+def _bit_equal(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _edge_hermitian(rng, n: int) -> np.ndarray:
+    """An exactly Hermitian n x n matrix of signed zeros, subnormals and
+    entries near half the largest double, whose zero parts take either sign
+    in the two halves, so that M + M* adds -0.0 and +0.0."""
+    parts = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.5, 0.5 * matrix_core._HALF_MAX,
+                      -0.999 * matrix_core._HALF_MAX])
+    a = rng.choice(parts, (n, n)) + 1j * rng.choice(parts, (n, n))
+    a = np.triu(a) + np.triu(a, 1).conj().T
+    a.real[np.diag_indices(n)] = rng.choice(parts, n)
+    a.imag[np.diag_indices(n)] = rng.choice([0.0, -0.0], n)
+    zeros = (a == 0) & (rng.random((n, n)) < 0.5)
+    a[zeros] = -a[zeros]  # -(±0 ± 0j) flips the signs of both zero parts
+    return a
+
+
+class TestThinnedKernels:
+    """The checked kernels keep the bits of their plain numpy formulas and
+    the type and text of the first error each input raises."""
+
+    def test_symmetrization_keeps_the_bits_of_the_formula(self):
+        rng = np.random.default_rng(29)
+        stacked = np.stack([_edge_hermitian(rng, 4) for _ in range(6)])
+        assert np.signbit(stacked.real).any() and (stacked == 0).any()
+        for a in (*stacked, stacked):
+            expected = (a + a.conj().swapaxes(-1, -2)) / 2.0
+            assert _bit_equal(HermitianMatrix(a).mat, expected)
+
+    def test_a_zero_of_either_sign_halves_as_the_formula_does(self):
+        a = np.array([[complex(-0.0, 0.0), complex(-0.0, -0.0)],
+                      [complex(-0.0, 0.0), complex(1.0, -0.0)]])
+        expected = (a + a.conj().T) / 2.0
+        assert _bit_equal(HermitianMatrix(a).mat, expected)
+        assert not np.signbit(HermitianMatrix(a).mat[0, 0].real)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 8), (12, 16), (16, 12), (28, 3, 3),
+                                       (8, 32, 32), (2, 3, 5, 4)])
+    def test_operator_norm_keeps_the_bits_of_numpy_norm(self, shape):
+        rng = np.random.default_rng(list(shape))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = np.linalg.norm(a, 2, axis=(-2, -1))
+        assert _bit_equal(np.asarray(operator_norm(a)), expected)
+        if a.ndim == 2:
+            assert isinstance(operator_norm(a), float)
+
+    @pytest.mark.parametrize("entries,error,text", [
+        ([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]], DomainError,
+         "HermitianMatrix contains non-finite entries"),
+        ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]], DimensionError,
+         "expected a square matrix, got shape (2, 3)"),
+        ([[1.0, 1e308], [1e308, 1.0]], DomainError,
+         "matrix entry of modulus 1.000e+308 overflows the symmetrization (M + M*)/2"),
+        ([[1.0, 1e308, 0.0], [1e308, np.inf, 0.0]], DomainError,
+         "HermitianMatrix contains non-finite entries"),
+    ])
+    def test_the_first_error_keeps_its_type_and_text(self, entries, error, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{re.escape(text)}$"):
+                HermitianMatrix(np.array(entries))
+            with pytest.raises(error, match=f"^{re.escape(text.replace('Hermitian', 'PositiveDefinite'))}$"):
+                PositiveDefiniteMatrix(np.array(entries))
+
+    @pytest.mark.parametrize("shift", [
+        lambda w: w + np.where(np.arange(w.shape[-1]) == 0, 1e-6, 0.0),  # trace and norm
+        lambda w: np.abs(w),  # -1 -> 1 moves the trace, not the sum of squares
+        lambda w: w + np.array([-1e-6, 0.0, 1e-6]),  # the sum of squares, not the trace
+    ])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_shifted_eigenvalues_fail_the_invariant_check(self, monkeypatch, shift, stacked):
+        a = np.diag([-1.0, 0.5, 2.0]).astype(np.complex128)
+        a = np.stack([np.eye(3, dtype=np.complex128), a]) if stacked else a
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shift(original(m)))
+        with pytest.raises(ConvergenceFailure, match="^eigenvalues do not match the trace and norm"):
+            matrix_core._checked_eigvalsh(a)
+
+    def test_the_ci_phi_edge_file_gives_a_value(self, tmp_path, capsys):
+        from entropylab import cli
+        from entropylab.serialization import matrix_to_json
+
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({
+            "A": matrix_to_json(np.array([[2.0, 0.5], [0.5, 1.0]])),
+            "L": matrix_to_json(np.array([[-1e160, 0.0], [0.0, 0.0]])),
+            "H": matrix_to_json(np.array([[0.6, 0.0], [0.0, 0.6]]))}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", "phi", str(path)]) == 0
+        a = PositiveDefiniteMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        expected = math.exp(0.36 * matrix_log(a).mat[1, 1].real)
+        assert float(capsys.readouterr().out) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGenerators:
@@ -493,6 +592,33 @@ class TestEigensolverFailure:
             visit(ast.parse(path.read_text()), None, path.name)
         assert calls == {("matrix_core.py", "_checked_eigh", "eigh"),
                          ("matrix_core.py", "_checked_eigvalsh", "eigvalsh")}
+
+    def test_the_one_svd_runs_in_the_norm_routine(self):
+        # Each np.linalg call of the package that runs an SVD: svd itself, or
+        # norm with ord 2 (or an ord that is not a constant).  A Frobenius
+        # norm is no SVD.
+        calls = set()
+
+        def runs_svd(node) -> bool:
+            name = ast.unparse(node.func)
+            if name in ("np.linalg.svd", "numpy.linalg.svd"):
+                return True
+            if name not in ("np.linalg.norm", "numpy.linalg.norm"):
+                return False
+            ords = [kw.value for kw in node.keywords if kw.arg == "ord"] + node.args[1:2]
+            return any(not isinstance(o, ast.Constant) or o.value in (2, -2) for o in ords)
+
+        def visit(node, owner, path):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if isinstance(node, ast.Call) and runs_svd(node):
+                calls.add((path, owner, ast.unparse(node.func).rsplit(".", 1)[-1]))
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner, path)
+
+        for path in sorted(Path(matrix_core.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), None, path.name)
+        assert calls == {("matrix_core.py", "_top_singular_value", "svd")}
 
 
 class TestStacks:

@@ -417,7 +417,8 @@ def _bits(value):
     if isinstance(value, MultiInstance):
         return ("multi", *(_bits(getattr(value, f)) for f in ("L", "H", "a_list", "b_list")))
     if isinstance(value, ContractionTuple):
-        return ("tuple", value.k, value.m, value.n, value.sum_is_identity, _bits(value.blocks))
+        return ("tuple", value.k, value.m, value.n, _bits(value.sum_is_identity),
+                _bits(value.blocks))
     if isinstance(value, HermitianMatrix):
         spectrum = value._spectrum and (value._spectrum.eigenvalues, value._spectrum.eigenvectors)
         return (type(value).__name__, _bits(value.mat), _bits(spectrum),
@@ -485,6 +486,32 @@ class TestReadStacked:
             read_fields([good, first, second], fields)
         assert isinstance(alone.value, ParseError if bad == "parse" else DomainError
                           if bad != "contraction" else NotAContraction)
+
+    def test_isometric_and_strict_tuples_stack_with_a_flag_per_object(self):
+        fields = {"inst": "multi"}
+
+        def dump(isometric, seed):
+            tup = random_contraction_tuple(2, 2, 2, isometric, seed)
+            inst = MultiInstance(L=random_hermitian(2, 1.0, seed), H=tup,
+                                 a_list=[random_pd(2, seed=seed + 1), random_pd(2, seed=seed + 2)])
+            return json.loads(json.dumps(multi_instance_to_json(inst)))
+
+        objs = [dump(True, 70), dump(False, 71), dump(True, 72)]
+        alone = [read_fields(o, fields) for o in objs]
+        stacked = read_fields(objs, fields)
+        assert _bits(stacked) == _bits(verifiers._stacked(alone))
+        flags = stacked["inst"].H.sum_is_identity
+        assert flags.tolist() == [True, False, True]
+        assert [read["inst"].H.sum_is_identity for read in alone] == flags.tolist()
+        # A strict tuple's blocks flagged as summing to the identity fail that
+        # check alone; the list raises the first such object's own error,
+        # not the error of the stack, which names the worse second one.
+        first, second = ({**dump(False, seed), "sum_is_identity": True} for seed in (73, 74))
+        with pytest.raises(DomainError) as alone_error:
+            read_fields(first, fields)
+        assert "do not sum to the identity" in str(alone_error.value)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(alone_error.value))}$"):
+            read_fields([objs[0], first, objs[1], second], fields)
 
     def test_objects_that_do_not_stack_are_a_dimension_error(self):
         small = _instance_json()

@@ -503,9 +503,8 @@ class TestLapackFailures:
         cfg = CheckConfig(trials=30, seed=5)
         spec = verifiers._SPECS["sh_convexity"]
         gaussian = _complex(_draws(spec, cfg)[7]["H"][0])
-        # np.linalg.norm(a, 2) runs the SVD of a; only operator_norm asks it
-        # for the norm of this Gaussian.
-        _lapack_failing_on(monkeypatch, "norm", gaussian)
+        # Only operator_norm runs the SVD of this Gaussian.
+        _lapack_failing_on(monkeypatch, "svd", gaussian)
         report = check_sh_convexity(cfg)
         assert report.violations == [{
             "kind": "error", "trial": 7,
