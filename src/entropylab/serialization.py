@@ -393,10 +393,10 @@ def dump_json(obj, path) -> None:
 
 
 def load_json(path):
-    """The JSON value of the file at ``path``, read as strict UTF-8 text with
-    its line ends read as a text-mode read reads them ("\\r\\n" and "\\r" as
-    "\\n"), so an error names the line and column that it names.  An
-    unreadable file or invalid JSON is a ParseError."""
+    """The JSON value of the file at ``path``, read as strict UTF-8 text.
+    Its line ends are translated as a text-mode read translates them
+    ("\\r\\n" and "\\r" to "\\n"), so a JSON error names the same line and
+    column.  An unreadable file or invalid JSON is a ParseError."""
     p = path if isinstance(path, Path) else Path(path)
     try:
         with open(p, "rb") as f:

@@ -254,16 +254,13 @@ class TestThinnedKernels:
         rng = np.random.default_rng(29)
         stacked = np.stack([_edge_hermitian(rng, 4) for _ in range(6)])
         assert np.signbit(stacked.real).any() and (stacked == 0).any()
-        for a in (*stacked, stacked):
+        # Halves of -0.0 + 0j, whose sum the division halves to +0.0.
+        zeros = np.array([[complex(-0.0, 0.0), complex(-0.0, -0.0)],
+                          [complex(-0.0, 0.0), complex(1.0, -0.0)]])
+        assert not np.signbit(HermitianMatrix(zeros).mat[0, 0].real)
+        for a in (*stacked, stacked, zeros):
             expected = (a + a.conj().swapaxes(-1, -2)) / 2.0
             assert _bit_equal(HermitianMatrix(a).mat, expected)
-
-    def test_a_zero_of_either_sign_halves_as_the_formula_does(self):
-        a = np.array([[complex(-0.0, 0.0), complex(-0.0, -0.0)],
-                      [complex(-0.0, 0.0), complex(1.0, -0.0)]])
-        expected = (a + a.conj().T) / 2.0
-        assert _bit_equal(HermitianMatrix(a).mat, expected)
-        assert not np.signbit(HermitianMatrix(a).mat[0, 0].real)
 
     @pytest.mark.parametrize("shape", [(4, 4), (8, 8), (12, 16), (16, 12), (28, 3, 3),
                                        (8, 32, 32), (2, 3, 5, 4)])
