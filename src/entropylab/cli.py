@@ -88,16 +88,9 @@ def _resolve_seed(flag_value) -> int:
     return DEFAULT_SEED
 
 
-def _read_instance(obj, path: Path, fields: dict) -> dict:
-    """The typed fields of ``obj``, the instance object loaded from ``path``."""
-    if isinstance(obj, list):  # which read_fields would read as a stack of instances
-        raise ParseError(f"{path}: expected a JSON object, got list")
-    return read_fields(obj, fields, str(path))
-
-
 def cmd_eval(args) -> int:
     attr, fields = fn.FUNCTIONALS[args.functional]
-    inputs = _read_instance(load_json(args.instance), args.instance, fields)
+    inputs = read_fields(load_json(args.instance), fields, str(args.instance))
     value = getattr(fn, attr)(*inputs.values())
     print(f"{value:.15g}")
     if args.out:
@@ -166,7 +159,7 @@ def cmd_check(args) -> int:
 def cmd_optimize(args) -> int:
     obj = load_json(args.instance)
     cfg = SolverConfig(grad_tol=args.grad_tol)
-    data = _read_instance(obj, args.instance, OBJECTIVES[args.objective][1])
+    data = read_fields(obj, OBJECTIVES[args.objective][1], str(args.instance))
     result = maximize(args.objective, data, cfg)
     record = {
         "objective": args.objective,

@@ -182,11 +182,13 @@ def relative_entropy(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix) -> fl
 
 def _lieb_overlap(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix, H) -> np.ndarray:
     """|U_A* H U_B|^2 for an H of shape (dim A, dim B), which is not
-    checked for its norm."""
+    checked for its norm: formed, as the sums of :func:`_finite_sum` are,
+    with no overflow warning, so that an overflow raises there."""
     h = as_complex_matrix(H, name="H")
     if h.shape[-2:] != (A.dim, B.dim):
         raise DimensionError(f"H must have shape {(A.dim, B.dim)}, got {h.shape}")
-    return _weights(_basis_overlap(A, h, B))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _weights(_basis_overlap(A, h, B))
 
 
 def lieb_trace(A: PositiveDefiniteMatrix, B: PositiveDefiniteMatrix, H,

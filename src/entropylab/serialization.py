@@ -8,8 +8,10 @@ dumped it to round-off only: a read-back positive definite matrix is
 decomposed by ``eigh``, where the check used its drawn spectrum, so witness
 re-verification allows a gap difference of 1e-12.
 
-An instance object is read field by field with :func:`read_fields`, which
-the CLI (``eval``, ``optimize``) and check replay share.
+One instance object is read field by field with :func:`read_fields`, which
+the CLI (``eval``, ``optimize``) and check replay share; a list is a
+ParseError.  :func:`read_stacked` reads a list of them as one stack, for
+witness re-verification, and :func:`instance_to_json` writes a record's.
 
 Every JSON text the package writes (check reports, the summary, ``gen`` and
 ``eval --out`` files, ``optimize`` output) comes from :func:`dumps`, which
@@ -51,7 +53,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, EntropyLabError, OutputError, ParseError
+from .functionals import MultiInstance
 from .matrix_core import (
+    Contraction,
     ContractionTuple,
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -112,7 +116,7 @@ def _now(make: Callable, *args):
 
 
 class _Later:
-    """A checked value not yet built: ``make(*args)``.  :func:`read_fields`
+    """A checked value not yet built: ``make(*args)``.  :func:`read_stacked`
     reads each object of a list with these, then builds each one once, on
     the stack of the objects' arguments (:func:`_built`)."""
 
@@ -160,9 +164,24 @@ def multi_instance_to_json(inst) -> dict:
     return out
 
 
-def multi_instance_from_json(obj, name: str = "instance", make: Callable = _now):
-    from .functionals import MultiInstance
+def instance_to_json(**values) -> dict:
+    """JSON instance of a check record: a MultiInstance merged in at the top
+    level, matrices as matrix objects, lists as lists of them, anything else
+    as is."""
+    out = {}
+    for key, value in values.items():
+        if isinstance(value, MultiInstance):
+            out.update(multi_instance_to_json(value))
+        elif isinstance(value, (list, tuple)):
+            out[key] = [matrix_to_json(m) for m in value]
+        elif isinstance(value, (np.ndarray, HermitianMatrix, Contraction)):
+            out[key] = matrix_to_json(value)
+        else:
+            out[key] = value
+    return out
 
+
+def multi_instance_from_json(obj, name: str = "instance", make: Callable = _now):
     if not isinstance(obj, dict):
         raise ParseError(f"{name}: expected a JSON object")
     for key in ("L", "H"):
@@ -223,34 +242,17 @@ _FIELD_READERS = {
 }
 
 
-def read_fields(obj, fields: dict, name: str = "instance", required: bool = True) -> dict:
-    """Typed values of an instance object, one per entry of ``fields``
+def read_fields(obj, fields: dict, name: str = "instance", required: bool = True,
+                make: Callable = _now) -> dict:
+    """Typed values of one instance object, one per entry of ``fields``
     (key -> kind), in the order of ``fields``.
 
     The kind ``"multi"`` reads the whole object as a MultiInstance (keys L,
     H, A or B, sum_is_identity); every other kind reads its own key with
     ``_FIELD_READERS``.  A missing key raises ParseError, or is left out when
-    ``required`` is false.
-
-    A non-empty list of objects of one shape is read as one instance of
-    stacked values, with the bits of each object's values stacked along a
-    leading axis: each object's matrices are parsed, then each checked
-    value is built once, on the stack.  An object that cannot be read alone
-    raises the error of reading it alone (the first such object's).
+    ``required`` is false.  Anything but a JSON object, a list included, is
+    a ParseError.
     """
-    if not isinstance(obj, list):
-        return _read(obj, fields, name, required, _now)
-    if not obj:
-        raise ParseError(f"{name}: expected a non-empty list of JSON objects")
-    try:
-        return _built([_read(o, fields, name, required, _Later) for o in obj])
-    except (EntropyLabError, ValueError) as exc:
-        for o in obj:
-            _read(o, fields, name, required, _now)
-        raise DimensionError(f"{name}: the objects of the list do not stack: {exc}") from exc
-
-
-def _read(obj, fields: dict, name: str, required: bool, make: Callable) -> dict:
     if not isinstance(obj, dict):
         raise ParseError(f"{name}: expected a JSON object, got {type(obj).__name__}")
     out = {}
@@ -262,6 +264,23 @@ def _read(obj, fields: dict, name: str, required: bool, make: Callable) -> dict:
         elif required:
             raise ParseError(f"{name}: missing required key '{key}'")
     return out
+
+
+def read_stacked(objs, fields: dict, name: str = "instance", required: bool = True) -> dict:
+    """A non-empty list of instance objects of one shape, read as one
+    instance whose values hold the bits of :func:`read_fields` of each
+    object stacked along a leading axis: each object's matrices are parsed,
+    then each checked value is built once, on the stack.  An object that
+    cannot be read alone raises the error of reading it alone (the first
+    such object's); objects that do not stack are a DimensionError."""
+    if not objs:
+        raise ParseError(f"{name}: expected a non-empty list of JSON objects")
+    try:
+        return _built([read_fields(o, fields, name, required, _Later) for o in objs])
+    except (EntropyLabError, ValueError) as exc:
+        for o in objs:
+            read_fields(o, fields, name, required)
+        raise DimensionError(f"{name}: the objects of the list do not stack: {exc}") from exc
 
 
 def _built(values: list):

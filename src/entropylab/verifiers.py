@@ -88,13 +88,14 @@ gaps and records of earlier passes only.
 
 Replay (:func:`re_evaluate`) reads a record's instance with ``fields``,
 passes the record's kind in as ``instance["kind"]``, runs the same
-``compare`` with the genuine functionals, and returns the first comparison
-of the record's kind (the first comparison at all for a record without a
-kind).  So a record's dump must hold every field that ``compare`` reads
-before it yields that comparison, and on the dump alone ``compare`` must
-yield the record's comparison first among those of its kind.  A list of
-weights (``lam``, ``t``) dumps the one weight of its record and is read
-back as a one-element tuple.
+``compare`` with the genuine functionals and the defaults (``_REPLAY_CFG``,
+built once), and returns the first comparison of the record's kind (the
+first comparison at all for a record without a kind).  So a record's dump
+must hold every field that ``compare`` reads before it yields that
+comparison, and on the dump alone ``compare`` must yield the record's
+comparison first among those of its kind.  A list of weights (``lam``,
+``t``) dumps the one weight of its record and is read back as a one-element
+tuple.
 
 Convexity and concavity are tested on segments (several mixing weights per
 instance), which is exact up to arithmetic noise.  `search_gt_route_gap`
@@ -102,7 +103,7 @@ inverts the usual pass meaning: it hunts for witnesses that the
 Golden-Thompson-first bound Tr(e^L e^(sum H_i* B_i H_i)) can exceed the
 commuting-case bound, keeps at most one per trial, re-verifies each by
 replaying its JSON dump (the dumps of a group's record kind make one JSON
-round trip, are read back as one stack by ``read_fields`` and are compared
+round trip, are read back as one stack by ``read_stacked`` and are compared
 at once), and passes when it finds one and no trial errored.
 """
 
@@ -145,7 +146,7 @@ from .matrix_core import (
     matrix_exp,
     spectral_decompose,
 )
-from .serialization import dumps, matrix_to_json, multi_instance_to_json, read_fields
+from .serialization import dumps, instance_to_json, read_fields, read_stacked
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_DIMS = ((1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 2, 2), (2, 3, 3), (3, 2, 2), (4, 2, 2))
@@ -213,6 +214,9 @@ class CheckConfig:
         }
 
 
+_REPLAY_CFG = CheckConfig()  # the config of every replay
+
+
 @dataclass
 class CheckReport:
     """Outcome of one check.
@@ -243,9 +247,9 @@ class CheckReport:
 
 class Comparison(NamedTuple):
     """One compared pair.  ``dump`` holds the values that the JSON instance
-    of its record is made of (see :func:`_dump`); ``extra`` holds further
-    record fields.  In a stacked comparison ``kind`` may be one label per
-    trial, as lhs and rhs are one value per trial."""
+    of its record is made of (see ``serialization.instance_to_json``);
+    ``extra`` holds further record fields.  In a stacked comparison ``kind``
+    may be one label per trial, as lhs and rhs are one value per trial."""
 
     kind: str
     lhs: float
@@ -378,22 +382,6 @@ def _chord(cfg: CheckConfig, lam, ends, mid, concave: bool = False, **held) -> C
     combo = lam * ends[0] + (1.0 - lam) * ends[1]
     lhs, rhs = (combo, mid) if concave else (mid, combo)
     return Comparison("segment", lhs, rhs, lhs - rhs, _tol(cfg, mid, *ends), dict(held, lam=lam))
-
-
-def _dump(**values) -> dict:
-    """JSON instance of a record: a MultiInstance merged in at the top level,
-    matrices as matrix objects, lists as lists of them, anything else as is."""
-    out = {}
-    for key, value in values.items():
-        if isinstance(value, fn.MultiInstance):
-            out.update(multi_instance_to_json(value))
-        elif isinstance(value, (list, tuple)):
-            out[key] = [matrix_to_json(m) for m in value]
-        elif isinstance(value, (np.ndarray, HermitianMatrix, Contraction)):
-            out[key] = matrix_to_json(value)
-        else:
-            out[key] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +561,7 @@ def _record(check: Check, trial: int, c: Comparison, i: int) -> dict:
     kind = c.kind if isinstance(c.kind, str) else _slice(c.kind, i)
     record = {"kind": kind, "trial": trial, **(c.extra or {}),
               "lhs": _slice(c.lhs, i), "rhs": _slice(c.rhs, i), "gap": _slice(c.gap, i),
-              "instance": _dump(**_slice(c.dump, i))}
+              "instance": instance_to_json(**_slice(c.dump, i))}
     if check.semantics != "witness_search":
         record["tol"] = _slice(c.tol, i)
     return record
@@ -590,7 +578,7 @@ def _reverify(check: Check, records: list) -> None:
         kinds.setdefault(r["kind"], []).append(r)
     for kind, same in kinds.items():
         dumped = json.loads(json.dumps([r["instance"] for r in same]))
-        read = read_fields(dumped, check.fields, required=False)
+        read = read_stacked(dumped, check.fields, required=False)
         redo = np.broadcast_to(_replay(check, kind, read).gap, len(same)).tolist()
         for r, gap in zip(same, redo):
             r["reverified_gap"] = gap
@@ -610,7 +598,7 @@ def _replay(check: Check, kind: str | None, instance: dict) -> Comparison:
     instance read back from a dump, or on a stack of them, with the genuine
     functionals."""
     instance = _ReadBack(instance, kind=kind)
-    for c in check.compare(instance, CheckConfig(), check.functionals()):
+    for c in check.compare(instance, _REPLAY_CFG, check.functionals()):
         if kind is None or c.kind == kind:
             return c
     raise DomainError(f"check {check.name!r}: the record's instance yields no {kind!r} comparison")
@@ -1088,7 +1076,5 @@ def re_evaluate(check_name: str, record: dict) -> dict:
         raise DomainError(f"check {check.name!r} has no comparison of kind {kind!r}")
     if "instance" not in record:
         raise ParseError("record: missing required key 'instance'")
-    if isinstance(record["instance"], list):  # which read_fields would read as a stack
-        raise ParseError("instance: expected a JSON object, got list")
     c = _replay(check, kind, read_fields(record["instance"], check.fields, required=False))
     return {"lhs": float(c.lhs), "rhs": float(c.rhs), "gap": float(c.gap)}

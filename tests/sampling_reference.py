@@ -30,13 +30,13 @@ from entropylab.matrix_core import (
     make_rng,
     matrix_exp,
 )
+from entropylab.serialization import instance_to_json
 from entropylab.verifiers import (
     GT_FAMILIES,
     HOMOGENEITY_BREAK_MIN,
     LAMBDA_SAMPLES,
     T_FACTORS,
     _compare_homogeneity,
-    _dump,
     re_evaluate,
     trial_rng,
 )
@@ -216,7 +216,7 @@ def strict_contraction_break(cfg, phi, dims, attempts=20):
             inst["inst"] = replace(m, H=strict)
             for c in _compare_homogeneity(inst, cfg, {"phi": phi}):
                 if c.gap > HOMOGENEITY_BREAK_MIN:
-                    dump = _dump(**c.dump)
+                    dump = instance_to_json(**c.dump)
                     return {"attempt": attempt, "t": dump["t"], "lhs": float(c.lhs),
                             "rhs": float(c.rhs), "gap": float(c.gap), "instance": dump}
         except EntropyLabError:
@@ -238,7 +238,7 @@ def trial_alone(check, cfg, funcs, t):
             if not c.breached:
                 continue
             record = {"kind": c.kind, "trial": t, **(c.extra or {}), "lhs": float(c.lhs),
-                      "rhs": float(c.rhs), "gap": float(c.gap), "instance": _dump(**c.dump)}
+                      "rhs": float(c.rhs), "gap": float(c.gap), "instance": instance_to_json(**c.dump)}
             if not search:
                 records.append({**record, "tol": float(c.tol)})
                 continue

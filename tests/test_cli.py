@@ -252,6 +252,25 @@ class TestOverflowEdges:
         assert (code, out) == (3, "")
         assert err == f"numerical error: {what} is not finite: it overflows\n"
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1.7e308])
+    @pytest.mark.parametrize("name,what", [
+        ("lieb_trace", "Tr(H B^p H* A^(1-p))"),
+        ("lieb_derivative", "d/dp Tr(H B^p H* A^(1-p)) at p = 0"),
+    ])
+    def test_a_huge_lieb_h_exits_3(self, tmp_path, capsys, name, what, scale):
+        # The Lieb functionals do not bound the norm of H: the weights
+        # |U_A* H U_B|^2 overflow (and at 1.7e308 so does the overlap, to
+        # inf - inf), and the sum is a numerical error with no RuntimeWarning.
+        path = write_instance(tmp_path, "inst.json", {
+            "A": matrix_to_json(np.array([[2.0, 0.5], [0.5, 1.0]])),
+            "B": matrix_to_json(np.array([[1.0, 0.5], [0.5, 3.0]])),
+            "H": matrix_to_json(np.full((2, 2), scale)), "p": 0.3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "eval", name, path)
+        assert (code, out) == (3, "")
+        assert err == f"numerical error: {what} is not finite: it overflows\n"
+
 
 class TestCheck:
     def test_single_check_passes(self, tmp_path, capsys):

@@ -45,8 +45,7 @@ from entropylab.matrix_core import (
     random_pd,
     stack,
 )
-from entropylab.serialization import matrix_to_json
-from entropylab.verifiers import _dump
+from entropylab.serialization import instance_to_json, matrix_to_json
 
 
 def scalar(x):
@@ -493,8 +492,8 @@ class TestValidatedContraction:
 
     def test_record_dump_is_byte_equal(self):
         d = _h_instance(47)
-        raw = _dump(H=d["H"], A1=d["A"], lam=0.5)
-        validated = _dump(H=Contraction(d["H"]), A1=d["A"], lam=0.5)
+        raw = instance_to_json(H=d["H"], A1=d["A"], lam=0.5)
+        validated = instance_to_json(H=Contraction(d["H"]), A1=d["A"], lam=0.5)
         assert json.dumps(validated, sort_keys=True) == json.dumps(raw, sort_keys=True)
         assert matrix_to_json(Contraction(d["H"])) == matrix_to_json(d["H"])
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sampling_reference as ref
 
-from entropylab import verifiers
+from entropylab import cli, verifiers
 from entropylab.errors import (
     DimensionError,
     DomainError,
@@ -34,6 +34,7 @@ from entropylab.serialization import (
     dump_json,
     dumps,
     hermitian_from_json,
+    instance_to_json,
     load_json,
     matrix_from_json,
     matrix_to_json,
@@ -41,6 +42,7 @@ from entropylab.serialization import (
     multi_instance_to_json,
     pd_from_json,
     read_fields,
+    read_stacked,
 )
 
 
@@ -406,6 +408,13 @@ class TestReadFields:
         with pytest.raises(ParseError):
             read_fields([1, 2], {"A": "pd"})
 
+    def test_a_list_of_good_objects_is_not_read(self):
+        # Only read_stacked reads a list; read_fields names the list's type.
+        obj = {"A": matrix_to_json(np.eye(2))}
+        for objs in ([obj], [obj, obj], []):
+            with pytest.raises(ParseError, match="^f.json: expected a JSON object, got list$"):
+                read_fields(objs, {"A": "pd"}, "f.json")
+
 
 def _bits(value):
     """A read value as nested tuples of its types, shapes and bytes: its
@@ -455,12 +464,12 @@ class TestReadStacked:
         for t in range(cfg.trials):
             instance = ref.sample(spec, verifiers.trial_rng(cfg.seed, t), spec.dims(cfg), t)
             for c in spec.compare(instance, cfg, spec.functionals()):
-                dump = json.loads(json.dumps(verifiers._dump(**c.dump)))
+                dump = json.loads(json.dumps(instance_to_json(**c.dump)))
                 groups.setdefault((c.kind, _signature(dump)), []).append(dump)
         assert max(map(len, groups.values())) >= 3
         for objs in groups.values():
             alone = [read_fields(o, spec.fields, required=False) for o in objs]
-            stacked = read_fields(objs, spec.fields, required=False)
+            stacked = read_stacked(objs, spec.fields, required=False)
             assert _bits(stacked) == _bits(verifiers._stacked(alone))
 
     @pytest.mark.parametrize("bad", ["pd", "hermitian", "parse", "contraction"])
@@ -483,7 +492,7 @@ class TestReadStacked:
         with pytest.raises(EntropyLabError) as alone:
             read_fields(first, fields)
         with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
-            read_fields([good, first, second], fields)
+            read_stacked([good, first, second], fields)
         assert isinstance(alone.value, ParseError if bad == "parse" else DomainError
                           if bad != "contraction" else NotAContraction)
 
@@ -498,7 +507,7 @@ class TestReadStacked:
 
         objs = [dump(True, 70), dump(False, 71), dump(True, 72)]
         alone = [read_fields(o, fields) for o in objs]
-        stacked = read_fields(objs, fields)
+        stacked = read_stacked(objs, fields)
         assert _bits(stacked) == _bits(verifiers._stacked(alone))
         flags = stacked["inst"].H.sum_is_identity
         assert flags.tolist() == [True, False, True]
@@ -511,7 +520,7 @@ class TestReadStacked:
             read_fields(first, fields)
         assert "do not sum to the identity" in str(alone_error.value)
         with pytest.raises(DomainError, match=f"^{re.escape(str(alone_error.value))}$"):
-            read_fields([objs[0], first, objs[1], second], fields)
+            read_stacked([objs[0], first, objs[1], second], fields)
 
     def test_objects_that_do_not_stack_are_a_dimension_error(self):
         small = _instance_json()
@@ -519,9 +528,23 @@ class TestReadStacked:
             L=random_hermitian(3, 1.0, 1), H=random_contraction_tuple(1, 3, 3, True, 2),
             a_list=[random_pd(3, seed=3)]))
         with pytest.raises(DimensionError, match="the objects of the list do not stack"):
-            read_fields([small, large], {"inst": "multi"})
+            read_stacked([small, large], {"inst": "multi"})
         with pytest.raises(ParseError, match="non-empty list"):
-            read_fields([], {"inst": "multi"})
+            read_stacked([], {"inst": "multi"})
+
+    @pytest.mark.parametrize("dims", [[], ["--dims", "2,8,8"]])
+    def test_each_witness_alone_replays_its_stacked_reverified_gap(self, tmp_path, dims):
+        # A witness's reverified_gap comes from the stacked read of its
+        # group's dumps (read_stacked); re_evaluate reads the record alone
+        # from the written report (read_fields).  The gaps are the same bits.
+        argv = ["check", "gt_route_gap", "--trials", "200", "--seed", "7", *dims,
+                "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        witnesses = load_json(tmp_path / "gt_route_gap.json")["violations"]
+        assert witnesses
+        for w in witnesses:
+            redo = verifiers.re_evaluate("gt_route_gap", w)
+            assert float.hex(redo["gap"]) == float.hex(w["reverified_gap"])
 
 
 def _instance_json() -> dict:

@@ -1178,3 +1178,24 @@ class TestReplayErrors:
     def test_route_value_needs_the_b_family(self):
         with pytest.raises(DomainError, match="gt_route_value needs an instance with b_list"):
             gt_route_value(self._a_instance())
+
+
+class TestReplayConfig:
+    def test_replay_builds_no_config_and_keeps_the_bits(self, monkeypatch):
+        # Replay compares under one default config built at import.
+        witnesses = search_gt_route_gap(CheckConfig(trials=60, seed=11)).violations
+        violation = check_gibbs_identity(CheckConfig(trials=2, seed=1),
+                                         objective_fn=lambda x, b: -fn.gibbs_objective(x, b)
+                                         ).violations[0]
+        records = [("gt_route_gap", w) for w in witnesses] + [("gibbs_identity", violation)]
+        before = [re_evaluate(name, r) for name, r in records]
+        default = CheckConfig()
+
+        def built(self):
+            raise AssertionError("replay built a CheckConfig")
+
+        monkeypatch.setattr(CheckConfig, "__post_init__", built)
+        after = [re_evaluate(name, r) for name, r in records]
+        assert [{key: float.hex(v) for key, v in redo.items()} for redo in after] == [
+            {key: float.hex(v) for key, v in redo.items()} for redo in before]
+        assert verifiers._REPLAY_CFG == default
