@@ -9,9 +9,8 @@ decomposed by ``eigh``, where the check used its drawn spectrum, so witness
 re-verification allows a gap difference of 1e-12.
 
 One instance object is read field by field with :func:`read_fields`, which
-the CLI (``eval``, ``optimize``) and check replay share; a list is a
-ParseError.  :func:`read_stacked` reads a list of them as one stack, for
-witness re-verification, and :func:`instance_to_json` writes a record's.
+the CLI (``eval``, ``optimize``), check replay and witness re-verification
+share; a list is a ParseError.  :func:`instance_to_json` writes a record's.
 
 Every JSON text the package writes (check reports, the summary, ``gen`` and
 ``eval --out`` files, ``optimize`` output) comes from :func:`dumps`, which
@@ -52,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, EntropyLabError, OutputError, ParseError
+from .errors import DimensionError, OutputError, ParseError
 from .functionals import MultiInstance
 from .matrix_core import (
     Contraction,
@@ -116,9 +115,10 @@ def _now(make: Callable, *args):
 
 
 class _Later:
-    """A checked value not yet built: ``make(*args)``.  :func:`read_stacked`
-    reads each object of a list with these, then builds each one once, on
-    the stack of the objects' arguments (:func:`_built`)."""
+    """A checked value not yet built: ``make(*args)``.  Witness
+    re-verification reads each dump of a group with these, and
+    ``verifiers._stacked`` builds each one once, on the stack of the dumps'
+    arguments."""
 
     __slots__ = ("make", "args")
 
@@ -251,7 +251,9 @@ def read_fields(obj, fields: dict, name: str = "instance", required: bool = True
     H, A or B, sum_is_identity); every other kind reads its own key with
     ``_FIELD_READERS``.  A missing key raises ParseError, or is left out when
     ``required`` is false.  Anything but a JSON object, a list included, is
-    a ParseError.
+    a ParseError.  ``make(type, *args)`` builds each checked value:
+    :func:`_now` builds it at once, and ``_Later`` leaves it to be built
+    later, on a stack of objects' arguments.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{name}: expected a JSON object, got {type(obj).__name__}")
@@ -264,56 +266,6 @@ def read_fields(obj, fields: dict, name: str = "instance", required: bool = True
         elif required:
             raise ParseError(f"{name}: missing required key '{key}'")
     return out
-
-
-def read_stacked(objs, fields: dict, name: str = "instance", required: bool = True) -> dict:
-    """A non-empty list of instance objects of one shape, read as one
-    instance whose values hold the bits of :func:`read_fields` of each
-    object stacked along a leading axis: each object's matrices are parsed,
-    then each checked value is built once, on the stack.  An object that
-    cannot be read alone raises the error of reading it alone (the first
-    such object's); objects that do not stack are a DimensionError."""
-    if not objs:
-        raise ParseError(f"{name}: expected a non-empty list of JSON objects")
-    try:
-        return _built([read_fields(o, fields, name, required, _Later) for o in objs])
-    except (EntropyLabError, ValueError) as exc:
-        for o in objs:
-            read_fields(o, fields, name, required)
-        raise DimensionError(f"{name}: the objects of the list do not stack: {exc}") from exc
-
-
-def _built(values: list):
-    """One value from the reads of several objects: each ``_Later`` built
-    once from its arguments joined across the objects, in the order in
-    which one object's read builds them; arrays and numbers stacked with
-    ``np.array``; dicts, lists and tuples entry by entry; a flag (such as a
-    tuple's ``sum_is_identity``) as it is where every object holds it, and
-    otherwise as one bool per object; any other value (None) as it is.
-    Values that do not stack, such as arrays of two shapes, are a
-    ValueError."""
-    first = values[0]
-    if any(type(v) is not type(first) for v in values):
-        raise ValueError("the objects differ in the types of their values")
-    if isinstance(first, (np.ndarray, float)):
-        return np.array(values)
-    if isinstance(first, _Later):
-        if any(v.make is not first.make for v in values):
-            raise ValueError("the objects differ in the types of their values")
-        return first.make(*(_built(list(column)) for column in zip(*(v.args for v in values))))
-    if isinstance(first, dict):
-        if any(v.keys() != first.keys() for v in values):
-            raise ValueError("the objects differ in their keys")
-        return {key: _built([v[key] for v in values]) for key in first}
-    if isinstance(first, (list, tuple)):
-        if any(len(v) != len(first) for v in values):
-            raise ValueError("the objects differ in the lengths of their lists")
-        return type(first)(_built(list(column)) for column in zip(*values))
-    if isinstance(first, bool):
-        return first if all(v is first for v in values) else np.array(values)
-    if any(v != first for v in values):
-        raise ValueError(f"the objects differ in a value: {first!r} and another")
-    return first
 
 
 class _Unwritten(Exception):

@@ -62,7 +62,8 @@ bits of its trial's own value, so each trial's gaps and records come from
 its entry of the stacked comparisons: kind, lhs, rhs, gap, tol, extra, and the
 dump of the trial's slice of the held values (for the witness search, the
 gaps up to the first breach and one record).  One walk, :func:`_stacked`,
-stacks draws, or the fields of a fused build, and takes an entry (:func:`_slice`).
+stacks draws, the fields of a fused build, or the reads of witness dumps,
+and takes an entry (:func:`_slice`).
 A group whose build, compare or re-verification raises is split in halves,
 down to stacks of one trial; such a trial keeps what it recorded before the
 raise and gets its error record.  There is no other trial path: a lone
@@ -103,8 +104,9 @@ inverts the usual pass meaning: it hunts for witnesses that the
 Golden-Thompson-first bound Tr(e^L e^(sum H_i* B_i H_i)) can exceed the
 commuting-case bound, keeps at most one per trial, re-verifies each by
 replaying its JSON dump (the dumps of a group's record kind make one JSON
-round trip, are read back as one stack by ``read_stacked`` and are compared
-at once), and passes when it finds one and no trial errored.
+round trip, are read back one by one and built as one stack by
+:func:`_stacked`, and are compared at once), and passes when it finds one
+and no trial errored.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ from .matrix_core import (
     matrix_exp,
     spectral_decompose,
 )
-from .serialization import dumps, instance_to_json, read_fields, read_stacked
+from .serialization import _Later, dumps, instance_to_json, read_fields
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_DIMS = ((1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 2, 2), (2, 3, 3), (3, 2, 2), (4, 2, 2))
@@ -319,9 +321,9 @@ def _mix(lam, M1, M2) -> PositiveDefiniteMatrix:
     return PositiveDefiniteMatrix(_scaled(lam, M1) + _scaled(1.0 - lam, M2))
 
 
-def _stack_bytes(order: int, count: int = 1) -> int:
-    """Bytes of a stack of ``count`` complex matrices of order ``order``."""
-    return count * order * order * np.dtype(np.complex128).itemsize
+def _stack_bytes(order: int) -> int:
+    """Bytes of one complex matrix of order ``order``."""
+    return order * order * np.dtype(np.complex128).itemsize
 
 
 def _by_point(evaluate: Callable, n_ends: int, weights: tuple, point_bytes: int):
@@ -482,10 +484,12 @@ def _run_group(check: Check, cfg: CheckConfig, funcs: dict, group: list) -> dict
 
 
 def _stacked(values: list, join: Callable = np.array):
-    """One value stacked from values of one shape (draws of one key, or the
-    same-shape fields of a build): arrays as stacks, floats and strings
-    that differ as arrays, checked matrix values as stacked values that are
-    not checked again, dicts, sequences and dataclasses field by field,
+    """One value stacked from values of one shape (draws of one key, the
+    same-shape fields of a build, or the reads of a group's dumps): arrays
+    as stacks, floats and labels (strings and flags) that differ as arrays,
+    checked matrix values as stacked values that are not checked again, a
+    value read for later (``serialization._Later``) built once on its
+    stacked arguments, dicts, sequences and dataclasses field by field,
     anything else as it is.  Each array is ``join`` of the list of its
     values' arrays (np.array stacks as np.stack does, in half the time),
     and a number is made a float and a label a str: so a ``join`` that
@@ -504,7 +508,9 @@ def _stacked(values: list, join: Callable = np.array):
     if isinstance(first, (np.ndarray, float)):
         out = join(values)
         return str(out) if isinstance(out, np.str_) else _per_matrix(out)
-    if isinstance(first, str) and values.count(first) < len(values):
+    if isinstance(first, _Later):
+        return first.make(*_stacked([v.args for v in values], join))
+    if isinstance(first, (str, bool)) and values.count(first) < len(values):
         return np.array(values)  # labels that differ, one per entry
     return first
 
@@ -570,15 +576,17 @@ def _record(check: Check, trial: int, c: Comparison, i: int) -> dict:
 def _reverify(check: Check, records: list) -> None:
     """Re-verify witness records from their serialized dumps with the
     genuine functionals.  The dumps of each record kind make one JSON round
-    trip as a list, are read back with ``fields`` as one stack, and are
-    compared once; each record gets its replayed gap and whether it is
-    within 1e-12 of its own."""
+    trip as a list; each is read with ``fields``, its checked values left
+    unbuilt, and :func:`_stacked` builds each value once, on the stack of
+    the dumps, so the kind is compared once.  Each record gets its replayed
+    gap and whether it is within 1e-12 of its own."""
     kinds: dict = {}
     for r in records:
         kinds.setdefault(r["kind"], []).append(r)
     for kind, same in kinds.items():
         dumped = json.loads(json.dumps([r["instance"] for r in same]))
-        read = read_stacked(dumped, check.fields, required=False)
+        read = _stacked([read_fields(o, check.fields, required=False, make=_Later)
+                         for o in dumped])
         redo = np.broadcast_to(_replay(check, kind, read).gap, len(same)).tolist()
         for r, gap in zip(same, redo):
             r["reverified_gap"] = gap
@@ -621,18 +629,13 @@ def _build_sh(d: dict) -> dict:
             "lam": d["lam"]}
 
 
-def _batch(value) -> int:
-    """Number of matrices in the stack of a value (1 for a 2-d value)."""
-    return int(np.prod(value.mat.shape[:-2]))
-
-
 def _compare_sh(inst, cfg, f):
     entropy, h = f["entropy"], inst["H"]
     a1, b1, a2, b2 = inst["A1"], inst["B1"], inst["A2"], inst["B2"]
     _same_shape(A1=a1, A2=a2)
     _same_shape(B1=b1, B2=b2)
     walk = _by_point(lambda points: entropy(points([a1, a2], _mix), points([b1, b2], _mix), h),
-                     2, inst["lam"], _stack_bytes(a1.dim, _batch(a1)))
+                     2, inst["lam"], a1.mat.nbytes)
     ends = [values[j] for _, j, values in islice(walk, 2)]
     for lam, j, values in walk:
         yield _chord(cfg, lam, ends, values[j], H=h, A1=a1, B1=b1, A2=a2, B2=b2)
@@ -654,7 +657,7 @@ def _compare_phi(inst, cfg, f):
     phi, L, h, a1, a2 = f["phi"], inst["L"], inst["H"], inst["A1"], inst["A2"]
     _same_shape(A1=a1, A2=a2)
     walk = _by_point(lambda points: phi(points([a1, a2], _mix), L, h),
-                     2, inst["lam"], _stack_bytes(max(a1.dim, L.dim), _batch(L)))
+                     2, inst["lam"], max(a1.mat.nbytes, L.mat.nbytes))
     ends = [values[j] for _, j, values in islice(walk, 2)]
     for lam, j, values in walk:
         yield _chord(cfg, lam, ends, values[j], concave=True, L=L, H=h, A1=a1, A2=a2)
@@ -679,8 +682,10 @@ def _build_multi(d: dict) -> dict:
 
 def _compare_multi(inst, cfg, f):
     phi, first = f["phi"], inst["inst"]
-    # A block_lift record dumps its instance alone, which is then the one point.
-    ends = [first.a_list] + ([inst["A2"]] if "A2" in inst else [])
+    # A block_lift record dumps its instance alone, which is then the one
+    # point; a segment record's must hold A2 and lam.
+    segment = inst.get("kind") == "segment"
+    ends = [first.a_list] + ([inst["A2"]] if segment or "A2" in inst else [])
     _same_shape(**dict(zip(("A", "A2"), ends)))
 
     def evaluate(points):
@@ -689,8 +694,8 @@ def _compare_multi(inst, cfg, f):
         return m.a_list, phi(m), fn.block_lift(m).lifted_value()
 
     p_ends = []
-    walk = _by_point(evaluate, len(ends), inst.get("lam", ()),
-                     _stack_bytes(first.k * max(first.H.m, first.H.n), _batch(first.L)))
+    walk = _by_point(evaluate, len(ends), inst["lam"] if segment else inst.get("lam", ()),
+                     first.k ** 2 * max(first.a_list[0].mat.nbytes, first.L.mat.nbytes))
     for lam, j, (a_lists, directs, lifteds) in walk:
         m = replace(first, a_list=_slice(a_lists, j))
         direct, lifted = directs[j], lifteds[j]
@@ -747,7 +752,7 @@ def _build_gibbs(d: dict) -> dict:
 def _compare_gibbs(inst, cfg, f):
     objective, B = f["objective"], inst["B"]
     tr_b = B.trace()
-    if "X" in inst:  # an equality record dumps B alone
+    if "X" in inst or inst.get("kind") == "bound":  # an equality record dumps B alone
         X = inst["X"]
         val = objective(X, B)
         yield Comparison("bound", val, tr_b, val - tr_b, _tol(cfg, val, tr_b),
@@ -845,7 +850,7 @@ def _compare_homogeneity(inst, cfg, f):
     phi, m = f["phi"], inst["inst"]
     walk = _by_point(
         lambda points: phi(replace(m, a_list=[points([a], _scaled_pd) for a in m.a_list])),
-        1, inst["t"], _stack_bytes(max(m.H.m, m.H.n), _batch(m.L)))
+        1, inst["t"], max(m.a_list[0].mat.nbytes, m.L.mat.nbytes))
     base = next(values[j] for _, j, values in walk)
     for t, j, values in walk:
         val, scaled = values[j], t * base

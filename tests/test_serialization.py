@@ -14,8 +14,6 @@ from entropylab import cli, verifiers
 from entropylab.errors import (
     DimensionError,
     DomainError,
-    EntropyLabError,
-    NotAContraction,
     OutputError,
     ParseError,
 )
@@ -29,6 +27,7 @@ from entropylab.matrix_core import (
     random_pd,
 )
 from entropylab.serialization import (
+    _Later,
     contraction_tuple_from_json,
     contraction_tuple_to_json,
     dump_json,
@@ -42,7 +41,6 @@ from entropylab.serialization import (
     multi_instance_to_json,
     pd_from_json,
     read_fields,
-    read_stacked,
 )
 
 
@@ -409,7 +407,7 @@ class TestReadFields:
             read_fields([1, 2], {"A": "pd"})
 
     def test_a_list_of_good_objects_is_not_read(self):
-        # Only read_stacked reads a list; read_fields names the list's type.
+        # read_fields reads one object and names the list's type.
         obj = {"A": matrix_to_json(np.eye(2))}
         for objs in ([obj], [obj, obj], []):
             with pytest.raises(ParseError, match="^f.json: expected a JSON object, got list$"):
@@ -452,7 +450,9 @@ def _signature(obj):
 
 
 class TestReadStacked:
-    """A list of instance objects is read as one instance of stacked values."""
+    """The reads of a list of instance objects, their checked values left
+    unbuilt, are built as one instance of stacked values by the walk of
+    witness re-verification."""
 
     @pytest.mark.parametrize("name", list(verifiers.CHECKS))
     def test_a_list_reads_as_the_reads_of_its_objects_stacked(self, name):
@@ -469,32 +469,8 @@ class TestReadStacked:
         assert max(map(len, groups.values())) >= 3
         for objs in groups.values():
             alone = [read_fields(o, spec.fields, required=False) for o in objs]
-            stacked = read_stacked(objs, spec.fields, required=False)
+            stacked = _read_stacked(objs, spec.fields, required=False)
             assert _bits(stacked) == _bits(verifiers._stacked(alone))
-
-    @pytest.mark.parametrize("bad", ["pd", "hermitian", "parse", "contraction"])
-    def test_an_object_raises_the_error_of_reading_it_alone(self, bad):
-        # The second bad object is worse, so that an error taken over the
-        # whole stack would name its numbers, not those of the first.
-        fields = {"X": "pd", "inst": "multi"}
-        good = {**_instance_json(), "X": matrix_to_json(np.diag([1.0, 2.0]))}
-
-        def edited(worse):
-            if bad == "pd":
-                return {**good, "X": matrix_to_json(np.diag([-worse, 1.0]))}
-            if bad == "hermitian":
-                return {**good, "L": matrix_to_json(np.array([[0.0, worse], [0.0, 0.0]]))}
-            if bad == "parse":
-                return {**good, "X": {"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * (2 + worse)}}
-            return {**good, "H": [matrix_to_json(np.diag([1.0 + worse, 0.0]))]}
-
-        first, second = edited(1), edited(3)
-        with pytest.raises(EntropyLabError) as alone:
-            read_fields(first, fields)
-        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
-            read_stacked([good, first, second], fields)
-        assert isinstance(alone.value, ParseError if bad == "parse" else DomainError
-                          if bad != "contraction" else NotAContraction)
 
     def test_isometric_and_strict_tuples_stack_with_a_flag_per_object(self):
         fields = {"inst": "multi"}
@@ -507,36 +483,17 @@ class TestReadStacked:
 
         objs = [dump(True, 70), dump(False, 71), dump(True, 72)]
         alone = [read_fields(o, fields) for o in objs]
-        stacked = read_stacked(objs, fields)
+        stacked = _read_stacked(objs, fields)
         assert _bits(stacked) == _bits(verifiers._stacked(alone))
         flags = stacked["inst"].H.sum_is_identity
         assert flags.tolist() == [True, False, True]
         assert [read["inst"].H.sum_is_identity for read in alone] == flags.tolist()
-        # A strict tuple's blocks flagged as summing to the identity fail that
-        # check alone; the list raises the first such object's own error,
-        # not the error of the stack, which names the worse second one.
-        first, second = ({**dump(False, seed), "sum_is_identity": True} for seed in (73, 74))
-        with pytest.raises(DomainError) as alone_error:
-            read_fields(first, fields)
-        assert "do not sum to the identity" in str(alone_error.value)
-        with pytest.raises(DomainError, match=f"^{re.escape(str(alone_error.value))}$"):
-            read_stacked([objs[0], first, objs[1], second], fields)
-
-    def test_objects_that_do_not_stack_are_a_dimension_error(self):
-        small = _instance_json()
-        large = multi_instance_to_json(MultiInstance(
-            L=random_hermitian(3, 1.0, 1), H=random_contraction_tuple(1, 3, 3, True, 2),
-            a_list=[random_pd(3, seed=3)]))
-        with pytest.raises(DimensionError, match="the objects of the list do not stack"):
-            read_stacked([small, large], {"inst": "multi"})
-        with pytest.raises(ParseError, match="non-empty list"):
-            read_stacked([], {"inst": "multi"})
 
     @pytest.mark.parametrize("dims", [[], ["--dims", "2,8,8"]])
     def test_each_witness_alone_replays_its_stacked_reverified_gap(self, tmp_path, dims):
         # A witness's reverified_gap comes from the stacked read of its
-        # group's dumps (read_stacked); re_evaluate reads the record alone
-        # from the written report (read_fields).  The gaps are the same bits.
+        # group's dumps; re_evaluate reads the record alone from the written
+        # report (read_fields).  The gaps are the same bits.
         argv = ["check", "gt_route_gap", "--trials", "200", "--seed", "7", *dims,
                 "--out-dir", str(tmp_path)]
         assert cli.main(argv) == 0
@@ -545,6 +502,13 @@ class TestReadStacked:
         for w in witnesses:
             redo = verifiers.re_evaluate("gt_route_gap", w)
             assert float.hex(redo["gap"]) == float.hex(w["reverified_gap"])
+
+
+def _read_stacked(objs, fields: dict, required: bool = True) -> dict:
+    """The read of witness re-verification: each object read with its
+    checked values unbuilt, then built once on the stack (``_stacked``)."""
+    return verifiers._stacked([read_fields(o, fields, required=required, make=_Later)
+                               for o in objs])
 
 
 def _instance_json() -> dict:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import re
 from dataclasses import fields, replace
@@ -17,7 +18,13 @@ from entropylab.matrix_core import (
     random_hermitian,
     random_pd,
 )
-from entropylab.serialization import matrix_from_json, matrix_to_json, multi_instance_to_json
+from entropylab.serialization import (
+    instance_to_json,
+    matrix_from_json,
+    matrix_to_json,
+    multi_instance_to_json,
+    read_fields,
+)
 from entropylab.verifiers import (
     CHECKS,
     DEFAULT_DIMS,
@@ -281,6 +288,40 @@ class TestWitnessSearch:
             assert redo["lhs"] == pytest.approx(w["lhs"], abs=1e-12)
 
 
+# The keys of each record kind's dump that replay reads, less the optional
+# sum_is_identity.
+_READ_KEYS = {
+    ("sh_convexity", "segment"): "H A1 B1 A2 B2 lam",
+    ("phi_concavity", "segment"): "L H A1 A2 lam",
+    ("multi_concavity", "block_lift"): "L H A",
+    ("multi_concavity", "segment"): "L H A A2 lam",
+    ("gt_jensen", "general"): "L H B",
+    ("gt_jensen", "golden_thompson"): "L H B",
+    ("gt_jensen", "jensen"): "L H B",
+    ("gibbs_identity", "bound"): "X B",
+    ("gibbs_identity", "equality"): "B",
+    ("derivative_limit", "not_decreasing"): "A B H",
+    ("derivative_limit", "floor_exceeded"): "A B H",
+    ("derivative_limit", "above_scale"): "A B H",
+    ("gt_route_gap", "witness"): "L H B",
+    ("homogeneity", "identity"): "L H A t",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _dumps_by_kind(name: str) -> dict:
+    """{kind: the JSON dump of the first comparison of that kind} over six
+    trials of check ``name``, each built alone."""
+    spec = verifiers._SPECS[name]
+    cfg = CheckConfig(trials=6, seed=3, dims=((2, 3, 3),))
+    dumps = {}
+    for t in range(cfg.trials):
+        instance = ref.sample(spec, trial_rng(cfg.seed, t), spec.dims(cfg), t)
+        for c in spec.compare(instance, cfg, spec.functionals()):
+            dumps.setdefault(c.kind, json.loads(json.dumps(instance_to_json(**c.dump))))
+    return dumps
+
+
 class TestViolationDumps:
     def test_dump_round_trips_through_json(self):
         flipped = lambda a, b, h: -fn.reduced_relative_entropy(a, b, h)
@@ -384,6 +425,22 @@ class TestViolationDumps:
         instance = {k: v for k, v in record["instance"].items() if k != "B2"}
         with pytest.raises(ParseError, match="missing key 'B2'"):
             re_evaluate("sh_convexity", {**record, "instance": instance})
+
+    @pytest.mark.parametrize("name,kind,key", [
+        (name, kind, key) for (name, kind), keys in _READ_KEYS.items() for key in keys.split()])
+    def test_a_dump_without_a_key_its_kind_reads_is_a_parse_error(self, name, kind, key):
+        # A dump that replays, less one key that replay reads for its kind
+        # (a key of the check's fields, or of its multi-instance), is a
+        # ParseError naming that key.
+        spec, dump = verifiers._SPECS[name], _dumps_by_kind(name)[kind]
+        read = {k for k, v in spec.fields.items() if v != "multi"}
+        if "multi" in spec.fields.values():
+            read |= {"L", "H", "A", "B"}
+        assert sorted(read & dump.keys()) == sorted(_READ_KEYS[name, kind].split())
+        assert set(re_evaluate(name, {"kind": kind, "instance": dump})) == {"lhs", "rhs", "gap"}
+        instance = {k: v for k, v in dump.items() if k != key}
+        with pytest.raises(ParseError, match=f"'{key}'"):
+            re_evaluate(name, {"kind": kind, "instance": instance})
 
 
     @staticmethod
@@ -1158,6 +1215,34 @@ class TestWholeRunGroups:
         monkeypatch.setattr(verifiers, "_run_group", ref.every_trial_alone)
         assert search_gt_route_gap(cfg, route_fn=gt_route_value).to_json() == report.to_json()
 
+    def test_a_dump_that_does_not_read_back_is_its_trials_error(self, monkeypatch):
+        # One witness's dump holds a non-Hermitian L, so the stacked read of
+        # its group's dumps raises: that trial alone gets the error of
+        # reading its dump, and the other witnesses keep their replays.
+        cfg = CheckConfig(trials=40, seed=5)
+        found = search_gt_route_gap(cfg).violations
+        chosen = found[3]
+        L = matrix_from_json(chosen["instance"]["L"])
+        L[0, -1] += 1.0
+        bad = {**chosen["instance"], "L": matrix_to_json(L)}
+        record = verifiers._record
+
+        def recorded(check, trial, c, i):
+            r = record(check, trial, c, i)
+            if trial == chosen["trial"]:
+                r["instance"] = bad
+            return r
+
+        monkeypatch.setattr(verifiers, "_record", recorded)
+        report = search_gt_route_gap(cfg)
+        with pytest.raises(DomainError) as alone:
+            read_fields(json.loads(json.dumps(bad)), verifiers._SPECS["gt_route_gap"].fields,
+                        required=False)
+        error = {"kind": "error", "trial": chosen["trial"], "error": str(alone.value)}
+        assert report.violations == [error if w is chosen else w for w in found]
+        assert ([float.hex(w["reverified_gap"]) for w in report.violations if w != error]
+                == [float.hex(w["reverified_gap"]) for w in found if w is not chosen])
+
 
 class TestReplayErrors:
     @staticmethod
@@ -1167,9 +1252,12 @@ class TestReplayErrors:
                                 a_list=[random_pd(2, seed=72)])
 
     def test_instance_that_yields_no_comparison_of_the_record_kind(self):
-        # Without A2 and lam a multi_concavity instance is one point: its
-        # block_lift comparison, and no segment.
-        record = {"kind": "segment", "instance": multi_instance_to_json(self._a_instance())}
+        # With no weight in lam a multi_concavity instance is its two ends:
+        # their block_lift comparisons, and no segment.
+        inst = self._a_instance()
+        record = {"kind": "segment", "instance": {
+            **multi_instance_to_json(inst), "A2": [matrix_to_json(a) for a in inst.a_list],
+            "lam": []}}
         assert set(re_evaluate("multi_concavity", {**record, "kind": "block_lift"})) == {
             "lhs", "rhs", "gap"}
         with pytest.raises(DomainError, match="yields no 'segment' comparison"):
