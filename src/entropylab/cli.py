@@ -47,6 +47,7 @@ from .errors import (
 )
 from .matrix_core import (
     EIG_RANGE,
+    make_rng,
     random_contraction_tuple,
     random_hermitian,
     random_pd,
@@ -184,8 +185,6 @@ def cmd_gen(args) -> int:
         tup = random_contraction_tuple(args.k, args.m, args.n, args.sum_identity, seed)
         out = contraction_tuple_to_json(tup)
     else:  # multi_instance
-        from .matrix_core import make_rng
-
         rng = make_rng(seed)
         tup = random_contraction_tuple(args.k, args.m, args.n, args.sum_identity, rng)
         L = random_hermitian(args.n, args.scale, rng)

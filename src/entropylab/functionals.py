@@ -267,21 +267,24 @@ class MultiInstance:
         return self.H.k
 
 
-def _plus(base: np.ndarray, terms) -> np.ndarray:
+def _plus(base: np.ndarray | None, terms) -> np.ndarray:
     """base plus each of one or more terms, broadcast over their stack
-    shapes (a stack of points against one stack of base)."""
+    shapes (a stack of points against one stack of base); for base None,
+    the sum of the terms, which then share one shape."""
     terms = iter(terms)
-    total = base + next(terms)
+    total = next(terms) if base is None else base + next(terms)
     for term in terms:
         total += term
     return total
 
 
-def _conjugated_sum(L: HermitianMatrix, H: ContractionTuple,
+def _conjugated_sum(L: HermitianMatrix | None, H: ContractionTuple,
                     middles: list[np.ndarray]) -> np.ndarray:
     """L + sum_i H_i* M_i H_i, broadcast over the stack shapes of L and the
-    M_i (a stack of points of the M_i against one stack of L and H)."""
-    return _plus(L.mat, (_adjoint(h) @ mid @ h for h, mid in zip(H.blocks, middles)))
+    M_i (a stack of points of the M_i against one stack of L and H); for L
+    None, the bare sum_i H_i* M_i H_i."""
+    return _plus(None if L is None else L.mat,
+                 (_adjoint(h) @ mid @ h for h, mid in zip(H.blocks, middles)))
 
 
 def multi_trace_exp(inst: MultiInstance) -> float:

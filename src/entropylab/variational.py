@@ -12,8 +12,8 @@ by the Frobenius norm of the gradient G - log X* there, with the G of the
 argmax, ``converged`` when that norm is at most ``SolverConfig.grad_tol``.
 X* is one unit step of mirror ascent (the matrix exponentiated gradient)
 Y <- Y + (G - log X), X = exp(Y).
-``OBJECTIVES`` holds each objective's instance fields, which ``optimize``
-reads, and the name of its problem builder, which ``maximize`` calls.
+``OBJECTIVES`` holds each objective's problem builder, which ``maximize``
+calls, and its instance fields, which ``optimize`` reads.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ def _phi_problem(A, L, H):
     return _phi_exponent(A, L, h.mat), lambda x: phi_objective(x, A, L, h)
 
 
-# optimize name -> (its problem builder here; the data fields in argument order).
+# optimize name -> (its problem builder; the data fields in argument order).
 OBJECTIVES = {
-    "gibbs": ("_gibbs_problem", {"B": "pd"}),
-    "phi": ("_phi_problem", {"A": "pd", "L": "hermitian", "H": "matrix"}),
+    "gibbs": (_gibbs_problem, {"B": "pd"}),
+    "phi": (_phi_problem, {"A": "pd", "L": "hermitian", "H": "matrix"}),
 }
 
 
@@ -134,7 +134,7 @@ def maximize(objective: str, data: Mapping, cfg: SolverConfig | None = None) -> 
         raise DomainError(f"unknown objective {objective!r}; "
                           f"expected {' or '.join(map(repr, OBJECTIVES))}")
     builder, fields = OBJECTIVES[objective]
-    exponent, f = globals()[builder](*(data[key] for key in fields))
+    exponent, f = builder(*(data[key] for key in fields))
     x = _exp_point(exponent)
     value = _finite(f(x), "objective")
     grad_norm = _finite(np.linalg.norm(_gradient(exponent, x).mat, "fro"), "gradient norm")

@@ -7,7 +7,8 @@ Each check is declared as a :class:`Check` rather than written as a loop:
   calls, from the trial's substream, after the run loop has picked the
   trial's (k, m, n) triple from that substream, and nothing else: it
   returns the drawn numbers and the trial's labels (gt_jensen's family;
-  an isometric tuple has the scale 1.0).  Its calls keep the
+  an isometric tuple has the scale 1.0, and homogeneity's strict-contraction
+  search draws its tuple with 0.9).  Its calls keep the
   order of the one-pass samplers it replaced; reordering two changes every
   later number of the substream, and so the reports;
 - ``build(draw) -> instance`` does everything else and owns every check
@@ -16,9 +17,10 @@ Each check is declared as a :class:`Check` rather than written as a loop:
   imaginary parts, once per group: it
   makes the instance, a dict of typed values, from one draw, or one
   instance of stacked values from a group of draws stacked along a leading
-  axis, each entry with the bits of building its draw alone.  It makes one
-  builder call per shape (:func:`_fused`): a group's same-shape fields, such
-  as sh_convexity's A1, B1, A2 and B2, are built as one stack, as many to a
+  axis, each entry with the bits of building its draw alone.  Each compared
+  value is built once, from its draw.  It makes one builder call per shape
+  (:func:`_fused`): a group's same-shape drawn fields, such as
+  sh_convexity's A1, B1, A2 and B2, are built as one stack, as many to a
   call as fit ``BLOCK_BYTES``;
 - ``compare(instance, cfg, functionals)`` is a lazy generator of
   :class:`Comparison` s (kind, lhs, rhs, gap, tol, strict), each holding
@@ -321,11 +323,6 @@ def _mix(lam, M1, M2) -> PositiveDefiniteMatrix:
     return PositiveDefiniteMatrix(_scaled(lam, M1) + _scaled(1.0 - lam, M2))
 
 
-def _stack_bytes(order: int) -> int:
-    """Bytes of one complex matrix of order ``order``."""
-    return order * order * np.dtype(np.complex128).itemsize
-
-
 def _by_point(evaluate: Callable, n_ends: int, weights: tuple, point_bytes: int):
     """Walk the points of a segment: ``n_ends`` ends, then one per weight.
 
@@ -433,9 +430,11 @@ def _run(check: Check, cfg: CheckConfig, first: int = 0, **hooks) -> CheckReport
 
 def _group_cap(check: Check, kmn: tuple) -> int:
     """Trials per group of a key first drawn at dims ``kmn``, so that
-    no stack of the group exceeds BLOCK_BYTES.  Every trial of a key
-    builds the same shapes, so the order of any of their dims bounds them."""
-    return max(1, BLOCK_BYTES // _stack_bytes(check.order(*kmn)))
+    no stack of the group exceeds BLOCK_BYTES: as many as complex matrices
+    of the check's largest order fit.  Every trial of a key builds the same
+    shapes, so the order of any of their dims bounds them."""
+    order = check.order(*kmn)
+    return max(1, BLOCK_BYTES // (order * order * np.dtype(np.complex128).itemsize))
 
 
 def _run_group(check: Check, cfg: CheckConfig, funcs: dict, group: list) -> dict:
@@ -522,37 +521,32 @@ def _slice(value, i: int):
     return _stacked([value], lambda parts: parts[0][i] if np.ndim(parts[0]) else parts[0])
 
 
-def _fused(build: Callable, fields: list, *args) -> list:
-    """``[build(*field, *args) for field in fields]``, a field being a tuple of
-    stacked arguments or one stacked argument.  Each run of consecutive
-    same-shape fields is joined along a new leading axis (:func:`_stacked`),
-    built by one call per as many fields as keep the joined stack within
-    BLOCK_BYTES, and split (:func:`_slice`): each value has the bits, the kept
-    spectrum or its absence and the ``min_eigenvalue`` of its own build.  A
-    call that raises is redone field by field, so the first field that fails
-    raises its own error."""
+def _fused(build: Callable, fields: list) -> list:
+    """``[build(*field) for field in fields]``, a field being a draw: a tuple
+    of stacked drawn arrays, whose last (the Gaussian parts) is the largest
+    that its build makes, or one such array.  Each run of consecutive fields
+    whose last arrays share a shape is joined along a new leading axis
+    (:func:`_stacked`), built by one call per as many fields as keep the
+    joined last arrays within BLOCK_BYTES, and split (:func:`_slice`): each
+    value has the bits, the kept spectrum or its absence and the
+    ``min_eigenvalue`` of its own build.  A call that raises is redone field
+    by field, so the first field that fails raises its own error."""
     fields = [f if isinstance(f, tuple) else (f,) for f in fields]
     out = []
-    for _, run in groupby(fields, lambda f: _largest(f).shape):
+    for _, run in groupby(fields, lambda f: f[-1].shape):
         run = list(run)
-        size = max(1, BLOCK_BYTES // _largest(run[0]).nbytes)
+        size = max(1, BLOCK_BYTES // run[0][-1].nbytes)
         for part in (run[start:start + size] for start in range(0, len(run), size)):
             if len(part) > 1:
                 try:
-                    value = build(*_stacked(part), *args)
+                    value = build(*_stacked(part))
                 except EntropyLabError:
                     pass  # built field by field below, where the failing field raises
                 else:
                     out += [_slice(value, i) for i in range(len(part))]
                     continue
-            out += [build(*f, *args) for f in part]
+            out += [build(*f) for f in part]
     return out
-
-
-def _largest(field: tuple) -> np.ndarray:
-    """The array of a field's last argument (a draw's Gaussian parts, or a
-    value's matrix), the largest that its build makes."""
-    return getattr(field[-1], "mat", field[-1])
 
 
 def _fused_pd(d: dict, *keys) -> dict:
@@ -811,15 +805,15 @@ def _build_route(d: dict) -> dict:
     # eigendirection of e^(sum H* B H) - sum H* e^B H (a random search over
     # L alone almost never aligns with that thin direction).
     tup = _build_tuple(*d["H"])
-    bs = _fused(_build_hermitian, d["B"], 3.0)
+    bs = _fused(lambda g: _build_hermitian(g, 3.0), d["B"])
     l_random = _build_hermitian(d["L"], d["L_scale"])
-    zero = HermitianMatrix(np.zeros(l_random.mat.shape))
-    conj = fn._conjugated_sum(zero, tup, [b.mat for b in bs])
-    top = matrix_exp(HermitianMatrix(conj)).mat
-    # The B_i are decomposed as one stack after the exponent, as each was alone,
-    # so errors keep their order; each keeps its spectrum.
-    bs, exps = zip(*_fused(lambda b: (b, matrix_exp(b)), bs))
-    diff = top - fn._conjugated_sum(zero, tup, [e.mat for e in exps])
+    top = matrix_exp(HermitianMatrix(fn._conjugated_sum(None, tup, [b.mat for b in bs]))).mat
+    diff = top - fn._conjugated_sum(None, tup, [matrix_exp(b).mat for b in bs])
+    # At k*m = n the stacked blocks are unitary, so the two sides are equal
+    # and diff is round-off, too asymmetric for a checked Hermitian value:
+    # it is symmetrized first, as that value stores it.
+    diff += _adjoint(diff)
+    diff /= 2.0
     spike = spectral_decompose(HermitianMatrix(diff)).eigenvectors[..., -1:]
     l_probe = HermitianMatrix(_per_entry(d["alpha"]) * (spike @ _adjoint(spike)))
     return {"inst": fn.MultiInstance(L=l_random, H=tup, b_list=bs),
@@ -858,12 +852,11 @@ def _compare_homogeneity(inst, cfg, f):
                          dict(inst=m, t=t))
 
 
-def _build_strict_contraction(d: dict) -> dict:
-    """The homogeneity instance with its tuple scaled by 0.9, so that
-    sum(H_i* H_i) = 0.81 I is strictly below I."""
-    inst = _build_homogeneity(d)
-    strict = ContractionTuple([0.9 * b for b in inst["inst"].H.blocks], sum_is_identity=False)
-    return {**inst, "inst": replace(inst["inst"], H=strict)}
+def _draw_strict(rng, kmn, trial) -> dict:
+    """Homogeneity's draw with its tuple's scale 0.9 for the isometric 1.0,
+    so that sum(H_i* H_i) = 0.81 I is strictly below I."""
+    d = _draw_homogeneity(rng, kmn, trial)
+    return {**d, "H": d["H"][:-1] + (0.9,)}
 
 
 def _compare_break(inst, cfg, f):
@@ -909,8 +902,7 @@ _SPECS = {c.name: c for c in (
           {"inst": "multi", "t": "floats"}, ("identity",), dims=_isometric_dims),
 )}
 # Homogeneity's counterexample search, run one attempt at a time (see below).
-_STRICT_BREAK = replace(_SPECS["homogeneity"], build=_build_strict_contraction,
-                        compare=_compare_break)
+_STRICT_BREAK = replace(_SPECS["homogeneity"], draw=_draw_strict, compare=_compare_break)
 
 
 # ---------------------------------------------------------------------------
@@ -983,8 +975,7 @@ def gt_route_value(inst: fn.MultiInstance) -> float:
     that overflows raises NonFiniteObjective."""
     if inst.b_list is None:
         raise DomainError("gt_route_value needs an instance with b_list")
-    arg = HermitianMatrix(fn._conjugated_sum(
-        HermitianMatrix(np.zeros_like(inst.L.mat)), inst.H, [b.mat for b in inst.b_list]))
+    arg = HermitianMatrix(fn._conjugated_sum(None, inst.H, [b.mat for b in inst.b_list]))
     return fn._exp_weighted_trace(inst.L, [(None, arg)], "Tr(e^L e^(sum H_i* B_i H_i))")
 
 

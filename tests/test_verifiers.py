@@ -1287,3 +1287,58 @@ class TestReplayConfig:
         assert [{key: float.hex(v) for key, v in redo.items()} for redo in after] == [
             {key: float.hex(v) for key, v in redo.items()} for redo in before]
         assert verifiers._REPLAY_CFG == default
+
+
+class TestUnitaryRouteStacks:
+    """At k*m = n the blocks of an isometric tuple stack to a unitary, so
+    e^(sum H_i* B_i H_i) = sum H_i* e^(B_i) H_i and the probe's difference
+    is round-off: the route search still builds every trial."""
+
+    def test_no_error_record_and_each_trial_builds_as_the_reference(self):
+        cfg = CheckConfig(trials=8, seed=7, dims=((2, 10, 20),))
+        report = search_gt_route_gap(cfg)
+        assert report.violations == []
+        assert report.note.startswith("inconclusive") and not report.passed
+        spec = verifiers._SPECS["gt_route_gap"]
+        dims = spec.dims(cfg)
+        for t in range(cfg.trials):
+            alone = ref.sample(spec, trial_rng(cfg.seed, t), dims, t)
+            ref.assert_same(alone, ref.SAMPLERS["gt_route_gap"](trial_rng(cfg.seed, t), dims, t))
+
+
+def _counting_inits(monkeypatch, cls, counted=lambda entries: True) -> list:
+    """Patch ``cls.__init__`` to note each construction whose first
+    argument satisfies ``counted``; stacked and sliced values are made
+    without ``__init__`` and are not noted."""
+    genuine, seen = cls.__init__, []
+
+    def init(self, entries, *args, **kwargs):
+        if counted(entries):
+            seen.append(cls)
+        genuine(self, entries, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", init)
+    return seen
+
+
+class TestOneBuildPerValue:
+    """Each compared value is built once from its draw."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (1, 32, 32)])
+    def test_a_strict_attempt_builds_one_tuple(self, dims, monkeypatch):
+        seen = _counting_inits(monkeypatch, verifiers.ContractionTuple)
+        for attempt in range(3):
+            cfg = CheckConfig(trials=1, seed=7, dims=(dims,))
+            records = verifiers._run(verifiers._STRICT_BREAK, cfg, first=8 + attempt).violations
+            assert len(seen) == attempt + 1
+            assert all(r["instance"]["sum_is_identity"] is False for r in records)
+
+    def test_the_route_search_builds_no_zero_matrix(self, monkeypatch):
+        seen = _counting_inits(monkeypatch, verifiers.HermitianMatrix,
+                               lambda entries: not np.any(entries))
+        cfg = CheckConfig(trials=20, seed=7)
+        report = search_gt_route_gap(cfg)  # its builds, route values and replays
+        assert report.passed and all(w["reverified"] for w in report.violations)
+        spec = verifiers._SPECS["gt_route_gap"]
+        gt_route_value(ref.sample(spec, trial_rng(cfg.seed, 0), spec.dims(cfg), 0)["probe"])
+        assert seen == []
